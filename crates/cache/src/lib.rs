@@ -414,9 +414,11 @@ impl ResultCache {
         self.refresh_occupancy();
     }
 
-    /// A committed write on the single-engine backend (no replication
-    /// stream to observe): synthesize the next LSN on shard 0 and run
-    /// the same invalidation path a shipped delta would.
+    /// Apply `op` as shard 0's next committed delta — same epoch, next
+    /// LSN — through the invalidation path a tapped delta stream takes.
+    /// An entry point for tests and benchmarks that have no engine to
+    /// tap; a session's cache is fed by its engine's [`DeltaObserver`]
+    /// stream only.
     pub fn note_local_write(&self, op: &DeltaOp) {
         let (epoch, lsn) = {
             let meta = self.meta.read();

@@ -5,12 +5,9 @@ use std::io::Write;
 use std::process::{Command, Stdio};
 
 fn run_script(script: &str) -> String {
-    // Resolve the binary next to the test executable (target/debug).
-    let mut path = std::env::current_exe().expect("test exe path");
-    path.pop(); // deps/
-    path.pop(); // debug/
-    path.push(format!("procdb-cli{}", std::env::consts::EXE_SUFFIX));
-    let mut child = Command::new(&path)
+    // Cargo builds the binary for this test and hands over its path.
+    let path = env!("CARGO_BIN_EXE_procdb-cli");
+    let mut child = Command::new(path)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())

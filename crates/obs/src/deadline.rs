@@ -15,6 +15,7 @@
 //! scopes (a sub-request with a tighter budget) compose.
 
 use std::cell::Cell;
+use std::thread;
 use std::time::{Duration, Instant};
 
 thread_local! {
@@ -42,6 +43,40 @@ pub fn deadline_remaining() -> Option<Duration> {
 /// Has the installed deadline passed? `false` when none is installed.
 pub fn deadline_expired() -> bool {
     current_deadline().is_some_and(|d| Instant::now() >= d)
+}
+
+/// Sleep between lock re-tries once the yield phase of [`acquire_by`]
+/// is exhausted; bounds how stale a waiter's next attempt can be.
+const LOCK_RETRY: Duration = Duration::from_micros(50);
+
+/// Take a lock by polling `try_lock` until it yields a guard, giving up
+/// (`None`) once `deadline` has passed — the vendored locks have no
+/// timed acquire, so a bounded acquisition is a try-loop. Between
+/// attempts, yield the first rounds (the critical sections behind these
+/// locks are usually tens to hundreds of microseconds), then back off
+/// to short sleeps so a long-held lock doesn't burn a core. A fixed 1ms
+/// sleep here quantized every contended acquisition to the sleep period
+/// — a convoy of writers capped at ~1k lock handoffs/s no matter how
+/// briefly each held it.
+pub fn acquire_by<G>(
+    deadline: Option<Instant>,
+    mut try_lock: impl FnMut() -> Option<G>,
+) -> Option<G> {
+    let mut attempt = 0u32;
+    loop {
+        if let Some(guard) = try_lock() {
+            return Some(guard);
+        }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return None;
+        }
+        if attempt < 64 {
+            thread::yield_now();
+        } else {
+            thread::sleep(LOCK_RETRY);
+        }
+        attempt = attempt.saturating_add(1);
+    }
 }
 
 /// Scope guard from [`install_deadline`]: restores the thread's
@@ -82,5 +117,20 @@ mod tests {
             assert_eq!(current_deadline(), Some(far), "inner guard restores");
         }
         assert_eq!(current_deadline(), None, "outer guard clears");
+    }
+
+    #[test]
+    fn acquire_by_polls_until_the_lock_or_the_deadline() {
+        let lock = std::sync::Mutex::new(7);
+        assert_eq!(*acquire_by(None, || lock.try_lock().ok()).unwrap(), 7);
+        let held = lock.lock().unwrap();
+        let soon = Instant::now() + Duration::from_millis(5);
+        assert!(acquire_by(Some(soon), || lock.try_lock().ok()).is_none());
+        // Without a deadline the waiter outlasts the holder.
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| *acquire_by(None, || lock.try_lock().ok()).unwrap());
+            drop(held);
+            assert_eq!(waiter.join().unwrap(), 7);
+        });
     }
 }

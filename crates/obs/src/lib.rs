@@ -54,7 +54,8 @@ pub mod registry;
 pub mod trace;
 
 pub use deadline::{
-    current_deadline, deadline_expired, deadline_remaining, install_deadline, DeadlineGuard,
+    acquire_by, current_deadline, deadline_expired, deadline_remaining, install_deadline,
+    DeadlineGuard,
 };
 pub use registry::{Counter, FloatCounter, Gauge, Histogram, MetricValue, Registry, Sample};
 pub use trace::{BoostGuard, ContextGuard, SpanEvent, SpanGuard, TraceContext, TraceTree};

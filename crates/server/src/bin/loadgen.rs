@@ -89,7 +89,7 @@ struct Config {
     z: f64,
     seed: u64,
     /// Partition `R1` across this many shard engines (`shards N` over
-    /// the wire); 1 keeps the classic single-engine backend.
+    /// the wire).
     shards: usize,
     /// Run each shard as a replica group of this many engines
     /// (`replicas R` over the wire); 1 keeps shards unreplicated.
@@ -512,8 +512,7 @@ impl ShardSnapshot {
     }
 }
 
-/// Scrape the `shards` command into per-shard snapshots. Works against
-/// both backends (a single engine reports itself as one shard).
+/// Scrape the `shards` command into per-shard snapshots.
 fn fetch_shards(control: &mut Client) -> Result<Vec<ShardSnapshot>, String> {
     let (data, term) = control.cmd("shards")?;
     if term.starts_with("err") {
@@ -672,8 +671,7 @@ struct RunResult {
     /// `--metrics-json` is on. Empty otherwise.
     server_metrics: Vec<(String, f64)>,
     /// Per-shard counter deltas for this run, scraped via the `shards`
-    /// wire command (one entry per shard; a single-engine backend
-    /// reports itself as shard 0).
+    /// wire command (one entry per shard).
     shards: Vec<ShardSnapshot>,
     /// Throughput cost of tracing at `--trace-sample N`: percent drop
     /// from the tracing-off baseline pass (`None` without the knob).

@@ -85,7 +85,7 @@ pub enum Command {
     /// `chaos inject [--seed S] [--delay P] [--delay-ms MIN MAX]
     /// [--drop P] [--dup P] [--reorder P] [--heartbeat P] [--fence P]`
     /// — install a seeded message-chaos plan on the replication layer
-    /// (requires a replicated backend).
+    /// (requires `replicas R` with R >= 2).
     ChaosInject(ChaosPlan),
     /// `chaos off` — remove the installed chaos plan.
     ChaosOff,
@@ -96,11 +96,11 @@ pub enum Command {
     Cache(bool),
     /// `cache stats` — cache counters and per-shard watermarks.
     CacheStats,
-    /// `crash [SHARD]` — simulate a crash (volatile state lost). With a
-    /// sharded backend, `crash N` kills only shard `N`.
+    /// `crash [SHARD]` — simulate a crash (volatile state lost) on every
+    /// shard; `crash N` kills only shard `N`.
     Crash(Option<usize>),
-    /// `recover [SHARD]` — run crash recovery and report what it did.
-    /// With a sharded backend, `recover N` recovers only shard `N`.
+    /// `recover [SHARD]` — run crash recovery and report what it did,
+    /// per shard; `recover N` recovers only shard `N`.
     Recover(Option<usize>),
     /// `shards N` — partition `R1` across `N` shard engines;
     /// bare `shards` reports per-shard status counters.

@@ -47,7 +47,7 @@ pub fn execute(session: &mut Session, cmd: Command) -> Result<Outcome, String> {
             Outcome::text(format!("view {name} defined"))
         }
         Command::Strategy(kind) => {
-            session.set_strategy(kind);
+            session.set_strategy(kind)?;
             Outcome::text(format!(
                 "strategy set to {kind} (engine rebuilds on next access)"
             ))
@@ -288,11 +288,11 @@ mod tests {
         let Outcome::Text(t) = run(&mut s, "crash").unwrap() else {
             panic!()
         };
-        assert!(t.contains("epoch 1"), "{t}");
+        assert!(t.contains("all 1 shards crashed"), "{t}");
         let Outcome::Text(t) = run(&mut s, "recover").unwrap() else {
             panic!()
         };
-        assert!(t.contains("recovered (epoch 1)"), "{t}");
+        assert!(t.contains("shard 0 recovered (epoch 1)"), "{t}");
         let Outcome::Text(t) = run(&mut s, "access V").unwrap() else {
             panic!()
         };
@@ -300,7 +300,54 @@ mod tests {
         let Outcome::Text(t) = run(&mut s, "stats").unwrap() else {
             panic!()
         };
-        assert!(t.contains("recovery: 1 crash(es)"), "{t}");
+        assert!(t.contains("shard 0:"), "{t}");
+        assert!(t.contains("crash epoch 1"), "{t}");
+        assert!(t.contains("last recovery replayed 0 WAL records"), "{t}");
+        // Cache & Invalidate adds its validity-WAL sizes to the line.
+        run(&mut s, "strategy ci").unwrap();
+        run(&mut s, "access V").unwrap();
+        let Outcome::Text(t) = run(&mut s, "stats").unwrap() else {
+            panic!()
+        };
+        assert!(t.contains("validity WAL "), "{t}");
+        assert!(t.contains(" past checkpoint)"), "{t}");
+    }
+
+    #[test]
+    fn failed_read_back_keeps_engine_and_committed_rekeys() {
+        let mut s = Session::new();
+        run(&mut s, "create table EMP (eid int, dept int) btree eid").unwrap();
+        for i in 0..10 {
+            run(&mut s, &format!("insert EMP ({i}, 0)")).unwrap();
+        }
+        run(
+            &mut s,
+            "define view V (EMP.all) where EMP.eid >= 2 and EMP.eid <= 5",
+        )
+        .unwrap();
+        run(&mut s, "update 3 -> 99").unwrap();
+        // With every read failing — uncharged ones included — a rebuild
+        // cannot take the rows back from the engine: the command must
+        // fail and leave the engine, and the committed re-key, in place.
+        run(&mut s, "fault inject --io-reads 1 --include-uncharged").unwrap();
+        let err = run(&mut s, "strategy avm").unwrap_err();
+        assert!(err.contains("injected I/O failure"), "{err}");
+        for ddl in ["shards 2", "replicas 2", "create table T (x int) hash x"] {
+            let err = run(&mut s, ddl).unwrap_err();
+            assert!(err.contains("injected I/O failure"), "{ddl}: {err}");
+        }
+        assert_eq!(s.strategy(), procdb_core::StrategyKind::AlwaysRecompute);
+        assert_eq!((s.shards(), s.replicas(), s.tables().len()), (1, 1, 1));
+        run(&mut s, "fault off").unwrap();
+        run(&mut s, "strategy avm").unwrap();
+        let Outcome::Text(t) = run(&mut s, "access V").unwrap() else {
+            panic!()
+        };
+        assert!(t.contains("3 rows"), "{t}");
+        assert!(!t.contains("(3, 0)"), "re-key lost by the rebuild: {t}");
+        let base = s.scan_base().unwrap();
+        assert_eq!(base.len(), 10);
+        assert!(base.iter().any(|r| r[0] == procdb_query::Value::Int(99)));
     }
 
     #[test]

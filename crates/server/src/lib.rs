@@ -25,14 +25,19 @@
 //!
 //! ## Concurrency
 //!
-//! Connections share one [`Session`] behind a readers-writer lock, the
-//! network analogue of the paper's i-lock protocol: `access` runs under
-//! a shared read lock whenever the strategy's read path needs no engine
-//! mutation (Always Recompute, AVM, RVM, and a *valid* Cache &
-//! Invalidate entry — see [`procdb_core::Engine::access_shared`]);
-//! an invalidated cache entry escalates to the exclusive path, exactly
-//! as a CI access that must refill its cache re-acquires locks.
-//! Updates and DDL always take the write lock.
+//! Connections share one [`Session`] behind a readers-writer lock, and
+//! the session's engine is always a [`procdb_shard::ShardedEngine`]
+//! (one shard with one replica by default) whose own per-shard locks
+//! are the network analogue of the paper's i-lock protocol. `access`
+//! and `update` both run under the session's shared read lock: an
+//! access shares its shard's lock whenever the strategy's read path
+//! needs no engine mutation (Always Recompute, AVM, RVM, and a *valid*
+//! Cache & Invalidate entry — see
+//! [`procdb_core::Engine::access_shared`]) and escalates to that
+//! shard's exclusive lock otherwise, exactly as a CI access that must
+//! refill its cache re-acquires locks; an update excludes only the
+//! shard it routes to. DDL, admin commands, and the first build of the
+//! engine take the session write lock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

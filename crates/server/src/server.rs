@@ -1,12 +1,15 @@
 //! The TCP server: thread-per-connection over a shared [`Session`]
 //! behind a readers-writer lock.
 //!
-//! * `access` runs under a **shared read lock** when the strategy's read
-//!   path is pure ([`Session::access_shared`]); an invalidated Cache &
-//!   Invalidate entry escalates to the **write lock** and refills — the
-//!   network analogue of a CI access re-acquiring its i-locks.
-//! * every other command (updates, inserts, DDL, strategy switches)
-//!   takes the write lock.
+//! * `access` and `update` run under the **shared read lock**
+//!   ([`Session::access_shared`], [`Session::update_shared`]): the
+//!   engine's own per-shard locks are the concurrency control, and a
+//!   read that must write (an invalidated Cache & Invalidate entry
+//!   refilling — the network analogue of a CI access re-acquiring its
+//!   i-locks) escalates inside its shard, not here.
+//! * every other command (inserts, DDL, strategy and layout switches,
+//!   admin) takes the write lock, as does the very first access or
+//!   update, which builds the engine.
 //! * a panic while executing a command is caught and reported as
 //!   `err internal: …`; the connection (and server) stay up.
 //!
@@ -68,11 +71,6 @@ impl Default for ServerConfig {
 
 /// How often blocked readers/acceptors re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
-
-/// Sleep between lock re-tries once the yield phase of [`lock_backoff`]
-/// is exhausted. The vendored lock has no timed acquire, so a deadline
-/// is a try-loop; this bounds how stale a waiter's next attempt can be.
-const LOCK_RETRY: Duration = Duration::from_micros(50);
 
 pub(crate) struct Shared {
     pub(crate) session: RwLock<Session>,
@@ -382,36 +380,12 @@ pub(crate) enum Response {
     Closed,
 }
 
-/// Adaptive wait between lock attempts: yield the first rounds (the
-/// session lock's critical sections are usually tens to hundreds of
-/// microseconds), then back off to short sleeps so a long-held lock
-/// doesn't burn a core. A fixed 1ms sleep here quantized every
-/// contended acquisition to the sleep period — a convoy of writers
-/// capped at ~1k lock handoffs/s no matter how briefly each held it.
-fn lock_backoff(attempt: u32) {
-    if attempt < 64 {
-        thread::yield_now();
-    } else {
-        thread::sleep(LOCK_RETRY);
-    }
-}
-
 /// Acquire the session read lock before `deadline`, or give up.
 pub(crate) fn read_by(
     shared: &Shared,
     deadline: Instant,
 ) -> Option<parking_lot::RwLockReadGuard<'_, Session>> {
-    let mut attempt = 0;
-    loop {
-        if let Some(g) = shared.session.try_read() {
-            return Some(g);
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-        lock_backoff(attempt);
-        attempt += 1;
-    }
+    procdb_obs::acquire_by(Some(deadline), || shared.session.try_read())
 }
 
 /// Acquire the session write lock before `deadline`, or give up.
@@ -419,17 +393,7 @@ fn write_by(
     shared: &Shared,
     deadline: Instant,
 ) -> Option<parking_lot::RwLockWriteGuard<'_, Session>> {
-    let mut attempt = 0;
-    loop {
-        if let Some(g) = shared.session.try_write() {
-            return Some(g);
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-        lock_backoff(attempt);
-        attempt += 1;
-    }
+    procdb_obs::acquire_by(Some(deadline), || shared.session.try_write())
 }
 
 pub(crate) fn deadline_expired(shared: &Shared) -> Response {
@@ -566,10 +530,9 @@ fn run_line_inner(shared: &Arc<Shared>, line: &str) -> Response {
         // read (even the lock acquisition), so a delta racing this
         // access makes the fill invalid rather than stale.
         let ticket = shared.cache.begin_fill();
-        // Fast path: concurrent reads under the shared lock. `None`
-        // means the read needs engine mutation (first build, a CI
-        // refill, or a post-crash rebuild) — fall through to the
-        // exclusive path.
+        // Concurrent reads under the shared lock. `None` means the
+        // engine is not built yet — fall through to the exclusive path,
+        // which builds it.
         let Some(session) = read_by(shared, deadline) else {
             return deadline_expired(shared);
         };
@@ -585,16 +548,15 @@ fn run_line_inner(shared: &Arc<Shared>, line: &str) -> Response {
                 }
                 return Response::Data(text);
             }
-            Ok(None) => {} // escalate below
+            Ok(None) => {} // not built: escalate below
         }
     }
     if let Command::Update(victim, new_key) = &cmd {
-        // Sharded fast path: the per-shard engine locks are the real
-        // concurrency control, so an update only needs the session
-        // *read* lock — updates to different shards run concurrently
-        // with each other and with accesses. `None` means the backend
-        // isn't sharded (or isn't built): fall through to the exclusive
-        // path below.
+        // The per-shard engine locks are the real concurrency control,
+        // so an update only needs the session *read* lock — updates to
+        // different shards run concurrently with each other and with
+        // accesses. `None` means the engine is not built yet: fall
+        // through to the exclusive path below, which builds it.
         let Some(session) = read_by(shared, deadline) else {
             return deadline_expired(shared);
         };
@@ -605,7 +567,7 @@ fn run_line_inner(shared: &Arc<Shared>, line: &str) -> Response {
                     "{n} tuple(s) re-keyed {victim} -> {new_key}; maintenance {ms:.1} model-ms"
                 ))
             }
-            Ok(None) => {} // single-engine backend: escalate below
+            Ok(None) => {} // not built: escalate below
         }
     }
     if matches!(cmd, Command::Metrics | Command::Shards(None)) {
@@ -725,7 +687,7 @@ mod tests {
         let (_, t) = send(&mut s, &mut r, "quit");
         assert_eq!(t, "ok bye");
         let session = server.stop();
-        assert_eq!(session.tables()[0].rows.len(), 8);
+        assert_eq!(session.scan_base().unwrap().len(), 8);
     }
 
     #[test]
@@ -931,60 +893,45 @@ mod tests {
     }
 
     #[test]
-    fn sharded_updates_run_under_the_read_lock() {
+    fn updates_run_under_the_read_lock() {
         let shared = test_shared(8, Duration::from_millis(50));
         for line in [
             "create table EMP (eid int, dept int) btree eid",
             "define view V (EMP.all) where EMP.eid >= 2 and EMP.eid <= 9",
         ] {
-            match run_line(&shared, line) {
-                Response::Data(_) | Response::Silent => {}
-                other => panic!(
-                    "setup {line:?} failed: {:?}",
-                    matches!(other, Response::Error(_))
-                ),
-            }
+            expect_data(&shared, line);
         }
         for i in 0..20 {
             run_line(&shared, &format!("insert EMP ({i}, 0)"));
         }
-        run_line(&shared, "shards 2");
-        match run_line(&shared, "access V") {
-            Response::Data(t) => assert!(t.contains("8 rows"), "{t}"),
-            _ => panic!("access must succeed"),
-        }
-        {
-            // A held *read* lock starves writers, so this proves the
-            // sharded update path never takes the session write lock —
-            // the per-shard engine locks carry the isolation instead.
-            let _reader = shared.session.read();
-            match run_line(&shared, "update 3 -> 99") {
-                Response::Data(t) => assert!(t.contains("1 tuple(s) re-keyed"), "{t}"),
-                _ => panic!("sharded update must run under the shared read lock"),
+        // One shard with one replica first, then two shards: the update
+        // path is the same either way.
+        for (shards, victim, rows_after) in [(1, 3, 7), (2, 4, 6)] {
+            expect_data(&shared, &format!("shards {shards}"));
+            expect_data(&shared, "access V");
+            {
+                // A held *read* lock starves writers, so this proves the
+                // update path never takes the session write lock — the
+                // per-shard engine locks carry the isolation instead.
+                let _reader = shared.session.read();
+                let t = expect_data(&shared, &format!("update {victim} -> 9{victim}"));
+                assert!(t.contains("1 tuple(s) re-keyed"), "{t}");
+                // Shard status is served read-only too.
+                let t = expect_data(&shared, "shards");
+                assert!(t.starts_with(&format!("shards: {shards}")), "{t}");
             }
-            // Shard status is served read-only too.
-            match run_line(&shared, "shards") {
-                Response::Data(t) => assert!(t.starts_with("shards: 2"), "{t}"),
-                _ => panic!("shards status must run under the shared read lock"),
-            }
+            // The moved key is visible to later accesses.
+            let t = expect_data(&shared, "access V");
+            assert!(t.contains(&format!("{rows_after} rows")), "{t}");
         }
-        // The moved key is visible to later accesses.
-        match run_line(&shared, "access V") {
-            Response::Data(t) => assert!(t.contains("7 rows"), "{t}"),
-            _ => panic!("post-update access must succeed"),
-        }
-        // A single-engine session still escalates updates to the write
-        // lock (and therefore expires behind the held reader).
-        {
-            let mut session = shared.session.write();
-            session.set_shards(1).unwrap();
-        }
-        run_line(&shared, "access V");
+        // Before the engine is (re)built the first update escalates to
+        // the write lock to build it, and expires behind the reader.
+        expect_data(&shared, "shards 1");
         {
             let _reader = shared.session.read();
-            match run_line(&shared, "update 4 -> 90") {
+            match run_line(&shared, "update 5 -> 95") {
                 Response::Error(msg) => assert!(msg.starts_with("DEADLINE"), "{msg}"),
-                _ => panic!("single-engine update must need the write lock"),
+                other => panic!("the build must need the write lock: {other:?}"),
             }
         }
     }

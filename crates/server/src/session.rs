@@ -2,64 +2,45 @@
 //! lazily rebuilt engine. Shared by the interactive shell and the
 //! server's connection threads.
 //!
-//! The session keeps every table's rows in memory so the engine can be
-//! rebuilt from scratch whenever the schema, view set, or strategy
-//! changes — switching strategies mid-session replays the same database
-//! under the new algorithm, which is exactly the comparison the paper is
-//! about.
+//! The engine is always a [`ShardedEngine`] — `S >= 1` hash partitions
+//! of the base table, each a group of `R >= 1` replicas — rebuilt from
+//! scratch whenever the schema, view set, strategy, or layout changes:
+//! switching strategies mid-session replays the same database under the
+//! new algorithm, which is exactly the comparison the paper is about.
 //!
-//! For the server, [`Session::access_shared`] serves reads through
-//! `&self` when the engine's read path is pure, so concurrent accesses
-//! proceed in parallel under a read lock; a [`WorkloadObserver`] behind
-//! a mutex counts per-procedure accesses and conflicting updates either
-//! way (surfaced by the `stats` command).
+//! The base (first-declared, updatable) table's rows have **one owner
+//! at a time**: its [`TableSpec`] until the engine is built — the build
+//! moves them into the partitions — and the engine from then on. A
+//! rebuild first reads them back out of the live engine; if that read
+//! fails, the command that asked for the rebuild fails and engine and
+//! rows stay as they were. Inner tables are never mutated by a live
+//! engine and keep their declared rows.
+//!
+//! Concurrency control is per shard, so a live engine serves accesses
+//! *and* updates through `&self` ([`Session::access_shared`],
+//! [`Session::update_shared`]) under the server's shared lock; `&mut
+//! self` is for DDL, admin commands, and the build itself. A
+//! [`WorkloadObserver`] behind a mutex counts per-procedure accesses
+//! and conflicting updates (surfaced by the `stats` command).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use procdb_cache::ResultCache;
 use procdb_core::{
-    parse_define_view, DeltaObserver, DeltaOp, Engine, EngineOptions, ProcedureDef,
-    RecoveryOutcome, StrategyKind, WorkloadObserver,
+    parse_define_view, DeltaObserver, Engine, EngineOptions, ProcedureDef, RecoveryOutcome,
+    StrategyKind, WorkloadObserver,
 };
 use procdb_query::{Catalog, FieldType, Organization, Schema, Table, Tuple, Value};
 use procdb_shard::{Router, ShardedEngine};
 use procdb_storage::{CostConstants, FaultPlan, Pager, PagerConfig};
 
 /// Health-check cadence of the replica supervisor the session starts
-/// when a replicated backend is built.
+/// when a replicated engine is built.
 const SUPERVISOR_INTERVAL: Duration = Duration::from_millis(20);
 
-/// The session's engine: one instance, or `S` hash-partitioned shard
-/// engines behind per-shard locks ([`procdb_shard::ShardedEngine`]).
-/// Built lazily from the declarative state either way; `shards 1` and
-/// the single engine behave identically.
-// One backend lives per session (heap-held behind the session lock), so
-// the size spread between the variants is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    Single(Engine),
-    Sharded(ShardedEngine),
-}
-
-/// Read a single engine's base table back out of its storage, with page
-/// charging suspended: mirror upkeep is setup work, not priced query
-/// cost.
-fn scan_engine_base(engine: &Engine, base_name: &str) -> Result<Vec<Tuple>, SessionError> {
-    let pager = engine.pager().clone();
-    pager.set_charging(false);
-    let rows = engine
-        .catalog()
-        .get(base_name)
-        .ok_or_else(|| format!("base table {base_name} missing from catalog"))
-        .and_then(|t| t.scan_all().map_err(|e| e.to_string()));
-    pager.set_charging(true);
-    rows
-}
-
-/// One declared table: schema, organization, and its current rows.
+/// One declared table: schema, organization, and its rows.
 #[derive(Debug, Clone)]
 pub struct TableSpec {
     /// Table name.
@@ -68,7 +49,8 @@ pub struct TableSpec {
     pub schema: Schema,
     /// Physical organization.
     pub org: Organization,
-    /// Current contents.
+    /// Declared contents. The base table's are empty while an engine is
+    /// live and owns them — read those through [`Session::scan_base`].
     pub rows: Vec<Tuple>,
 }
 
@@ -81,23 +63,20 @@ pub struct Session {
     views: Vec<(String, procdb_avm::ViewDef)>,
     strategy: StrategyKind,
     constants: CostConstants,
-    engine: Option<Backend>,
+    engine: Option<ShardedEngine>,
     page_size: usize,
-    /// Shard count the next engine build partitions into (1 = single).
+    /// Shard count the next engine build partitions into.
     shards: usize,
-    /// Replica-group size per shard the next build creates (1 = none).
+    /// Replica-group size per shard the next build creates (1 = no
+    /// followers).
     replicas: usize,
-    /// Set when sharded updates ran through `&self` and the in-memory
-    /// row mirror no longer matches the engine; resynced (from the
-    /// engine, which is authoritative) before the mirror is next used.
-    mirror_stale: AtomicBool,
     /// Per-procedure workload counters; a mutex (not `&mut`) so the
-    /// shared read path can record accesses too.
+    /// shared paths can record too.
     observer: Mutex<WorkloadObserver>,
     /// The front result cache, when the server attached one. The
     /// session keeps it configured (procedure intervals, shard layout)
-    /// and feeds it the single-engine write stream; the sharded
-    /// backend feeds it directly as a [`DeltaObserver`].
+    /// and taps it into every engine it builds as the
+    /// [`DeltaObserver`] of the committed delta stream.
     cache: Option<Arc<ResultCache>>,
 }
 
@@ -113,7 +92,6 @@ impl Session {
             page_size: 4000,
             shards: 1,
             replicas: 1,
-            mirror_stale: AtomicBool::new(false),
             observer: Mutex::new(WorkloadObserver::new(0)),
             cache: None,
         }
@@ -130,20 +108,15 @@ impl Session {
         self.cache.as_ref()
     }
 
-    /// (Re)register the engine layout and every procedure's selection
-    /// interval with the cache — its predicate index must be current
-    /// before any fill can run (see `procdb-cache`'s fill protocol).
-    fn configure_cache(&self) {
+    /// Register a freshly built engine's layout and every procedure's
+    /// selection interval with the cache — its predicate index must be
+    /// current before any fill can run (see `procdb-cache`'s fill
+    /// protocol) — and tap the cache into the engine's delta stream.
+    fn attach_engine_to_cache(&self, engine: &ShardedEngine, key_field: usize) {
         let Some(cache) = self.cache.as_ref() else {
             return;
         };
-        let key_field = self.base_key_field().unwrap_or(0);
-        let epochs: Vec<u64> = match self.engine.as_ref() {
-            Some(Backend::Sharded(sharded)) => {
-                (0..sharded.shards()).map(|s| sharded.epoch_of(s)).collect()
-            }
-            _ => vec![1],
-        };
+        let epochs: Vec<u64> = (0..engine.shards()).map(|s| engine.epoch_of(s)).collect();
         let procs: Vec<(String, i64, i64)> = self
             .views
             .iter()
@@ -156,6 +129,8 @@ impl Session {
             })
             .collect();
         cache.configure(&epochs, key_field, &procs);
+        let observer: Arc<dyn DeltaObserver> = cache.clone();
+        engine.set_delta_observer(Some(observer));
     }
 
     /// The active strategy.
@@ -180,36 +155,26 @@ impl Session {
 
     /// Key field index of the first-declared (updatable) base table.
     pub fn base_key_field(&self) -> Result<usize, SessionError> {
-        let base = self
-            .tables
-            .first()
-            .ok_or_else(|| "no tables declared".to_string())?;
-        match base.org {
+        match self.base()?.org {
             Organization::BTree { key_field } | Organization::Hash { key_field } => Ok(key_field),
             Organization::Heap => Ok(0),
         }
     }
 
-    /// Snapshot of the base table's current rows, readable through
-    /// `&self`. When a sharded backend has applied updates since the
-    /// in-memory mirror was last synced, the rows come from the engine
-    /// (authoritative); otherwise the mirror is exact and no engine
-    /// access is needed.
-    pub fn scan_base(&self) -> Result<Vec<Tuple>, SessionError> {
-        let base = self
-            .tables
+    fn base(&self) -> Result<&TableSpec, SessionError> {
+        self.tables
             .first()
-            .ok_or_else(|| "no tables declared".to_string())?;
-        if self.mirror_stale.load(Ordering::SeqCst) {
-            match self.engine.as_ref() {
-                Some(Backend::Sharded(sharded)) => {
-                    return sharded.scan_r1().map_err(|e| e.to_string())
-                }
-                Some(Backend::Single(engine)) => return scan_engine_base(engine, &base.name),
-                None => {}
-            }
+            .ok_or_else(|| "no tables declared".to_string())
+    }
+
+    /// Snapshot of the base table's current rows, from whichever owns
+    /// them: the live engine, or the declared table before the build.
+    pub fn scan_base(&self) -> Result<Vec<Tuple>, SessionError> {
+        let base = self.base()?;
+        match self.engine.as_ref() {
+            Some(engine) => engine.scan_r1().map_err(|e| e.to_string()),
+            None => Ok(base.rows.clone()),
         }
-        Ok(base.rows.clone())
     }
 
     fn table_mut(&mut self, name: &str) -> Result<&mut TableSpec, SessionError> {
@@ -226,44 +191,25 @@ impl Session {
             .ok_or_else(|| format!("unknown table {name}"))
     }
 
-    /// Invalidate the built engine (schema/view/strategy changed). The
-    /// mirror is resynced first: once the backend is gone it can no
-    /// longer tell us which tuples sharded updates re-keyed.
-    fn dirty(&mut self) {
-        self.resync_mirror();
-        self.engine = None;
+    /// Retire the built engine (schema/view/strategy/layout is about to
+    /// change), taking the base table's rows back from it first. When
+    /// that read fails the engine stays live and nothing has changed —
+    /// callers run this *before* touching any declarative state.
+    fn dirty(&mut self) -> Result<(), SessionError> {
+        if let Some(engine) = self.engine.as_ref() {
+            self.tables[0].rows = engine.scan_r1().map_err(|e| e.to_string())?;
+            self.engine = None;
+        }
         // Whatever the next engine computes may differ from what the
         // old one answered — nothing cached survives a rebuild.
         if let Some(cache) = self.cache.as_ref() {
             cache.flash_all();
         }
+        Ok(())
     }
 
-    /// Pull the base table's rows back out of the live backend if
-    /// updates re-keyed tuples since the last sync. Both backends defer
-    /// this O(rows) scan to here so re-keys stay cheap; with duplicate
-    /// keys, guessing which tuple the engine moved can diverge — reading
-    /// the rows back cannot.
-    fn resync_mirror(&mut self) {
-        if !self.mirror_stale.swap(false, Ordering::SeqCst) {
-            return;
-        }
-        let rows = match self.engine.as_ref() {
-            Some(Backend::Sharded(sharded)) => sharded.scan_r1().ok(),
-            Some(Backend::Single(engine)) => self
-                .tables
-                .first()
-                .and_then(|base| scan_engine_base(engine, &base.name).ok()),
-            None => None,
-        };
-        if let Some(rows) = rows {
-            self.tables[0].rows = rows;
-        }
-    }
-
-    /// Partition the engine `shards` ways on the next build (1 restores
-    /// the single engine). A live engine is rebuilt lazily, exactly like
-    /// a strategy switch.
+    /// Partition the engine `shards` ways on the next build. A live
+    /// engine is rebuilt lazily, exactly like a strategy switch.
     pub fn set_shards(&mut self, n: usize) -> Result<(), SessionError> {
         if n == 0 {
             return Err("shards must be at least 1".to_string());
@@ -271,21 +217,20 @@ impl Session {
         if n > 64 {
             return Err(format!("shards capped at 64, got {n}"));
         }
+        self.dirty()?;
         self.shards = n;
-        self.dirty();
         Ok(())
     }
 
     /// Configured shard count (what the next engine build partitions
-    /// into; 1 = single engine).
+    /// into).
     pub fn shards(&self) -> usize {
         self.shards
     }
 
-    /// Replicate each shard `n` ways on the next build (1 disables
-    /// replication). `n >= 2` makes every shard a primary + followers
-    /// group with supervised failover; the sharded backend is used even
-    /// with `shards 1`, since replication rides on it.
+    /// Replicate each shard `n` ways on the next build. `n >= 2` makes
+    /// every shard a primary + followers group with supervised
+    /// failover; 1 leaves each shard a lone primary.
     pub fn set_replicas(&mut self, n: usize) -> Result<(), SessionError> {
         if n == 0 {
             return Err("replicas must be at least 1".to_string());
@@ -293,8 +238,8 @@ impl Session {
         if n > 8 {
             return Err(format!("replicas capped at 8, got {n}"));
         }
+        self.dirty()?;
         self.replicas = n;
-        self.dirty();
         Ok(())
     }
 
@@ -321,25 +266,19 @@ impl Session {
                 return Err("organization key must be an int field".to_string());
             }
         }
+        self.dirty()?;
         self.tables.push(TableSpec {
             name: name.to_string(),
             schema,
             org,
             rows: Vec::new(),
         });
-        self.dirty();
         Ok(())
     }
 
     /// Insert a row (typed against the declared schema).
     pub fn insert(&mut self, table: &str, row: Tuple) -> Result<(), SessionError> {
-        let is_base = self.engine.is_some()
-            && self
-                .tables
-                .first()
-                .map(|t| t.name == table)
-                .unwrap_or(false);
-        let spec = self.table_mut(table)?;
+        let spec = self.table(table)?;
         if row.len() != spec.schema.arity() {
             return Err(format!(
                 "arity mismatch: {} fields given, {} expected",
@@ -354,51 +293,40 @@ impl Session {
                 _ => return Err(format!("value does not fit field {}", f.name)),
             }
         }
-        // Canonical (padded) form everywhere: in the mirror and the engine.
+        // Canonical (padded) form everywhere: declared rows and engine.
         let row = spec.schema.normalize(&row);
-        spec.rows.push(row.clone());
-        // If an engine is live and this is its base relation, route the
-        // insert through it (charged maintenance); otherwise rebuild lazily.
-        if is_base {
-            let constants = self.constants;
-            match self.engine.as_mut() {
-                Some(Backend::Single(e)) => {
-                    e.apply_insert(std::slice::from_ref(&row))
-                        .map_err(|e| e.to_string())?;
-                    if let Some(cache) = self.cache.as_ref() {
-                        cache.note_local_write(&DeltaOp::Insert(vec![row]));
-                    }
-                    return Ok(());
-                }
-                Some(Backend::Sharded(sharded)) => {
-                    sharded
-                        .apply_insert(&[row], &constants)
-                        .map_err(|e| e.to_string())?;
-                    return Ok(());
-                }
-                None => {}
+        // A live engine owns its base relation's rows: route the insert
+        // through it (charged maintenance). Anything else lands in the
+        // declared rows and the engine rebuilds lazily.
+        if let Some(engine) = self.engine.as_ref() {
+            if self.tables[0].name == table {
+                engine
+                    .apply_insert(&[row], &self.constants)
+                    .map_err(|e| e.to_string())?;
+                return Ok(());
             }
         }
-        self.dirty();
+        self.dirty()?;
+        self.table_mut(table)?.rows.push(row);
         Ok(())
     }
 
     /// Build a catalog from the declared tables (uncharged). With
-    /// `with_rows = false` only the schemas/organizations are created —
+    /// `base_rows = None` only the schemas/organizations are created —
     /// enough for name resolution, without copying any data. A shard
-    /// build passes `base_rows` to load only its partition of the first
-    /// (updatable) table; every other table is loaded in full (inner
-    /// relations are replicated per shard).
+    /// build passes its partition of the first (updatable) table; every
+    /// other table is loaded in full (inner relations are replicated
+    /// per shard).
     fn build_catalog(
         &self,
         pager: &Arc<Pager>,
-        with_rows: bool,
         base_rows: Option<&[Tuple]>,
     ) -> Result<Catalog, SessionError> {
         pager.set_charging(false);
         let mut cat = Catalog::new();
         for (ti, spec) in self.tables.iter().enumerate() {
             let rows: &[Tuple] = match (ti, base_rows) {
+                (_, None) => &[],
                 (0, Some(part)) => part,
                 _ => &spec.rows,
             };
@@ -410,10 +338,8 @@ impl Session {
                 rows.len().max(16),
             )
             .map_err(|e| e.to_string())?;
-            if with_rows {
-                for row in rows {
-                    t.insert(row).map_err(|e| e.to_string())?;
-                }
+            for row in rows {
+                t.insert(row).map_err(|e| e.to_string())?;
             }
             cat.add(t);
         }
@@ -431,7 +357,7 @@ impl Session {
             mode: procdb_storage::AccountingMode::Logical,
         });
         // Name resolution only needs schemas, not data.
-        let cat = self.build_catalog(&pager, false, None)?;
+        let cat = self.build_catalog(&pager, None)?;
         let dv = parse_define_view(statement, &cat).map_err(|e| e.to_string())?;
         let name = if dv.name.is_empty() {
             format!("view{}", self.views.len())
@@ -456,41 +382,33 @@ impl Session {
                 self.tables.first().map(|t| t.name.as_str()).unwrap_or("?")
             ));
         }
+        self.dirty()?;
         self.views.push((name.clone(), dv.view));
         self.observer.lock().add_procedure();
-        self.dirty();
         Ok(name)
     }
 
     /// Switch processing strategy (rebuilds the engine lazily).
-    pub fn set_strategy(&mut self, kind: StrategyKind) {
+    pub fn set_strategy(&mut self, kind: StrategyKind) -> Result<(), SessionError> {
+        self.dirty()?;
         self.strategy = kind;
-        self.dirty();
+        Ok(())
     }
 
-    /// Build one engine over the declared schema. `shard` carries the
-    /// shard id (for metric labels) and that shard's partition of the
-    /// base table's rows; `None` builds the single (unpartitioned)
-    /// engine.
-    fn build_engine(&self, shard: Option<(u32, &[Tuple])>) -> Result<Engine, SessionError> {
-        let base = self
-            .tables
-            .first()
-            .ok_or_else(|| "no tables declared".to_string())?;
-        if self.views.is_empty() {
-            return Err("no views defined".to_string());
-        }
+    /// Build shard `shard`'s engine over the declared schema and `part`,
+    /// that shard's partition of the base table's rows.
+    fn build_engine(
+        &self,
+        shard: u32,
+        part: &[Tuple],
+        r1_key_field: usize,
+    ) -> Result<Engine, SessionError> {
         let pager = Pager::new(PagerConfig {
             page_size: self.page_size,
             buffer_capacity: 16 * 1024,
             mode: procdb_storage::AccountingMode::Physical,
         });
-        let r1 = base.name.clone();
-        let r1_key_field = match base.org {
-            Organization::BTree { key_field } => key_field,
-            _ => return Err("the first table must be B-tree organized".to_string()),
-        };
-        let catalog = self.build_catalog(&pager, true, shard.map(|(_, rows)| rows))?;
+        let catalog = self.build_catalog(&pager, Some(part))?;
         let procs: Vec<ProcedureDef> = self
             .views
             .iter()
@@ -508,58 +426,61 @@ impl Session {
             procs,
             self.strategy,
             EngineOptions {
-                r1,
+                r1: self.tables[0].name.clone(),
                 r1_key_field,
                 rvm_base_probe_field: probe,
                 rvm_update_frequencies: None,
                 clear_buffer_between_ops: true,
-                shard: shard.map(|(id, _)| id),
+                shard: Some(shard),
             },
         )
         .map_err(|e| e.to_string())
     }
 
-    fn ensure_backend(&mut self) -> Result<&mut Backend, SessionError> {
+    /// Build and warm the engine over `parts`, the base table's rows
+    /// dealt into one partition per shard.
+    fn build_backend(
+        &self,
+        parts: &[Vec<Tuple>],
+        key_field: usize,
+    ) -> Result<ShardedEngine, SessionError> {
+        let engine = ShardedEngine::new_replicated(self.shards, self.replicas, |sid, _| {
+            self.build_engine(sid as u32, &parts[sid], key_field)
+        })?;
+        engine.warm_up().map_err(|e| e.to_string())?;
+        if self.replicas > 1 {
+            // With followers available, contended reads may hedge and a
+            // crashed primary is promoted away from even when no traffic
+            // touches the failed shard.
+            engine.set_hedged_reads(true);
+            engine.start_supervisor(SUPERVISOR_INTERVAL);
+        }
+        self.attach_engine_to_cache(&engine, key_field);
+        Ok(engine)
+    }
+
+    fn ensure_backend(&mut self) -> Result<&ShardedEngine, SessionError> {
         if self.engine.is_none() {
-            if self.shards == 1 && self.replicas == 1 {
-                let mut engine = self.build_engine(None)?;
-                engine.warm_up().map_err(|e| e.to_string())?;
-                self.engine = Some(Backend::Single(engine));
-            } else {
-                let base = self
-                    .tables
-                    .first()
-                    .ok_or_else(|| "no tables declared".to_string())?;
-                let key_field = match base.org {
-                    Organization::BTree { key_field } => key_field,
-                    _ => return Err("the first table must be B-tree organized".to_string()),
-                };
-                let parts = Router::new(self.shards).partition_rows(&base.rows, key_field);
-                let sharded =
-                    ShardedEngine::new_replicated(self.shards, self.replicas, |sid, _| {
-                        self.build_engine(Some((sid as u32, &parts[sid])))
-                    })?;
-                sharded.warm_up().map_err(|e| e.to_string())?;
-                if self.replicas > 1 {
-                    // With followers available, contended reads may hedge
-                    // and a crashed primary is promoted away from even
-                    // when no traffic touches the failed shard.
-                    sharded.set_hedged_reads(true);
-                    sharded.start_supervisor(SUPERVISOR_INTERVAL);
-                }
-                self.engine = Some(Backend::Sharded(sharded));
+            let org = self.base()?.org;
+            if self.views.is_empty() {
+                return Err("no views defined".to_string());
             }
-            self.configure_cache();
-            if let (Some(cache), Some(Backend::Sharded(sharded))) =
-                (self.cache.as_ref(), self.engine.as_ref())
-            {
-                let observer: Arc<dyn DeltaObserver> = cache.clone();
-                sharded.set_delta_observer(Some(observer));
+            let Organization::BTree { key_field } = org else {
+                return Err("the first table must be B-tree organized".to_string());
+            };
+            // The partitions take the base rows over from the declared
+            // table; a failed build hands them back.
+            let rows = std::mem::take(&mut self.tables[0].rows);
+            let parts = Router::new(self.shards).partition_rows(rows, key_field);
+            match self.build_backend(&parts, key_field) {
+                Ok(engine) => self.engine = Some(engine),
+                Err(e) => {
+                    self.tables[0].rows = parts.into_iter().flatten().collect();
+                    return Err(e);
+                }
             }
         }
-        self.engine
-            .as_mut()
-            .ok_or_else(|| "engine build failed".to_string())
+        Ok(self.engine.as_ref().expect("built above if it was missing"))
     }
 
     /// Build the engine now if it would be built on the next access.
@@ -579,64 +500,32 @@ impl Session {
             .ok_or_else(|| format!("unknown view {view}"))
     }
 
-    /// Read a view's current value; returns the rows and the priced cost.
+    /// Read a view's current value; returns the rows and the priced
+    /// cost. Builds the engine first if needed.
     pub fn access(&mut self, view: &str) -> Result<(Vec<Tuple>, f64), SessionError> {
+        self.view_index(view)?;
+        self.ensure_backend()?;
+        Ok(self.access_shared(view)?.expect("engine was just built"))
+    }
+
+    /// Read a view's current value through `&self`. `Ok(None)` means
+    /// the engine is not built yet and the caller must escalate to
+    /// [`Session::access`]. A live engine always serves here: a read
+    /// that has to write (a Cache & Invalidate refill, a post-crash
+    /// rebuild) escalates per shard, inside that shard's own lock.
+    pub fn access_shared(&self, view: &str) -> Result<Option<(Vec<Tuple>, f64)>, SessionError> {
         let idx = self.view_index(view)?;
-        let mut sp = procdb_obs::span!(procdb_obs::global(), "session.access", proc = idx);
-        let constants = self.constants;
-        let (rows, ms) = match self.ensure_backend()? {
-            Backend::Single(engine) => {
-                let before = engine.ledger().snapshot();
-                let rows = engine.access(idx).map_err(|e| e.to_string())?;
-                let ms = engine.ledger().snapshot().since(&before).priced(&constants);
-                (rows, ms)
-            }
-            Backend::Sharded(sharded) => {
-                sharded.access(idx, &constants).map_err(|e| e.to_string())?
-            }
+        let Some(engine) = self.engine.as_ref() else {
+            return Ok(None);
         };
+        let mut sp = procdb_obs::span!(procdb_obs::global(), "session.access", proc = idx);
+        let (rows, ms) = engine
+            .access(idx, &self.constants)
+            .map_err(|e| e.to_string())?;
         self.observer.lock().record_access(idx);
         sp.field("rows", rows.len() as f64);
         sp.field("priced_ms", ms);
-        Ok((rows, ms))
-    }
-
-    /// Serve a read through `&self` when the engine's read path needs no
-    /// mutation (see [`Engine::access_shared`]). `Ok(None)` means the
-    /// caller must escalate to exclusive access — the engine is not
-    /// built yet, or a single engine's Cache & Invalidate entry needs a
-    /// refill. A sharded backend always serves here: escalation happens
-    /// per shard, inside its own lock.
-    pub fn access_shared(&self, view: &str) -> Result<Option<(Vec<Tuple>, f64)>, SessionError> {
-        let idx = self.view_index(view)?;
-        let mut sp = procdb_obs::span!(procdb_obs::global(), "session.access", proc = idx);
-        match self.engine.as_ref() {
-            None => Ok(None),
-            Some(Backend::Single(engine)) => {
-                let before = engine.ledger().snapshot();
-                match engine.access_shared(idx).map_err(|e| e.to_string())? {
-                    None => Ok(None),
-                    Some(rows) => {
-                        let ms = engine
-                            .ledger()
-                            .snapshot()
-                            .since(&before)
-                            .priced(&self.constants);
-                        self.observer.lock().record_access(idx);
-                        Ok(Some((rows, ms)))
-                    }
-                }
-            }
-            Some(Backend::Sharded(sharded)) => {
-                let (rows, ms) = sharded
-                    .access(idx, &self.constants)
-                    .map_err(|e| e.to_string())?;
-                self.observer.lock().record_access(idx);
-                sp.field("rows", rows.len() as f64);
-                sp.field("priced_ms", ms);
-                Ok(Some((rows, ms)))
-            }
-        }
+        Ok(Some((rows, ms)))
     }
 
     /// Count which procedures an applied re-key conflicted with: any
@@ -663,88 +552,52 @@ impl Session {
         }
     }
 
-    /// Re-key one tuple of the base table; returns the priced maintenance
-    /// cost.
+    /// Re-key one tuple of the base table; returns the tuples modified
+    /// and the priced maintenance cost. Builds the engine first if
+    /// needed.
     pub fn update(&mut self, victim: i64, new_key: i64) -> Result<(usize, f64), SessionError> {
-        let _sp = procdb_obs::span!(procdb_obs::global(), "session.update", victim = victim);
-        let constants = self.constants;
-        if self.tables.is_empty() {
-            return Err("no tables declared".to_string());
-        }
-        let key_field = match self.tables[0].org {
-            Organization::BTree { key_field } | Organization::Hash { key_field } => key_field,
-            Organization::Heap => 0,
-        };
         self.ensure_backend()?;
-        if matches!(self.engine.as_ref(), Some(Backend::Sharded(_))) {
-            let out = self
-                .update_shared(victim, new_key)?
-                .expect("sharded backend is live");
-            self.resync_mirror();
-            return Ok(out);
-        }
-        let Some(Backend::Single(engine)) = self.engine.as_mut() else {
-            return Err("engine build failed".to_string());
-        };
-        let before = engine.ledger().snapshot();
-        let n = engine
-            .apply_update(&[(victim, new_key)])
-            .map_err(|e| e.to_string())?;
-        let ms = engine.ledger().snapshot().since(&before).priced(&constants);
-        if n > 0 {
-            // The mirror is out of date, but re-scanning the base table
-            // here would cost O(rows) under the exclusive lock on every
-            // re-key. Mark it and resync lazily before the mirror's next
-            // use (engine rebuild / DDL / scan_base), exactly like the
-            // sharded path.
-            self.mirror_stale.store(true, Ordering::SeqCst);
-            if let Some(cache) = self.cache.as_ref() {
-                cache.note_local_write(&DeltaOp::Rekey(vec![(victim, new_key)]));
-            }
-        }
-        self.note_update(n, key_field, victim, new_key);
-        Ok((n, ms))
+        Ok(self
+            .update_shared(victim, new_key)?
+            .expect("engine was just built"))
     }
 
-    /// Re-key one base tuple through `&self`. Only a live **sharded**
-    /// backend serves here — its concurrency control is per shard, so
-    /// the caller needs no exclusive session lock; the server routes
-    /// updates this way, locking one shard instead of the whole session.
-    /// `Ok(None)` means single-engine (or unbuilt) — escalate to
-    /// [`Session::update`] under the exclusive lock.
+    /// Re-key one base tuple through `&self`: the engine's concurrency
+    /// control is per shard, so the server routes updates this way under
+    /// its shared lock, locking one shard instead of the whole session.
+    /// `Ok(None)` means the engine is not built yet — escalate to
+    /// [`Session::update`].
     pub fn update_shared(
         &self,
         victim: i64,
         new_key: i64,
     ) -> Result<Option<(usize, f64)>, SessionError> {
-        let Some(Backend::Sharded(sharded)) = self.engine.as_ref() else {
+        let Some(engine) = self.engine.as_ref() else {
             return Ok(None);
         };
         let _sp = procdb_obs::span!(procdb_obs::global(), "session.update", victim = victim);
-        let key_field = match self.tables[0].org {
-            Organization::BTree { key_field } | Organization::Hash { key_field } => key_field,
-            Organization::Heap => 0,
-        };
-        let (n, ms) = sharded
+        let (n, ms) = engine
             .apply_update(&[(victim, new_key)], &self.constants)
             .map_err(|e| e.to_string())?;
-        if n > 0 {
-            // The row mirror can't be rewritten under `&self`; mark it
-            // and resync before its next use (engine rebuild/DDL).
-            self.mirror_stale.store(true, Ordering::SeqCst);
-        }
-        self.note_update(n, key_field, victim, new_key);
+        self.note_update(n, self.base_key_field()?, victim, new_key);
         Ok(Some((n, ms)))
     }
 
-    /// Install a fault plan on the live engine's pager (building the
-    /// engine first if needed). A sharded backend installs the same
-    /// seeded plan on every shard's private pager. Note that rebuilding
-    /// the engine — a strategy switch or DDL — discards the plan with
-    /// the pager.
-    pub fn fault_inject(&mut self, plan: FaultPlan) -> Result<String, SessionError> {
-        let desc = format!(
-            "fault plan installed: seed {} io-reads {} io-writes {} torn {}{}{}{}",
+    /// `shard`, when given, must name one of the live engine's shards.
+    fn check_shard(engine: &ShardedEngine, shard: Option<usize>) -> Result<(), SessionError> {
+        match shard {
+            Some(s) if s >= engine.shards() => {
+                Err(format!("shard {s} out of range (0..{})", engine.shards()))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The knobs of a fault plan, as `fault inject` echoes them and
+    /// `fault status` reports them.
+    fn describe_fault_plan(plan: &FaultPlan) -> String {
+        format!(
+            "seed {} io-reads {} io-writes {} torn {}{}{}{}",
             plan.seed,
             plan.io_read_prob,
             plan.io_write_prob,
@@ -760,268 +613,184 @@ impl Session {
             } else {
                 " (uncharged included)"
             },
-        );
-        match self.ensure_backend()? {
-            Backend::Single(engine) => {
-                engine.pager().install_faults(plan);
-                Ok(desc)
-            }
-            Backend::Sharded(sharded) => {
-                for s in 0..sharded.shards() {
-                    let plan = plan.clone();
-                    sharded.with_engine(s, |e| e.pager().install_faults(plan));
-                }
-                Ok(format!("{desc} (all {} shards)", sharded.shards()))
-            }
+        )
+    }
+
+    /// Install the same seeded fault plan on every shard primary's
+    /// private pager (building the engine first if needed). Note that
+    /// rebuilding the engine — a strategy switch or DDL — discards the
+    /// plan with the pagers.
+    pub fn fault_inject(&mut self, plan: FaultPlan) -> Result<String, SessionError> {
+        let engine = self.ensure_backend()?;
+        let desc = Self::describe_fault_plan(&plan);
+        for s in 0..engine.shards() {
+            let plan = plan.clone();
+            engine.with_engine(s, |e| e.pager().install_faults(plan));
         }
+        Ok(format!("fault plan installed: {desc}"))
     }
 
     /// Remove the installed fault plan, if any.
     pub fn fault_off(&mut self) -> Result<String, SessionError> {
-        match self.ensure_backend()? {
-            Backend::Single(engine) => engine.pager().clear_faults(),
-            Backend::Sharded(sharded) => {
-                for s in 0..sharded.shards() {
-                    sharded.with_engine(s, |e| e.pager().clear_faults());
-                }
-            }
+        let engine = self.ensure_backend()?;
+        for s in 0..engine.shards() {
+            engine.with_engine(s, |e| e.pager().clear_faults());
         }
         Ok("fault injection off".to_string())
     }
 
-    /// Injector counters and the active plan (the `fault status` command).
+    /// The active plan and each shard's injector counters (the `fault
+    /// status` command).
     pub fn fault_status_text(&self) -> String {
-        if let Some(Backend::Sharded(sharded)) = self.engine.as_ref() {
-            let mut out = String::new();
-            for s in 0..sharded.shards() {
-                let line = sharded.with_engine(s, |e| match e.pager().fault_injector() {
-                    None => format!("shard {s}: no fault plan installed"),
-                    Some(inj) => {
-                        let st = inj.status();
-                        format!(
-                            "shard {s}: {} transfers, {} io failures, {} torn writes, \
-                             {} kills, crashed {}",
-                            st.transfers, st.io_failures, st.torn_writes, st.kills, st.crashed,
-                        )
-                    }
-                });
-                out.push_str(&line);
-                out.push('\n');
-            }
-            return out.trim_end().to_string();
+        let Some(engine) = self.engine.as_ref() else {
+            return "no fault plan installed".to_string();
+        };
+        let injectors: Vec<_> = (0..engine.shards())
+            .map(|s| engine.with_engine(s, |e| e.pager().fault_injector()))
+            .collect();
+        let mut out = String::new();
+        if let Some(inj) = injectors.iter().flatten().next() {
+            out.push_str(&format!(
+                "plan: {}\n",
+                Self::describe_fault_plan(inj.plan())
+            ));
         }
-        match self.engine.as_ref().and_then(|b| match b {
-            Backend::Single(e) => e.pager().fault_injector(),
-            Backend::Sharded(_) => unreachable!("handled above"),
-        }) {
-            None => "no fault plan installed".to_string(),
-            Some(inj) => {
-                let st = inj.status();
-                let p = inj.plan();
-                format!(
-                    "plan: seed {} io-reads {} io-writes {} torn {} kill-at {} \
-                     window {} charged-only {}\n\
-                     injected: {} transfers, {} io failures, {} torn writes, \
-                     {} kills, crashed {}",
-                    p.seed,
-                    p.io_read_prob,
-                    p.io_write_prob,
-                    p.torn_write_prob,
-                    p.kill_after
-                        .map(|n| n.to_string())
-                        .unwrap_or_else(|| "-".to_string()),
-                    p.fail_window
-                        .map(|(a, b)| format!("[{a}, {b})"))
-                        .unwrap_or_else(|| "-".to_string()),
-                    p.charged_only,
-                    st.transfers,
-                    st.io_failures,
-                    st.torn_writes,
-                    st.kills,
-                    st.crashed,
-                )
+        for (s, inj) in injectors.iter().enumerate() {
+            match inj {
+                None => out.push_str(&format!("shard {s}: no fault plan installed\n")),
+                Some(inj) => {
+                    let st = inj.status();
+                    out.push_str(&format!(
+                        "shard {s}: {} transfers, {} io failures, {} torn writes, \
+                         {} kills, crashed {}\n",
+                        st.transfers, st.io_failures, st.torn_writes, st.kills, st.crashed,
+                    ));
+                }
             }
         }
+        out.trim_end().to_string()
     }
 
     /// Install a message-chaos plan on the replication layer (the
-    /// `chaos inject` command). Chaos only has meaning on a replicated
-    /// backend — there is no delta-shipping path to break otherwise.
+    /// `chaos inject` command). Chaos only has meaning with followers —
+    /// there is no delta-shipping path to break otherwise.
     pub fn chaos_inject(&mut self, plan: procdb_shard::ChaosPlan) -> Result<String, SessionError> {
         let desc = plan.describe();
-        match self.ensure_backend()? {
-            Backend::Sharded(sharded) if sharded.replicas() > 1 => {
-                sharded.install_chaos(plan);
-                Ok(format!("{desc} (installed)"))
-            }
-            _ => Err("not replicated; use 'replicas R' (R >= 2) first".to_string()),
+        let engine = self.ensure_backend()?;
+        if engine.replicas() < 2 {
+            return Err("not replicated; use 'replicas R' (R >= 2) first".to_string());
         }
+        engine.install_chaos(plan);
+        Ok(format!("{desc} (installed)"))
     }
 
     /// Remove the installed chaos plan, reporting its final counters.
     pub fn chaos_off(&mut self) -> Result<String, SessionError> {
-        match self.ensure_backend()? {
-            Backend::Sharded(sharded) => match sharded.chaos_off() {
-                Some(st) => Ok(format!(
-                    "chaos off; injected: {} delayed, {} dropped, {} duplicated, \
-                     {} reordered, {} heartbeats delayed, {} fenced",
-                    st.delayed,
-                    st.dropped,
-                    st.duplicated,
-                    st.reordered,
-                    st.heartbeats_delayed,
-                    st.fenced,
-                )),
-                None => Ok("no chaos plan installed".to_string()),
-            },
-            Backend::Single(_) => Ok("no chaos plan installed".to_string()),
+        match self.ensure_backend()?.chaos_off() {
+            Some(st) => Ok(format!(
+                "chaos off; injected: {} delayed, {} dropped, {} duplicated, \
+                 {} reordered, {} heartbeats delayed, {} fenced",
+                st.delayed,
+                st.dropped,
+                st.duplicated,
+                st.reordered,
+                st.heartbeats_delayed,
+                st.fenced,
+            )),
+            None => Ok("no chaos plan installed".to_string()),
         }
     }
 
     /// The active chaos plan and its decision counters (the
     /// `chaos status` command).
     pub fn chaos_status_text(&self) -> String {
-        match self.engine.as_ref() {
-            Some(Backend::Sharded(sharded)) => match sharded.chaos_status() {
-                Some((plan, st)) => format!(
-                    "{}\ninjected: {} delayed, {} dropped, {} duplicated, \
-                     {} reordered, {} heartbeats delayed, {} fenced",
-                    plan.describe(),
-                    st.delayed,
-                    st.dropped,
-                    st.duplicated,
-                    st.reordered,
-                    st.heartbeats_delayed,
-                    st.fenced,
-                ),
-                None => "no chaos plan installed".to_string(),
-            },
-            _ => "no chaos plan installed".to_string(),
+        match self.engine.as_ref().and_then(|e| e.chaos_status()) {
+            Some((plan, st)) => format!(
+                "{}\ninjected: {} delayed, {} dropped, {} duplicated, \
+                 {} reordered, {} heartbeats delayed, {} fenced",
+                plan.describe(),
+                st.delayed,
+                st.dropped,
+                st.duplicated,
+                st.reordered,
+                st.heartbeats_delayed,
+                st.fenced,
+            ),
+            None => "no chaos plan installed".to_string(),
         }
     }
 
-    /// Simulate a crash on the live engine. With a sharded backend,
-    /// `shard` selects one shard to kill (others keep serving); `None`
-    /// crashes everything.
+    /// Simulate a crash on the live engine: `shard` selects one shard's
+    /// primary to kill (others keep serving); `None` crashes every
+    /// shard's.
     pub fn crash(&mut self, shard: Option<usize>) -> Result<String, SessionError> {
         // A crash distrusts all derived state; the cached results are
         // derived state held outside the engine, so they go too. (A
         // replicated crash also promotes — the epoch bump would fence
-        // the crashed shard's entries anyway — but the unreplicated
-        // paths have no bump to lean on.)
+        // the crashed shard's entries anyway — but an unreplicated one
+        // has no bump to lean on.)
         if let Some(cache) = self.cache.as_ref() {
             cache.flash_all();
         }
-        match (self.ensure_backend()?, shard) {
-            (Backend::Single(engine), None) => {
-                engine.crash();
-                Ok(format!(
-                    "crashed (epoch {}): buffered frames dropped, derived state distrusted; \
-                     run 'recover' to resume",
-                    engine.crash_epoch()
-                ))
-            }
-            (Backend::Single(_), Some(_)) => {
-                Err("not sharded; use plain 'crash' (or 'shards N' first)".to_string())
-            }
-            (Backend::Sharded(sharded), sel) => {
-                if let Some(s) = sel {
-                    if s >= sharded.shards() {
-                        return Err(format!("shard {s} out of range (0..{})", sharded.shards()));
-                    }
-                }
-                sharded.crash(sel);
-                let replicated = sharded.replicas() > 1;
-                Ok(match sel {
-                    Some(s) if replicated => format!(
-                        "shard {s} primary crashed; replica {} promoted, service continues. \
-                         run 'recover {s}' (or 'resync {s}') to rejoin the ex-primary",
-                        sharded.primary_of(s)
-                    ),
-                    Some(s) => format!(
-                        "shard {s} crashed: its frames dropped, its derived state \
-                         distrusted; other shards keep serving. run 'recover {s}' to resume"
-                    ),
-                    None if replicated => format!(
-                        "all {} shard primaries crashed; each promoted a live follower, \
-                         service continues. run 'recover' to rejoin the ex-primaries",
-                        sharded.shards()
-                    ),
-                    None => format!(
-                        "all {} shards crashed; run 'recover' to resume",
-                        sharded.shards()
-                    ),
-                })
-            }
-        }
+        let engine = self.ensure_backend()?;
+        Self::check_shard(engine, shard)?;
+        engine.crash(shard);
+        let replicated = engine.replicas() > 1;
+        Ok(match shard {
+            Some(s) if replicated => format!(
+                "shard {s} primary crashed; replica {} promoted, service continues. \
+                 run 'recover {s}' (or 'resync {s}') to rejoin the ex-primary",
+                engine.primary_of(s)
+            ),
+            Some(s) => format!(
+                "shard {s} crashed: its frames dropped, its derived state \
+                 distrusted; other shards keep serving. run 'recover {s}' to resume"
+            ),
+            None if replicated => format!(
+                "all {} shard primaries crashed; each promoted a live follower, \
+                 service continues. run 'recover' to rejoin the ex-primaries",
+                engine.shards()
+            ),
+            None => format!(
+                "all {} shards crashed; run 'recover' to resume",
+                engine.shards()
+            ),
+        })
     }
 
-    /// Run crash recovery and report what it did. With a sharded
-    /// backend, `shard` recovers one shard independently.
+    /// Run crash recovery and report what it did, one line per shard;
+    /// `shard` recovers one shard independently.
     pub fn recover(&mut self, shard: Option<usize>) -> Result<String, SessionError> {
-        match (self.ensure_backend()?, shard) {
-            (Backend::Single(engine), None) => match engine.recover() {
-                RecoveryOutcome::Recovered(rep) => Ok(format!(
-                    "recovered (epoch {}): {} WAL records ({} bytes) replayed, \
-                     {} conservative invalidations, {} rebuilds deferred to first access",
+        let engine = self.ensure_backend()?;
+        Self::check_shard(engine, shard)?;
+        let mut out = String::new();
+        for (s, outcome) in engine.recover(shard) {
+            match outcome {
+                RecoveryOutcome::Recovered(rep) => out.push_str(&format!(
+                    "shard {s} recovered (epoch {}): {} WAL records ({} bytes) \
+                     replayed, {} conservative invalidations, {} rebuilds deferred \
+                     to first access\n",
                     rep.crash_epoch,
                     rep.wal_records_replayed,
                     rep.wal_bytes_replayed,
                     rep.conservative_invalidations,
                     rep.rebuilds_pending,
                 )),
-                RecoveryOutcome::NotCrashed => Ok("not crashed; nothing to recover".to_string()),
-            },
-            (Backend::Single(_), Some(_)) => {
-                Err("not sharded; use plain 'recover' (or 'shards N' first)".to_string())
-            }
-            (Backend::Sharded(sharded), sel) => {
-                if let Some(s) = sel {
-                    if s >= sharded.shards() {
-                        return Err(format!("shard {s} out of range (0..{})", sharded.shards()));
-                    }
-                }
-                let mut out = String::new();
-                for (s, outcome) in sharded.recover(sel) {
-                    match outcome {
-                        RecoveryOutcome::Recovered(rep) => out.push_str(&format!(
-                            "shard {s} recovered (epoch {}): {} WAL records ({} bytes) \
-                             replayed, {} conservative invalidations, {} rebuilds deferred \
-                             to first access\n",
-                            rep.crash_epoch,
-                            rep.wal_records_replayed,
-                            rep.wal_bytes_replayed,
-                            rep.conservative_invalidations,
-                            rep.rebuilds_pending,
-                        )),
-                        RecoveryOutcome::NotCrashed => out.push_str(&format!(
-                            "shard {s}: primary not crashed; replicas resynced\n"
-                        )),
-                    }
-                }
-                Ok(out.trim_end().to_string())
+                RecoveryOutcome::NotCrashed => out.push_str(&format!(
+                    "shard {s}: primary not crashed; replicas resynced\n"
+                )),
             }
         }
+        Ok(out.trim_end().to_string())
     }
 
     /// Force a failover drill: promote the freshest live follower of
     /// `shard` to primary (the `promote N` command).
     pub fn promote(&mut self, shard: usize) -> Result<String, SessionError> {
-        match self.ensure_backend()? {
-            Backend::Single(_) => {
-                Err("not replicated; use 'replicas R' (R >= 2) first".to_string())
-            }
-            Backend::Sharded(sharded) => {
-                if shard >= sharded.shards() {
-                    return Err(format!(
-                        "shard {shard} out of range (0..{})",
-                        sharded.shards()
-                    ));
-                }
-                let new = sharded.promote(shard)?;
-                Ok(format!("shard {shard}: replica {new} promoted to primary"))
-            }
-        }
+        let engine = self.ensure_backend()?;
+        Self::check_shard(engine, Some(shard))?;
+        let new = engine.promote(shard)?;
+        Ok(format!("shard {shard}: replica {new} promoted to primary"))
     }
 
     /// Resync lagging or dead replicas of one shard (or all shards):
@@ -1029,48 +798,36 @@ impl Session {
     /// conservative full rebuild when the log was truncated past its
     /// position (the `resync [N]` command).
     pub fn resync(&mut self, shard: Option<usize>) -> Result<String, SessionError> {
-        match self.ensure_backend()? {
-            Backend::Single(_) => {
-                Err("not replicated; use 'replicas R' (R >= 2) first".to_string())
-            }
-            Backend::Sharded(sharded) => {
-                if let Some(s) = shard {
-                    if s >= sharded.shards() {
-                        return Err(format!("shard {s} out of range (0..{})", sharded.shards()));
-                    }
-                }
-                let reports = sharded.resync(shard).map_err(|e| e.to_string())?;
-                if reports.is_empty() {
-                    return Ok("all replicas live and caught up; nothing to resync".to_string());
-                }
-                let mut out = String::new();
-                for r in reports {
-                    out.push_str(&format!(
-                        "shard {} replica {}: {}\n",
-                        r.shard,
-                        r.replica,
-                        if r.full_rebuild {
-                            "conservative full rebuild (log truncated or position ambiguous)"
-                                .to_string()
-                        } else {
-                            format!("replayed {} delta op(s)", r.replayed)
-                        }
-                    ));
-                }
-                Ok(out.trim_end().to_string())
-            }
+        let engine = self.ensure_backend()?;
+        Self::check_shard(engine, shard)?;
+        let reports = engine.resync(shard).map_err(|e| e.to_string())?;
+        if reports.is_empty() {
+            return Ok("all replicas live and caught up; nothing to resync".to_string());
         }
+        let mut out = String::new();
+        for r in reports {
+            out.push_str(&format!(
+                "shard {} replica {}: {}\n",
+                r.shard,
+                r.replica,
+                if r.full_rebuild {
+                    "conservative full rebuild (log truncated or position ambiguous)".to_string()
+                } else {
+                    format!("replayed {} delta op(s)", r.replayed)
+                }
+            ));
+        }
+        Ok(out.trim_end().to_string())
     }
 
-    /// Total priced cost accumulated on the live engine's ledger(s).
+    /// Total priced cost accumulated on the live engine's ledgers.
     pub fn total_cost_ms(&self) -> f64 {
-        match self.engine.as_ref() {
-            None => 0.0,
-            Some(Backend::Single(e)) => e.ledger().snapshot().priced(&self.constants),
-            Some(Backend::Sharded(sharded)) => (0..sharded.shards())
-                .map(|s| sharded.with_engine(s, |e| e.ledger().snapshot().priced(&self.constants)))
-                .sum(),
-        }
+        let Some(engine) = self.engine.as_ref() else {
+            return 0.0;
+        };
+        (0..engine.shards())
+            .map(|s| engine.with_engine(s, |e| e.ledger().snapshot().priced(&self.constants)))
+            .sum()
     }
 
     /// Turn the front result cache on (the `cache on` command). Builds
@@ -1080,9 +837,7 @@ impl Session {
         if self.cache.is_none() {
             return Err("no result cache attached (server-only feature)".to_string());
         }
-        if self.engine.is_none() && !self.views.is_empty() && !self.tables.is_empty() {
-            self.prepare()?;
-        }
+        self.prepare()?;
         let cache = self.cache.as_ref().expect("checked above");
         cache.set_enabled(true);
         Ok("result cache on".to_string())
@@ -1122,12 +877,12 @@ impl Session {
             s.entries,
             s.bytes,
         ));
-        let engine_lsns: Vec<u64> = match self.engine.as_ref() {
-            Some(Backend::Sharded(sharded)) => {
-                sharded.shard_stats().iter().map(|st| st.last_lsn).collect()
-            }
-            _ => Vec::new(),
-        };
+        let engine_lsns: Vec<u64> = self
+            .engine
+            .iter()
+            .flat_map(|e| e.shard_stats())
+            .map(|st| st.last_lsn)
+            .collect();
         for (i, w) in s.per_shard.iter().enumerate() {
             // Invalidation lag: deltas the engine has committed that the
             // cache has not been notified of. Synchronous taps keep it
@@ -1158,31 +913,21 @@ impl Session {
                 .map(|r| format!("{r:.2}"))
                 .unwrap_or_else(|| "-".to_string());
             let advice = match (self.engine.as_ref(), obs.conflict_rate(i)) {
-                (Some(backend), Some(rate)) => {
+                (Some(engine), Some(rate)) => {
                     let c = self.constants;
-                    // Full-relation estimates: the single engine's, or
-                    // the sum of each shard's estimate over its slice.
-                    let (recompute_ms, cached_read_ms) = match backend {
-                        Backend::Single(engine) => (
-                            engine.estimate_recompute_ms(i, &c),
-                            engine.estimate_cached_read_ms(i, &c).unwrap_or(c.c2),
-                        ),
-                        Backend::Sharded(sharded) => {
-                            let mut rec = 0.0;
-                            let mut cached = 0.0;
-                            for s in 0..sharded.shards() {
-                                let (r, cr) = sharded.with_engine(s, |e| {
-                                    (
-                                        e.estimate_recompute_ms(i, &c),
-                                        e.estimate_cached_read_ms(i, &c).unwrap_or(c.c2),
-                                    )
-                                });
-                                rec += r;
-                                cached += cr;
-                            }
-                            (rec, cached)
-                        }
-                    };
+                    // Full-relation estimates: the sum of each shard's
+                    // estimate over its slice.
+                    let (mut recompute_ms, mut cached_read_ms) = (0.0, 0.0);
+                    for s in 0..engine.shards() {
+                        let (r, cr) = engine.with_engine(s, |e| {
+                            (
+                                e.estimate_recompute_ms(i, &c),
+                                e.estimate_cached_read_ms(i, &c).unwrap_or(c.c2),
+                            )
+                        });
+                        recompute_ms += r;
+                        cached_read_ms += cr;
+                    }
                     let input = procdb_core::DecisionInput {
                         recompute_ms,
                         // Always Recompute keeps no cache to measure; a
@@ -1205,79 +950,68 @@ impl Session {
         if self.views.is_empty() {
             out.push_str("  (no procedures defined)\n");
         }
-        match self.engine.as_ref() {
-            Some(Backend::Single(e)) => {
-                out.push_str(&format!("recovery: {} crash(es)", e.crash_epoch()));
-                if let Some(rep) = e.last_recovery() {
+        if let Some(engine) = self.engine.as_ref() {
+            out.push_str(&format!(
+                "shards: {} ({} cross-shard moves)\n",
+                engine.shards(),
+                engine.cross_moves(),
+            ));
+            if engine.replicas() > 1 {
+                out.push_str(&format!(
+                    "replicas: {} per shard, {} failover(s), {} hedged read(s)\n",
+                    engine.replicas(),
+                    engine.failovers(),
+                    engine.hedged_read_count(),
+                ));
+            }
+            for st in engine.shard_stats() {
+                out.push_str(&format!(
+                    "  shard {}: {} accesses, {} updates, buffer hit ratio {:.2}, \
+                     conflict rate {:.2}, {} R1 rows, crash epoch {}",
+                    st.shard,
+                    st.accesses,
+                    st.updates,
+                    st.hit_ratio(),
+                    st.conflict_rate(),
+                    st.r1_rows,
+                    st.crash_epoch,
+                ));
+                if let Some(rep) = st.last_recovery {
                     out.push_str(&format!(
-                        "; last recovery replayed {} WAL records ({} bytes), \
+                        ", last recovery replayed {} WAL records ({} bytes), \
                          {} conservative invalidations",
                         rep.wal_records_replayed,
                         rep.wal_bytes_replayed,
                         rep.conservative_invalidations,
                     ));
                 }
-                if let Some((log, tail)) = e.wal_stats() {
+                if let Some((log, tail)) = st.wal_bytes {
                     out.push_str(&format!(
-                        "; validity WAL {log} bytes ({tail} past checkpoint)"
+                        ", validity WAL {log} bytes ({tail} past checkpoint)"
                     ));
                 }
-                let pending = e.rebuilds_pending();
-                if pending > 0 {
-                    out.push_str(&format!("; {pending} rebuild(s) pending"));
+                if st.rebuilds_pending > 0 {
+                    out.push_str(&format!(", {} rebuild(s) pending", st.rebuilds_pending));
+                }
+                if let Some(vf) = st.valid_fraction {
+                    out.push_str(&format!(", valid fraction {vf:.2}"));
+                }
+                if st.replicas > 1 {
+                    out.push_str(&format!(
+                        ", group epoch {}, {} fenced write(s), breaker {}",
+                        st.epoch, st.fenced, st.breaker,
+                    ));
                 }
                 out.push('\n');
-            }
-            Some(Backend::Sharded(sharded)) => {
-                out.push_str(&format!(
-                    "shards: {} ({} cross-shard moves)\n",
-                    sharded.shards(),
-                    sharded.cross_moves(),
-                ));
-                if sharded.replicas() > 1 {
-                    out.push_str(&format!(
-                        "replicas: {} per shard, {} failover(s), {} hedged read(s)\n",
-                        sharded.replicas(),
-                        sharded.failovers(),
-                        sharded.hedged_read_count(),
-                    ));
-                }
-                for st in sharded.shard_stats() {
-                    out.push_str(&format!(
-                        "  shard {}: {} accesses, {} updates, buffer hit ratio {:.2}, \
-                         conflict rate {:.2}, {} R1 rows, crash epoch {}",
-                        st.shard,
-                        st.accesses,
-                        st.updates,
-                        st.hit_ratio(),
-                        st.conflict_rate(),
-                        st.r1_rows,
-                        st.crash_epoch,
-                    ));
-                    if st.rebuilds_pending > 0 {
-                        out.push_str(&format!(", {} rebuild(s) pending", st.rebuilds_pending));
-                    }
-                    if let Some(vf) = st.valid_fraction {
-                        out.push_str(&format!(", valid fraction {vf:.2}"));
-                    }
-                    if st.replicas > 1 {
+                if st.replicas > 1 {
+                    for rs in &st.replica_status {
                         out.push_str(&format!(
-                            ", group epoch {}, {} fenced write(s), breaker {}",
-                            st.epoch, st.fenced, st.breaker,
+                            "    replica {}: {}, applied lsn {} (lag {})\n",
+                            rs.replica, rs.role, rs.applied_lsn, rs.lag,
                         ));
                     }
-                    out.push('\n');
-                    if st.replicas > 1 {
-                        for rs in &st.replica_status {
-                            out.push_str(&format!(
-                                "    replica {}: {}, applied lsn {} (lag {})\n",
-                                rs.replica, rs.role, rs.applied_lsn, rs.lag,
-                            ));
-                        }
-                    }
                 }
             }
-            None => {}
         }
         if let Some(cache) = self.cache.as_ref() {
             let s = cache.stats();
@@ -1299,82 +1033,54 @@ impl Session {
     }
 
     /// Machine-parseable per-shard status (the `shards` command): one
-    /// `key=value` line per shard. The single engine renders as a
-    /// one-shard deployment so consumers (loadgen's bench JSON) see the
-    /// same schema either way.
+    /// `key=value` line per shard of the live engine.
     pub fn shards_text(&self) -> String {
-        match self.engine.as_ref() {
-            Some(Backend::Sharded(sharded)) => {
-                let mut out = format!("shards: {}\n", sharded.shards());
-                out.push_str(&format!("cross_moves: {}\n", sharded.cross_moves()));
-                out.push_str(&format!("replicas: {}\n", sharded.replicas()));
-                for st in sharded.shard_stats() {
+        let Some(engine) = self.engine.as_ref() else {
+            return format!("shards: {} (engine not built yet)", self.shards);
+        };
+        let mut out = format!("shards: {}\n", engine.shards());
+        out.push_str(&format!("cross_moves: {}\n", engine.cross_moves()));
+        out.push_str(&format!("replicas: {}\n", engine.replicas()));
+        for st in engine.shard_stats() {
+            out.push_str(&format!(
+                "shard {}: accesses={} updates={} escalations={} hits={} faults={} \
+                 hit_ratio={:.4} conflict_rate={:.4} crash_epoch={} \
+                 rebuilds_pending={} r1_rows={} access_ms={:.3} \
+                 replicas={} live={} primary={} last_lsn={} max_lag={} failovers={} \
+                 epoch={} fenced={} breaker={} breaker_sheds={}\n",
+                st.shard,
+                st.accesses,
+                st.updates,
+                st.escalations,
+                st.buffer_hits,
+                st.buffer_faults,
+                st.hit_ratio(),
+                st.conflict_rate(),
+                st.crash_epoch,
+                st.rebuilds_pending,
+                st.r1_rows,
+                st.access_ms_sum,
+                st.replicas,
+                st.live_replicas,
+                st.primary_replica,
+                st.last_lsn,
+                st.max_replica_lag,
+                st.failovers,
+                st.epoch,
+                st.fenced,
+                st.breaker,
+                st.breaker_sheds,
+            ));
+            if st.replicas > 1 {
+                for rs in &st.replica_status {
                     out.push_str(&format!(
-                        "shard {}: accesses={} updates={} escalations={} hits={} faults={} \
-                         hit_ratio={:.4} conflict_rate={:.4} crash_epoch={} \
-                         rebuilds_pending={} r1_rows={} access_ms={:.3} \
-                         replicas={} live={} primary={} last_lsn={} max_lag={} failovers={} \
-                         epoch={} fenced={} breaker={} breaker_sheds={}\n",
-                        st.shard,
-                        st.accesses,
-                        st.updates,
-                        st.escalations,
-                        st.buffer_hits,
-                        st.buffer_faults,
-                        st.hit_ratio(),
-                        st.conflict_rate(),
-                        st.crash_epoch,
-                        st.rebuilds_pending,
-                        st.r1_rows,
-                        st.access_ms_sum,
-                        st.replicas,
-                        st.live_replicas,
-                        st.primary_replica,
-                        st.last_lsn,
-                        st.max_replica_lag,
-                        st.failovers,
-                        st.epoch,
-                        st.fenced,
-                        st.breaker,
-                        st.breaker_sheds,
+                        "replica {}.{}: role={} applied_lsn={} lag={}\n",
+                        st.shard, rs.replica, rs.role, rs.applied_lsn, rs.lag,
                     ));
-                    if st.replicas > 1 {
-                        for rs in &st.replica_status {
-                            out.push_str(&format!(
-                                "replica {}.{}: role={} applied_lsn={} lag={}\n",
-                                st.shard, rs.replica, rs.role, rs.applied_lsn, rs.lag,
-                            ));
-                        }
-                    }
                 }
-                out.trim_end().to_string()
             }
-            Some(Backend::Single(e)) => {
-                let obs = self.observer.lock();
-                let accesses: u64 = (0..self.views.len()).map(|i| obs.stats(i).accesses).sum();
-                let updates = obs.operations.saturating_sub(accesses);
-                let (hits, faults) = e.pager().buffer_stats();
-                let total = hits + faults;
-                let hit_ratio = if total == 0 {
-                    0.0
-                } else {
-                    hits as f64 / total as f64
-                };
-                let r1_rows = self.tables.first().map(|t| t.rows.len()).unwrap_or(0);
-                format!(
-                    "shards: 1\ncross_moves: 0\nreplicas: 1\n\
-                     shard 0: accesses={accesses} updates={updates} escalations=0 \
-                     hits={hits} faults={faults} hit_ratio={hit_ratio:.4} \
-                     conflict_rate=0.0000 crash_epoch={} rebuilds_pending={} \
-                     r1_rows={r1_rows} access_ms=0.000 \
-                     replicas=1 live=1 primary=0 last_lsn=0 max_lag=0 failovers=0 \
-                     epoch=1 fenced=0 breaker=closed breaker_sheds=0",
-                    e.crash_epoch(),
-                    e.rebuilds_pending(),
-                )
-            }
-            None => format!("shards: {} (engine not built yet)", self.shards),
         }
+        out.trim_end().to_string()
     }
 
     /// Prometheus text exposition of the process-global metric registry,
@@ -1382,43 +1088,32 @@ impl Session {
     /// refreshed first (the `metrics` command).
     pub fn metrics_text(&self) -> String {
         let reg = procdb_obs::global();
-        match self.engine.as_ref() {
-            Some(Backend::Single(e)) => {
-                if let Some(vf) = e.valid_fraction() {
-                    reg.gauge("procdb_ci_valid_fraction", &[]).set(vf);
-                }
-                reg.gauge("procdb_shard_count", &[]).set(1.0);
-                reg.gauge("procdb_session_cost_ms", &[])
-                    .set(e.ledger().snapshot().priced(&self.constants));
-            }
-            Some(Backend::Sharded(sharded)) => {
-                reg.gauge("procdb_shard_count", &[])
-                    .set(sharded.shards() as f64);
-                reg.gauge("procdb_replica_count", &[])
-                    .set(sharded.replicas() as f64);
-                reg.gauge("procdb_session_cost_ms", &[])
-                    .set(self.total_cost_ms());
-                for st in sharded.shard_stats() {
-                    let shard = st.shard.to_string();
-                    let labels = [("shard", shard.as_str())];
-                    reg.gauge("procdb_shard_buffer_hit_ratio", &labels)
-                        .set(st.hit_ratio());
-                    reg.gauge("procdb_shard_conflict_rate", &labels)
-                        .set(st.conflict_rate());
-                    reg.gauge("procdb_replica_live", &labels)
-                        .set(st.live_replicas as f64);
-                    reg.gauge("procdb_replica_primary", &labels)
-                        .set(st.primary_replica as f64);
-                    reg.gauge("procdb_replica_max_lag", &labels)
-                        .set(st.max_replica_lag as f64);
-                    reg.gauge("procdb_replica_epoch", &labels)
-                        .set(st.epoch as f64);
-                    if let Some(vf) = st.valid_fraction {
-                        reg.gauge("procdb_ci_valid_fraction", &labels).set(vf);
-                    }
+        if let Some(engine) = self.engine.as_ref() {
+            reg.gauge("procdb_shard_count", &[])
+                .set(engine.shards() as f64);
+            reg.gauge("procdb_replica_count", &[])
+                .set(engine.replicas() as f64);
+            reg.gauge("procdb_session_cost_ms", &[])
+                .set(self.total_cost_ms());
+            for st in engine.shard_stats() {
+                let shard = st.shard.to_string();
+                let labels = [("shard", shard.as_str())];
+                reg.gauge("procdb_shard_buffer_hit_ratio", &labels)
+                    .set(st.hit_ratio());
+                reg.gauge("procdb_shard_conflict_rate", &labels)
+                    .set(st.conflict_rate());
+                reg.gauge("procdb_replica_live", &labels)
+                    .set(st.live_replicas as f64);
+                reg.gauge("procdb_replica_primary", &labels)
+                    .set(st.primary_replica as f64);
+                reg.gauge("procdb_replica_max_lag", &labels)
+                    .set(st.max_replica_lag as f64);
+                reg.gauge("procdb_replica_epoch", &labels)
+                    .set(st.epoch as f64);
+                if let Some(vf) = st.valid_fraction {
+                    reg.gauge("procdb_ci_valid_fraction", &labels).set(vf);
                 }
             }
-            None => {}
         }
         reg.render_prometheus()
     }
@@ -1499,7 +1194,14 @@ impl Session {
             }
             Organization::Heap => "heap".to_string(),
         };
-        Ok(format!("{} ({} rows, {})", t.name, t.rows.len(), org))
+        // The base table's rows live in the engine once it is built.
+        let rows = match self.engine.as_ref() {
+            Some(engine) if self.tables[0].name == name => {
+                engine.shard_stats().iter().map(|st| st.r1_rows).sum()
+            }
+            _ => t.rows.len() as u64,
+        };
+        Ok(format!("{} ({rows} rows, {org})", t.name))
     }
 }
 
@@ -1581,7 +1283,7 @@ mod tests {
             StrategyKind::UpdateCacheAvm,
             StrategyKind::UpdateCacheRvm,
         ] {
-            s.set_strategy(kind);
+            s.set_strategy(kind).unwrap();
             let (rows, _) = s.access("V").unwrap();
             assert_eq!(rows.len(), rows_ar.len(), "{kind}");
         }
@@ -1592,14 +1294,14 @@ mod tests {
         let mut s = demo_session();
         s.define_view("define view V (EMP.all) where EMP.eid >= 10 and EMP.eid <= 19")
             .unwrap();
-        s.set_strategy(StrategyKind::UpdateCacheRvm);
+        s.set_strategy(StrategyKind::UpdateCacheRvm).unwrap();
         assert_eq!(s.access("V").unwrap().0.len(), 10);
         let (n, _) = s.update(15, 99).unwrap();
         assert_eq!(n, 1);
         assert_eq!(s.access("V").unwrap().0.len(), 9);
-        // The in-memory mirror follows, so a strategy switch (rebuild)
-        // sees the same data.
-        s.set_strategy(StrategyKind::AlwaysRecompute);
+        // A strategy switch (rebuild) takes the rows back from the engine,
+        // so it sees the same data.
+        s.set_strategy(StrategyKind::AlwaysRecompute).unwrap();
         assert_eq!(s.access("V").unwrap().0.len(), 9);
     }
 
@@ -1608,7 +1310,7 @@ mod tests {
         let mut s = demo_session();
         s.define_view("define view V (EMP.all) where EMP.eid >= 10 and EMP.eid <= 19")
             .unwrap();
-        s.set_strategy(StrategyKind::UpdateCacheAvm);
+        s.set_strategy(StrategyKind::UpdateCacheAvm).unwrap();
         assert_eq!(s.access("V").unwrap().0.len(), 10);
         s.insert(
             "EMP",
@@ -1676,22 +1378,100 @@ mod tests {
     }
 
     #[test]
-    fn shared_access_declines_invalid_ci_cache() {
+    fn shared_access_serves_refreshed_rows_after_an_invalidating_update() {
         let mut s = demo_session();
         s.define_view("define view V (EMP.all) where EMP.eid >= 10 and EMP.eid <= 19")
             .unwrap();
-        s.set_strategy(StrategyKind::CacheInvalidate);
+        s.set_strategy(StrategyKind::CacheInvalidate).unwrap();
         s.prepare().unwrap();
-        assert!(
-            s.access_shared("V").unwrap().is_some(),
-            "warm cache is valid"
-        );
-        // A conflicting update invalidates; the shared path must decline.
+        assert_eq!(s.access_shared("V").unwrap().unwrap().0.len(), 10);
+        // A conflicting update invalidates the cached value; the refill
+        // happens inside the shard, so the shared path still serves.
+        let (n, _) = s.update_shared(15, 99).unwrap().expect("engine is live");
+        assert_eq!(n, 1);
+        let (rows, _) = s.access_shared("V").unwrap().expect("engine is live");
+        assert_eq!(rows.len(), 9);
+        assert!(rows.iter().all(|r| r[0] != Value::Int(15)), "{rows:?}");
+    }
+
+    #[test]
+    fn one_shard_session_matches_a_bare_engine_row_for_row() {
+        for kind in [
+            StrategyKind::AlwaysRecompute,
+            StrategyKind::CacheInvalidate,
+            StrategyKind::UpdateCacheAvm,
+            StrategyKind::UpdateCacheRvm,
+        ] {
+            let mut s = demo_session();
+            s.define_view("define view V (EMP.all) where EMP.eid >= 10 and EMP.eid <= 29")
+                .unwrap();
+            s.define_view(
+                "define view F0 (EMP.all, DEPT.all) \
+                 where EMP.dept = DEPT.dname and DEPT.floor = 0",
+            )
+            .unwrap();
+            s.set_strategy(kind).unwrap();
+            assert_eq!((s.shards(), s.replicas()), (1, 1));
+            // The oracle: one bare engine over the same declared data.
+            let mut oracle = s.build_engine(0, &s.tables()[0].rows, 0).unwrap();
+            oracle.warm_up().unwrap();
+            let compare = |s: &mut Session, oracle: &mut Engine, step: &str| {
+                for (i, view) in ["V", "F0"].into_iter().enumerate() {
+                    let (rows, _) = s.access(view).unwrap();
+                    assert_eq!(
+                        rows,
+                        oracle.access(i).unwrap(),
+                        "{kind} {view} after {step}: rows or their order differ"
+                    );
+                }
+            };
+            compare(&mut s, &mut oracle, "build");
+            // Re-keys out of, into, and within V's window.
+            for (victim, new_key) in [(15, 99), (3, 17), (20, 11), (500, 501)] {
+                let (n, _) = s.update(victim, new_key).unwrap();
+                assert_eq!(n, oracle.apply_update(&[(victim, new_key)]).unwrap());
+                compare(&mut s, &mut oracle, "re-key");
+            }
+            // Inserts, including a duplicate key.
+            for eid in [12, 12, 45] {
+                let row = vec![
+                    Value::Int(eid),
+                    Value::Int(eid % 4),
+                    Value::Bytes(b"n".to_vec()),
+                ];
+                oracle
+                    .apply_insert(&[s.tables()[0].schema.normalize(&row)])
+                    .unwrap();
+                s.insert("EMP", row).unwrap();
+                compare(&mut s, &mut oracle, "insert");
+            }
+            // The engine's base rows come back in the bare engine's order.
+            assert_eq!(
+                s.scan_base().unwrap(),
+                oracle.catalog().get("EMP").unwrap().scan_all().unwrap(),
+                "{kind}: base table"
+            );
+        }
+    }
+
+    #[test]
+    fn rows_have_one_owner_at_a_time() {
+        let mut s = demo_session();
+        s.define_view("define view V (EMP.all) where EMP.eid >= 10 and EMP.eid <= 19")
+            .unwrap();
+        assert_eq!(s.tables()[0].rows.len(), 40, "declared table owns them");
+        s.prepare().unwrap();
+        assert!(s.tables()[0].rows.is_empty(), "moved into the engine");
+        assert_eq!(s.tables()[1].rows.len(), 4, "inner tables keep theirs");
+        assert_eq!(s.scan_base().unwrap().len(), 40);
+        assert!(s.table_summary("EMP").unwrap().contains("40 rows"));
         s.update(15, 99).unwrap();
-        assert_eq!(s.access_shared("V").unwrap(), None);
-        // The exclusive path refills, after which shared reads work again.
+        // A rebuild hands them back, updates included.
+        s.set_shards(3).unwrap();
+        assert_eq!(s.tables()[0].rows.len(), 40);
+        assert!(s.tables()[0].rows.iter().any(|r| r[0] == Value::Int(99)));
+        assert!(!s.tables()[0].rows.iter().any(|r| r[0] == Value::Int(15)));
         assert_eq!(s.access("V").unwrap().0.len(), 9);
-        assert_eq!(s.access_shared("V").unwrap().unwrap().0.len(), 9);
     }
 
     #[test]
@@ -1715,7 +1495,7 @@ mod tests {
         let mut s = demo_session();
         s.define_view("define view V (EMP.all) where EMP.eid >= 10 and EMP.eid <= 19")
             .unwrap();
-        s.set_strategy(StrategyKind::CacheInvalidate);
+        s.set_strategy(StrategyKind::CacheInvalidate).unwrap();
         s.access("V").unwrap();
         let text = s.metrics_text();
         assert!(text.contains("procdb_engine_accesses_total"), "{text}");

@@ -3,7 +3,8 @@
 //! Spawning a thread per access would dwarf the work being fanned out
 //! (a shard partial is often a few page reads); the pool keeps `T`
 //! long-lived workers pulling jobs off a shared queue. [`WorkerPool::scatter`]
-//! submits one job per shard and blocks until **all** results are in,
+//! takes one job per shard, runs the last one on the calling thread and
+//! the rest on the pool, and blocks until **all** results are in,
 //! returning them in submission order regardless of completion order —
 //! the merge step depends on a stable shard → result mapping.
 
@@ -56,15 +57,18 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Run every job on the pool and return their results **in job
-    /// order**. Blocks until all jobs finish. A panicking job does not
-    /// poison the pool: the payload is captured on the worker and
-    /// re-raised here, on the caller.
+    /// Run every job and return their results **in job order**. Blocks
+    /// until all jobs finish. The last job runs on the calling thread,
+    /// which would otherwise sit idle waiting for the gather; the rest
+    /// go to the pool. A panicking job does not poison the pool: the
+    /// payload is captured where the job ran and re-raised here, on the
+    /// caller, once every job has reported.
     pub fn scatter<R: Send + 'static>(
         &self,
-        jobs: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
+        mut jobs: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
     ) -> Vec<R> {
         let n = jobs.len();
+        let inline = jobs.pop();
         let (rtx, rrx) = channel::<(usize, thread::Result<R>)>();
         let tx = self.tx.as_ref().expect("pool is alive until dropped");
         for (idx, job) in jobs.into_iter().enumerate() {
@@ -79,7 +83,10 @@ impl WorkerPool {
         }
         drop(rtx);
         let mut slots: Vec<Option<thread::Result<R>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
+        if let Some(job) = inline {
+            slots[n - 1] = Some(catch_unwind(AssertUnwindSafe(job)));
+        }
+        for _ in 1..n {
             let (idx, out) = rrx.recv().expect("every scattered job reports");
             slots[idx] = Some(out);
         }
@@ -122,6 +129,37 @@ mod tests {
             .collect();
         let got = pool.scatter(jobs);
         assert_eq!(got, (0..16).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_lone_job_runs_on_the_calling_thread() {
+        let pool = WorkerPool::new(2);
+        let caller = thread::current().id();
+        let one: Vec<Box<dyn FnOnce() -> thread::ThreadId + Send>> =
+            vec![Box::new(|| thread::current().id())];
+        assert_eq!(pool.scatter(one), vec![caller], "no thread hop");
+        // Of several jobs only the last stays on the caller.
+        let three: Vec<Box<dyn FnOnce() -> thread::ThreadId + Send>> = (0..3)
+            .map(|_| {
+                let f: Box<dyn FnOnce() -> thread::ThreadId + Send> =
+                    Box::new(|| thread::current().id());
+                f
+            })
+            .collect();
+        let ran_on = pool.scatter(three);
+        assert_ne!(ran_on[0], caller);
+        assert_ne!(ran_on[1], caller);
+        assert_eq!(ran_on[2], caller);
+    }
+
+    #[test]
+    fn a_panicking_inline_job_re_raises_on_the_caller() {
+        let pool = WorkerPool::new(1);
+        let bad: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![Box::new(|| panic!("inline failed"))];
+        let outcome = catch_unwind(AssertUnwindSafe(|| pool.scatter(bad)));
+        assert!(outcome.is_err(), "panic must surface on the caller");
+        let ok: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![Box::new(|| 1), Box::new(|| 2)];
+        assert_eq!(pool.scatter(ok), vec![1, 2]);
     }
 
     #[test]

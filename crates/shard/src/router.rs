@@ -48,10 +48,10 @@ impl Router {
     /// `key_field`, preserving the relative order of rows within each
     /// group (insertion order among duplicates of a key decides which
     /// tuple a keyed delete removes — the split must not reorder them).
-    pub fn partition_rows(&self, rows: &[Tuple], key_field: usize) -> Vec<Vec<Tuple>> {
+    pub fn partition_rows(&self, rows: Vec<Tuple>, key_field: usize) -> Vec<Vec<Tuple>> {
         let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); self.shards];
         for row in rows {
-            parts[self.shard_of(row[key_field].as_int())].push(row.clone());
+            parts[self.shard_of(row[key_field].as_int())].push(row);
         }
         parts
     }
@@ -95,7 +95,7 @@ mod tests {
         let rows: Vec<Tuple> = (0..30)
             .map(|i| vec![Value::Int(i % 5), Value::Int(i)])
             .collect();
-        let parts = router.partition_rows(&rows, 0);
+        let parts = router.partition_rows(rows.clone(), 0);
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), rows.len());
         for part in &parts {
             for pair in part.windows(2) {

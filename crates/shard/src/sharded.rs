@@ -9,9 +9,10 @@
 //!   computes its partial answer over its `R1` slice (shared lock;
 //!   escalated to exclusive only when the shard's strategy must write —
 //!   refill a cache, fold maintenance, rebuild after a crash), and the
-//!   partials merge by sorting schema-encoded rows. Partition
-//!   disjointness makes the merged multiset exactly the single-engine
-//!   answer.
+//!   partials merge by sorting schema-encoded rows (a lone partial is
+//!   its own merge). The last shard's job runs on the calling thread,
+//!   so one shard costs no thread hop. Partition disjointness makes the
+//!   merged multiset exactly the serial engine's answer.
 //! * **Updates** route to the shard owning the victim key; the shard's
 //!   primary applies the mutation first, then the same routed
 //!   [`DeltaOp`] ships synchronously to each live follower (each
@@ -84,7 +85,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use procdb_core::{
-    DeltaAck, DeltaObserver, DeltaOp, Engine, RecoveryOutcome, ShippedDelta, StrategyKind,
+    DeltaAck, DeltaObserver, DeltaOp, Engine, RecoveryOutcome, RecoveryReport, ShippedDelta,
+    StrategyKind,
 };
 use procdb_obs::{Counter, Gauge, Histogram};
 use procdb_query::{Schema, Tuple, Value};
@@ -321,6 +323,20 @@ impl ShardSlot {
 
     fn primary_idx(&self) -> usize {
         self.primary.load(Ordering::Relaxed)
+    }
+
+    /// Take the mutation lock on the update path, polling with
+    /// [`procdb_obs::acquire_by`] instead of parking on it. The lock
+    /// is held for one engine update — tens of microseconds — which is
+    /// less than a parked waiter's wake-up costs: with two clients
+    /// storming one shard, parking nearly doubled the median update
+    /// round trip, and a waiter that only ever yields takes every
+    /// hand-off, so each client waits out the other's update every
+    /// time. Backing off to short sleeps lets the running client keep
+    /// the lock across its next few updates.
+    fn lock_mutation(&self) -> parking_lot::MutexGuard<'_, ()> {
+        procdb_obs::acquire_by(None, || self.mutation.try_lock())
+            .expect("an acquisition without a deadline only ends with the lock")
     }
 
     fn epoch(&self) -> u64 {
@@ -606,6 +622,11 @@ pub struct ShardStats {
     pub crash_epoch: u64,
     /// Derived-state rebuilds still deferred to first access (primary).
     pub rebuilds_pending: usize,
+    /// What the primary's most recent crash recovery did, if it ran one.
+    pub last_recovery: Option<RecoveryReport>,
+    /// Validity-WAL sizes `(log bytes, bytes past the checkpoint)` on
+    /// the primary (CI only).
+    pub wal_bytes: Option<(usize, usize)>,
     /// Fraction of caches currently valid (CI only; primary).
     pub valid_fraction: Option<f64>,
     /// `R1` tuples this shard owns (primary's copy).
@@ -980,8 +1001,14 @@ impl ShardedEngine {
     /// Merge per-shard partials deterministically: partition
     /// disjointness means concatenation is the right multiset, and
     /// sorting by the schema encoding fixes the order regardless of
-    /// which shard reported first.
-    fn merge(&self, schema: &Schema, partials: Vec<Vec<Tuple>>) -> Vec<Tuple> {
+    /// which shard reported first. A one-way merge is the identity, so a
+    /// lone partial is returned as is — in the order its engine
+    /// produced it, with no schema lookup, encode, or sort.
+    fn merge(partials: Vec<Vec<Tuple>>, schema: impl FnOnce() -> Schema) -> Vec<Tuple> {
+        if partials.len() == 1 {
+            return partials.into_iter().next().expect("one partial");
+        }
+        let schema = schema();
         let mut rows: Vec<Tuple> = partials.into_iter().flatten().collect();
         rows.sort_by_cached_key(|r| schema.encode(r));
         rows
@@ -1001,7 +1028,6 @@ impl ShardedEngine {
     /// read to a live follower.
     pub fn access(&self, i: usize, c: &CostConstants) -> Result<(Vec<Tuple>, f64)> {
         assert!(i < self.n_procs, "procedure index out of range");
-        let schema = self.output_schema(i);
         let c = *c;
         let hedge = self.hedged_reads();
         // The pool's worker threads are long-lived, so the request's
@@ -1095,7 +1121,7 @@ impl ShardedEngine {
             partials.push(rows);
             total_ms += ms;
         }
-        Ok((self.merge(&schema, partials), total_ms))
+        Ok((Self::merge(partials, || self.output_schema(i)), total_ms))
     }
 
     /// Ship `delta` (already applied on the primary and committed to
@@ -1172,7 +1198,7 @@ impl ShardedEngine {
     ) -> Result<(usize, f64)> {
         let slot = &self.slots[shard];
         let _sp = procdb_obs::span!(procdb_obs::global(), "shard.apply", shard = shard);
-        let _m = slot.mutation.lock();
+        let _m = slot.lock_mutation();
         // Chaos fence trap: models a supervisor whose promotion verdict
         // lands mid-commit — the freshest live follower is promoted for
         // real (a genuine epoch bump; the now-stale primary is dropped
@@ -1283,7 +1309,7 @@ impl ShardedEngine {
         c: &CostConstants,
     ) -> (Vec<Tuple>, f64, Result<usize>) {
         let slot = &self.slots[shard];
-        let _m = slot.mutation.lock();
+        let _m = slot.lock_mutation();
         let mut total_ms = 0.0;
         let mut attempts = 0;
         loop {
@@ -1391,7 +1417,7 @@ impl ShardedEngine {
 
     /// Insert new `R1` tuples, each on the shard owning its key.
     pub fn apply_insert(&self, rows: &[Tuple], c: &CostConstants) -> Result<(usize, f64)> {
-        let parts = self.router.partition_rows(rows, self.key_field);
+        let parts = self.router.partition_rows(rows.to_vec(), self.key_field);
         let mut inserted = 0;
         let mut total_ms = 0.0;
         for (s, part) in parts.into_iter().enumerate() {
@@ -1639,20 +1665,7 @@ impl ShardedEngine {
             }
         }
         if full {
-            let snapshot = {
-                let prim = &slot.replicas[slot.primary_idx()];
-                let eng = prim.engine.read();
-                let pager = eng.pager().clone();
-                let was = pager.is_charging();
-                pager.set_charging(false);
-                let rows = eng
-                    .catalog()
-                    .get(&self.r1)
-                    .expect("R1 exists on shards")
-                    .scan_all();
-                pager.set_charging(was);
-                rows?
-            };
+            let snapshot = self.scan_r1_of(&slot.replicas[slot.primary_idx()].engine.read())?;
             let mut eng = rep.engine.write();
             eng.install_r1_snapshot(&snapshot)?;
             eng.note_applied_lsn(target);
@@ -1688,7 +1701,6 @@ impl ShardedEngine {
     /// Reference answer for procedure `i`: every shard primary's
     /// uncharged fresh recompute, merged. Test/verification support.
     pub fn expected_rows(&self, i: usize) -> Result<Vec<Tuple>> {
-        let schema = self.output_schema(i);
         let mut partials = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             partials.push(
@@ -1698,7 +1710,7 @@ impl ShardedEngine {
                     .expected_rows(i)?,
             );
         }
-        Ok(self.merge(&schema, partials))
+        Ok(Self::merge(partials, || self.output_schema(i)))
     }
 
     /// Normalize rows for multiset comparison (encode + sort), using the
@@ -1709,28 +1721,37 @@ impl ShardedEngine {
         eng.normalize(i, rows)
     }
 
-    /// All `R1` tuples across shard primaries, uncharged, in a
-    /// deterministic (schema-encoded) order. Used to resync a session's
-    /// schema mirror after updates.
+    /// One engine's `R1` tuples, read with page charging suspended:
+    /// snapshots are setup work, not priced query cost.
+    fn scan_r1_of(&self, eng: &Engine) -> Result<Vec<Tuple>> {
+        let pager = eng.pager();
+        let was = pager.is_charging();
+        pager.set_charging(false);
+        let rows = self.r1_table(eng).scan_all();
+        pager.set_charging(was);
+        rows
+    }
+
+    fn r1_table<'e>(&self, eng: &'e Engine) -> &'e procdb_query::Table {
+        eng.catalog().get(&self.r1).expect("R1 exists on shards")
+    }
+
+    /// All `R1` tuples across shard primaries, uncharged, merged like
+    /// an access's partials: a deterministic (schema-encoded) order
+    /// over several shards, the engine's own key order over one. The
+    /// session reads the base table back through this when it takes the
+    /// rows over from a live engine.
     pub fn scan_r1(&self) -> Result<Vec<Tuple>> {
-        let mut rows: Vec<Tuple> = Vec::new();
-        let mut schema: Option<Schema> = None;
+        let mut partials = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             let eng = slot.replicas[slot.primary_idx()].engine.read();
-            let pager = eng.pager().clone();
-            let was = pager.is_charging();
-            pager.set_charging(false);
-            let table = eng.catalog().get(&self.r1).expect("R1 exists on shards");
-            if schema.is_none() {
-                schema = Some(table.schema().clone());
-            }
-            let scanned = table.scan_all();
-            pager.set_charging(was);
-            rows.extend(scanned?);
+            partials.push(self.scan_r1_of(&eng)?);
         }
-        let schema = schema.expect("at least one shard");
-        rows.sort_by_cached_key(|r| schema.encode(r));
-        Ok(rows)
+        Ok(Self::merge(partials, || {
+            let slot = &self.slots[0];
+            let eng = slot.replicas[slot.primary_idx()].engine.read();
+            self.r1_table(&eng).schema().clone()
+        }))
     }
 
     /// Point-in-time per-shard summaries (allocation-light on the hot
@@ -1780,12 +1801,10 @@ impl ShardedEngine {
                     buffer_faults: faults,
                     crash_epoch: eng.crash_epoch(),
                     rebuilds_pending: eng.rebuilds_pending(),
+                    last_recovery: eng.last_recovery(),
+                    wal_bytes: eng.wal_stats(),
                     valid_fraction: eng.valid_fraction(),
-                    r1_rows: eng
-                        .catalog()
-                        .get(&self.r1)
-                        .map(|t| t.len())
-                        .unwrap_or_default(),
+                    r1_rows: self.r1_table(&eng).len(),
                     access_ms_sum: slot.access_ms.sum(),
                     replicas: slot.replicas.len(),
                     live_replicas,

@@ -36,7 +36,7 @@ fn build_session(strategy: StrategyKind) -> Session {
     }
     s.define_view("define view V (EMP.all) where EMP.eid >= 0 and EMP.eid <= 5000")
         .unwrap();
-    s.set_strategy(strategy);
+    s.set_strategy(strategy).unwrap();
     s.prepare().unwrap();
     s
 }
@@ -194,7 +194,7 @@ fn run_strategy(strategy: StrategyKind) {
     );
 
     // The mirror the server hands back agrees too.
-    assert_eq!(final_session.tables()[0].rows.len(), ROWS as usize);
+    assert_eq!(final_session.scan_base().unwrap().len(), ROWS as usize);
 }
 
 #[test]

@@ -44,7 +44,7 @@ fn build_session(strategy: StrategyKind) -> Session {
         .unwrap();
     s.set_shards(2).unwrap();
     s.set_replicas(2).unwrap();
-    s.set_strategy(strategy);
+    s.set_strategy(strategy).unwrap();
     s.prepare().unwrap();
     s
 }
