@@ -393,6 +393,11 @@ mod tests {
         };
         assert!(t.starts_with("shards: 3"), "{t}");
         assert!(t.contains("shard 0: accesses="), "{t}");
+        // 20 keys split in three at the quantiles 6 and 13; key 3 has
+        // since moved to 99, on the last shard.
+        assert!(t.contains("r1_rows=5 key_range=[-inf,6)"), "{t}");
+        assert!(t.contains("key_range=[6,13)"), "{t}");
+        assert!(t.contains("key_range=[13,+inf)"), "{t}");
         assert!(t.contains("hit_ratio="), "{t}");
         let Outcome::Text(t) = run(&mut s, "stats").unwrap() else {
             panic!()
@@ -477,6 +482,7 @@ mod tests {
             panic!()
         };
         assert!(t.contains("procdb_replica_count 2"), "{t}");
+        assert!(t.contains("procdb_shard_partials_total"), "{t}");
         assert!(t.contains("procdb_failover_total"), "{t}");
         // Promotion/resync on an unreplicated session is an error.
         let mut single = Session::new();

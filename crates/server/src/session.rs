@@ -2,11 +2,13 @@
 //! lazily rebuilt engine. Shared by the interactive shell and the
 //! server's connection threads.
 //!
-//! The engine is always a [`ShardedEngine`] — `S >= 1` hash partitions
-//! of the base table, each a group of `R >= 1` replicas — rebuilt from
-//! scratch whenever the schema, view set, strategy, or layout changes:
-//! switching strategies mid-session replays the same database under the
-//! new algorithm, which is exactly the comparison the paper is about.
+//! The engine is always a [`ShardedEngine`] — `S >= 1` key-range
+//! partitions of the base table, each a group of `R >= 1` replicas —
+//! rebuilt from scratch whenever the schema, view set, strategy, or
+//! layout changes: switching strategies mid-session replays the same
+//! database under the new algorithm, which is exactly the comparison the
+//! paper is about. Every build re-splits the key range over the rows it
+//! moves in and the views' key windows ([`Router::split_for`]).
 //!
 //! The base (first-declared, updatable) table's rows have **one owner
 //! at a time**: its [`TableSpec`] until the engine is built — the build
@@ -438,13 +440,14 @@ impl Session {
     }
 
     /// Build and warm the engine over `parts`, the base table's rows
-    /// dealt into one partition per shard.
+    /// dealt into one partition per shard of `router`.
     fn build_backend(
         &self,
+        router: Router,
         parts: &[Vec<Tuple>],
         key_field: usize,
     ) -> Result<ShardedEngine, SessionError> {
-        let engine = ShardedEngine::new_replicated(self.shards, self.replicas, |sid, _| {
+        let engine = ShardedEngine::new_replicated(router, self.replicas, |sid, _| {
             self.build_engine(sid as u32, &parts[sid], key_field)
         })?;
         engine.warm_up().map_err(|e| e.to_string())?;
@@ -471,8 +474,14 @@ impl Session {
             // The partitions take the base rows over from the declared
             // table; a failed build hands them back.
             let rows = std::mem::take(&mut self.tables[0].rows);
-            let parts = Router::new(self.shards).partition_rows(rows, key_field);
-            match self.build_backend(&parts, key_field) {
+            let router = Router::split_for(
+                self.shards,
+                rows.iter().map(|r| r[key_field].as_int()),
+                self.views.iter().map(|(_, def)| &def.selection),
+                key_field,
+            );
+            let parts = router.partition_rows(rows, key_field);
+            match self.build_backend(router, &parts, key_field) {
                 Ok(engine) => self.engine = Some(engine),
                 Err(e) => {
                     self.tables[0].rows = parts.into_iter().flatten().collect();
@@ -1042,10 +1051,12 @@ impl Session {
         out.push_str(&format!("cross_moves: {}\n", engine.cross_moves()));
         out.push_str(&format!("replicas: {}\n", engine.replicas()));
         for st in engine.shard_stats() {
+            let (lo, hi) = engine.router().key_range(st.shard);
+            let bound = |b: Option<i64>, open: &str| b.map_or(open.to_string(), |k| k.to_string());
             out.push_str(&format!(
                 "shard {}: accesses={} updates={} escalations={} hits={} faults={} \
                  hit_ratio={:.4} conflict_rate={:.4} crash_epoch={} \
-                 rebuilds_pending={} r1_rows={} access_ms={:.3} \
+                 rebuilds_pending={} r1_rows={} key_range=[{},{}) access_ms={:.3} \
                  replicas={} live={} primary={} last_lsn={} max_lag={} failovers={} \
                  epoch={} fenced={} breaker={} breaker_sheds={}\n",
                 st.shard,
@@ -1059,6 +1070,8 @@ impl Session {
                 st.crash_epoch,
                 st.rebuilds_pending,
                 st.r1_rows,
+                bound(lo, "-inf"),
+                bound(hi, "+inf"),
                 st.access_ms_sum,
                 st.replicas,
                 st.live_replicas,

@@ -1,20 +1,24 @@
 //! # procdb-shard
 //!
-//! A partitioned parallel engine over `procdb-core`: hash-partition the
-//! updatable base relation `R1` across `S` shard engines — each owning
-//! its own pager, heap files, i-lock table, AVM state, and Rete
-//! subnetwork — and answer procedure accesses by **scatter-gather**:
-//! fan the access out to every shard on a worker pool, collect the
-//! per-shard partial results (selection partials for `P1`, partitioned
-//! join partials for `P2`), and merge them deterministically.
+//! A partitioned parallel engine over `procdb-core`: split the
+//! updatable base relation `R1` by key range across `S` shard engines —
+//! each owning its own pager, heap files, i-lock table, AVM state, and
+//! Rete subnetwork — and answer procedure accesses by **pruned
+//! scatter-gather**: send the access to the shards the procedure's key
+//! window overlaps (one, for a view that fits in a shard, run on the
+//! caller), collect their partial results (selection partials for `P1`,
+//! partitioned join partials for `P2`), and merge them
+//! deterministically. [`Router::split`] places the boundaries at
+//! equal-count quantiles of the loaded keys, snapped to nearby view
+//! window starts so a view that fits in one shard is not cut.
 //!
 //! Correctness rests on two invariants:
 //!
 //! * **Partitioning** — every `R1` tuple lives on exactly the shard
-//!   [`shard_of`] assigns to its clustering key, so the union of
-//!   per-shard partials is the global answer and no tuple is counted
-//!   twice. Updates that re-key a tuple across the partition boundary
-//!   become a delete on the owning shard plus an insert on the
+//!   [`Router::shard_of`] assigns to its clustering key, so the union of
+//!   the overlapped shards' partials is the global answer and no tuple
+//!   is counted twice. Updates that re-key a tuple across a range
+//!   boundary become a delete on the owning shard plus an insert on the
 //!   receiving shard ([`procdb_core::Engine::apply_delete_take`]).
 //! * **Replication** — inner relations (`R2`, `R3`) are replicated on
 //!   every shard, so each shard's join partial over its `R1` slice is
@@ -55,5 +59,5 @@ mod sharded;
 pub use chaos::{ChaosInjector, ChaosPlan, ChaosStatus};
 pub use pool::WorkerPool;
 pub use replica::{ReplicaRole, ReplicaStatus, ResyncReport};
-pub use router::{shard_of, Router};
+pub use router::Router;
 pub use sharded::{BreakerState, ShardStats, ShardedEngine};

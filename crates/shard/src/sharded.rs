@@ -1,28 +1,32 @@
 //! The partitioned engine: `S` shards — each a **replica group** of `R`
 //! independent [`Engine`]s behind per-replica readers-writer locks — a
-//! [`Router`] that places every `R1` tuple, and a [`WorkerPool`] that
-//! fans procedure accesses out across shards.
+//! [`Router`] that places every `R1` tuple by key range, and a
+//! [`WorkerPool`] that fans procedure accesses out across shards.
 //!
 //! ## Routing
 //!
-//! * **Accesses** scatter to every shard: each shard's *primary*
-//!   computes its partial answer over its `R1` slice (shared lock;
-//!   escalated to exclusive only when the shard's strategy must write —
-//!   refill a cache, fold maintenance, rebuild after a crash), and the
-//!   partials merge by sorting schema-encoded rows (a lone partial is
-//!   its own merge). The last shard's job runs on the calling thread,
-//!   so one shard costs no thread hop. Partition disjointness makes the
-//!   merged multiset exactly the serial engine's answer.
+//! * **Accesses** go only to the shards the procedure's key window
+//!   overlaps (every shard for a procedure with no bound on the key),
+//!   computed once per procedure when the engine is built. Each asked
+//!   shard's *primary* computes its partial answer over its `R1` slice
+//!   (shared lock; escalated to exclusive only when the shard's strategy
+//!   must write — refill a cache, fold maintenance, rebuild after a
+//!   crash), and the partials merge by sorting schema-encoded rows (a
+//!   lone partial is its own merge). The last shard's job runs on the
+//!   calling thread, so a view that fits in one shard costs no thread
+//!   hop and no merge. A shard outside the window holds no row the
+//!   selection can pass, so the merged multiset is exactly the serial
+//!   engine's answer.
 //! * **Updates** route to the shard owning the victim key; the shard's
 //!   primary applies the mutation first, then the same routed
 //!   [`DeltaOp`] ships synchronously to each live follower (each
 //!   follower runs its *own* strategy maintenance — AVM/Rete followers
 //!   keep their own view state, CI followers their own i-locks — so
 //!   failover preserves each strategy's §3 recovery class). A re-key
-//!   whose new key hashes elsewhere becomes a *cross-shard move*:
-//!   delete-take on the source group, rewrite the key, insert on the
-//!   destination group — never holding two shard groups' mutation locks
-//!   at once, so shard locks cannot deadlock.
+//!   whose new key falls in another shard's range becomes a
+//!   *cross-shard move*: delete-take on the source group, rewrite the
+//!   key, insert on the destination group — never holding two shard
+//!   groups' mutation locks at once, so shard locks cannot deadlock.
 //! * **Inner-relation updates** (`R2`/`R3` are replicated) broadcast to
 //!   every shard group.
 //!
@@ -78,6 +82,7 @@
 //! [`StorageError::Deadline`] error instead of queueing behind a slow
 //! shard.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -678,22 +683,24 @@ impl ShardStats {
     }
 }
 
-/// `S` hash-partitioned replica groups with scatter-gather procedure
-/// access and supervised failover.
+/// `S` range-partitioned replica groups with pruned scatter-gather
+/// procedure access and supervised failover.
 ///
 /// All methods take `&self`: concurrency control is per shard, not
 /// global. Two updates to different shards run in parallel; an access
-/// shares each shard's primary lock with other accesses and only
+/// shares each asked shard's primary lock with other accesses and only
 /// excludes the updates touching the same shard.
 pub struct ShardedEngine {
     slots: Vec<Arc<ShardSlot>>,
     router: Router,
+    /// Per procedure, the shards its key window overlaps.
+    targets: Vec<Range<usize>>,
     pool: WorkerPool,
     r1: String,
     key_field: usize,
-    n_procs: usize,
     kind: StrategyKind,
     cross_moves: Counter,
+    partials: Counter,
     hedge: AtomicBool,
     supervisor: Mutex<Option<Supervisor>>,
     /// Active message-chaos injector, shared with the supervisor thread.
@@ -701,30 +708,31 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Build `shards` unreplicated engines via `build(shard_id)` —
-    /// identical to [`ShardedEngine::new_replicated`] with one replica
-    /// per shard.
+    /// Build one unreplicated engine per shard of `router` via
+    /// `build(shard_id)` — identical to [`ShardedEngine::new_replicated`]
+    /// with one replica per shard.
     pub fn new<E>(
-        shards: usize,
+        router: Router,
         mut build: impl FnMut(usize) -> std::result::Result<Engine, E>,
     ) -> std::result::Result<Self, E> {
-        Self::new_replicated(shards, 1, |s, _r| build(s))
+        Self::new_replicated(router, 1, |s, _r| build(s))
     }
 
-    /// Build `shards` replica groups of `replicas` engines each via
-    /// `build(shard_id, replica_idx)`. Every replica of a shard must
-    /// load the **same** `R1` slice (the rows [`Router::shard_of`]
-    /// assigns to that shard; use [`Router::partition_rows`]) and full
-    /// copies of the inner relations; every engine must share the
-    /// strategy, `R1` name, key field, and procedure list. Replica 0 of
-    /// each shard starts as primary. Generic over the builder's error
-    /// type so callers keep their own error domain.
+    /// Build one replica group of `replicas` engines per shard of
+    /// `router` via `build(shard_id, replica_idx)`. Every replica of a
+    /// shard must load the **same** `R1` slice (the rows
+    /// [`Router::shard_of`] assigns to that shard; use
+    /// [`Router::partition_rows`]) and full copies of the inner
+    /// relations; every engine must share the strategy, `R1` name, key
+    /// field, and procedure list. Replica 0 of each shard starts as
+    /// primary. Generic over the builder's error type so callers keep
+    /// their own error domain.
     pub fn new_replicated<E>(
-        shards: usize,
+        router: Router,
         replicas: usize,
         mut build: impl FnMut(usize, usize) -> std::result::Result<Engine, E>,
     ) -> std::result::Result<Self, E> {
-        assert!(shards > 0, "a sharded engine needs at least one shard");
+        let shards = router.shards();
         assert!(replicas > 0, "a replica group needs at least one engine");
         let mut slots = Vec::with_capacity(shards);
         for id in 0..shards {
@@ -734,14 +742,15 @@ impl ShardedEngine {
             }
             slots.push(Arc::new(ShardSlot::new(id, engines)));
         }
-        let (r1, key_field, n_procs, kind) = {
+        let (r1, key_field, targets, kind) = {
             let eng = slots[0].replicas[0].engine.read();
-            (
-                eng.options().r1.clone(),
-                eng.options().r1_key_field,
-                eng.procedures().len(),
-                eng.strategy(),
-            )
+            let key_field = eng.options().r1_key_field;
+            let targets: Vec<Range<usize>> = eng
+                .procedures()
+                .iter()
+                .map(|p| router.targets(&p.view.selection, key_field))
+                .collect();
+            (eng.options().r1.clone(), key_field, targets, eng.strategy())
         };
         for slot in &slots {
             let primary_rows = slot.replicas[0]
@@ -760,7 +769,7 @@ impl ShardedEngine {
                 );
                 assert_eq!(
                     eng.procedures().len(),
-                    n_procs,
+                    targets.len(),
                     "replicas must register identical procedures"
                 );
                 assert_eq!(eng.strategy(), kind, "replicas must share the strategy");
@@ -773,13 +782,14 @@ impl ShardedEngine {
         }
         Ok(ShardedEngine {
             pool: WorkerPool::new(shards),
-            router: Router::new(shards),
+            router,
+            targets,
             slots,
             r1,
             key_field,
-            n_procs,
             kind,
             cross_moves: procdb_obs::global().counter("procdb_shard_cross_moves_total", &[]),
+            partials: procdb_obs::global().counter("procdb_shard_partials_total", &[]),
             hedge: AtomicBool::new(false),
             supervisor: Mutex::new(None),
             chaos: Arc::new(Mutex::new(None)),
@@ -849,7 +859,7 @@ impl ShardedEngine {
 
     /// Number of registered procedures (identical on every shard).
     pub fn n_procs(&self) -> usize {
-        self.n_procs
+        self.targets.len()
     }
 
     /// The strategy every shard runs.
@@ -857,7 +867,7 @@ impl ShardedEngine {
         self.kind
     }
 
-    /// The placement policy (stable hash of the `R1` key).
+    /// The placement policy (key ranges of `R1`).
     pub fn router(&self) -> &Router {
         &self.router
     }
@@ -1014,10 +1024,12 @@ impl ShardedEngine {
         rows
     }
 
-    /// Access procedure `i`: scatter to every shard on the worker pool,
-    /// merge the partials, and return `(rows, priced_ms)` where the cost
-    /// sums each shard's ledger delta — the work a serial engine would
-    /// have done, even though wall-clock overlaps it.
+    /// Access procedure `i`: scatter to the shards its key window
+    /// overlaps on the worker pool, merge the partials, and return
+    /// `(rows, priced_ms)` where the cost sums each asked shard's ledger
+    /// delta — the work a serial engine would have done, even though
+    /// wall-clock overlaps it. A shard outside the window is not asked,
+    /// so its locks, its breaker and its liveness do not matter here.
     ///
     /// Each shard serves from its primary — shared lock first,
     /// escalating to exclusive only when the strategy must write. A
@@ -1027,7 +1039,7 @@ impl ShardedEngine {
     /// hedged reads on, a merely *contended* primary lock routes the
     /// read to a live follower.
     pub fn access(&self, i: usize, c: &CostConstants) -> Result<(Vec<Tuple>, f64)> {
-        assert!(i < self.n_procs, "procedure index out of range");
+        assert!(i < self.targets.len(), "procedure index out of range");
         let c = *c;
         let hedge = self.hedged_reads();
         // The pool's worker threads are long-lived, so the request's
@@ -1037,11 +1049,11 @@ impl ShardedEngine {
         // remaining budget keeps counting down.
         let trace_ctx = procdb_obs::global().current_context();
         let deadline = procdb_obs::current_deadline();
-        let jobs: Vec<AccessJob> = self
-            .slots
+        let targets = self.targets[i].clone();
+        let jobs: Vec<AccessJob> = self.slots[targets.clone()]
             .iter()
-            .enumerate()
-            .map(|(shard_id, slot)| {
+            .zip(targets)
+            .map(|(slot, shard_id)| {
                 let slot = Arc::clone(slot);
                 let job: AccessJob = Box::new(move || {
                     let reg = procdb_obs::global();
@@ -1114,7 +1126,8 @@ impl ShardedEngine {
                 job
             })
             .collect();
-        let mut partials = Vec::with_capacity(self.slots.len());
+        self.partials.add(jobs.len() as u64);
+        let mut partials = Vec::with_capacity(jobs.len());
         let mut total_ms = 0.0;
         for out in self.pool.scatter(jobs) {
             let (rows, ms) = out?;

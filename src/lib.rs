@@ -29,7 +29,7 @@
 //! | [`avm`] | algebraic (non-shared) view maintenance |
 //! | [`rete`] | the shared Rete network |
 //! | [`core`] | the procedure engine with the four strategies |
-//! | [`shard`] | hash-partitioned parallel engines, scatter-gather access |
+//! | [`shard`] | key-range-partitioned parallel engines, pruned scatter-gather access |
 //! | [`workload`] | database/procedure/stream generators + simulator |
 //!
 //! ## Quick start

@@ -34,7 +34,7 @@ use procdb::core::{Engine, EngineOptions, ProcedureDef, StrategyKind};
 use procdb::query::{
     Catalog, CompOp, FieldType, Organization, Predicate, Schema, Table, Term, Value,
 };
-use procdb::shard::{shard_of, ChaosPlan, ReplicaRole, ShardedEngine};
+use procdb::shard::{ChaosPlan, ReplicaRole, Router, ShardedEngine};
 use procdb::storage::{AccountingMode, CostConstants, Pager, PagerConfig, StorageError};
 
 const R1_ROWS: i64 = 120;
@@ -53,6 +53,36 @@ fn next(rng: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The procedures every engine registers: a selection and a join.
+fn procs() -> Vec<ProcedureDef> {
+    vec![
+        ProcedureDef::new(
+            0,
+            "p1".to_string(),
+            ViewDef {
+                base: "R1".into(),
+                selection: Predicate::int_range(0, 10, 79),
+                joins: vec![],
+            },
+        ),
+        ProcedureDef::new(
+            1,
+            "p2".to_string(),
+            ViewDef {
+                base: "R1".into(),
+                selection: Predicate::int_range(0, 0, 149),
+                joins: vec![JoinStep {
+                    inner: "R2".into(),
+                    outer_key_field: 1,
+                    residual: Predicate {
+                        terms: vec![Term::new(4, CompOp::Eq, 0i64)],
+                    },
+                }],
+            },
+        ),
+    ]
 }
 
 /// `R1(skey, a)` holding exactly `keys` plus the replicated inner
@@ -100,36 +130,10 @@ fn build_engine(kind: StrategyKind, keys: &[i64], shard: Option<u32>) -> Engine 
     cat.add(r2);
     pager.ledger().reset();
     pager.set_charging(true);
-    let procs = vec![
-        ProcedureDef::new(
-            0,
-            "p1".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 10, 79),
-                joins: vec![],
-            },
-        ),
-        ProcedureDef::new(
-            1,
-            "p2".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 0, 149),
-                joins: vec![JoinStep {
-                    inner: "R2".into(),
-                    outer_key_field: 1,
-                    residual: Predicate {
-                        terms: vec![Term::new(4, CompOp::Eq, 0i64)],
-                    },
-                }],
-            },
-        ),
-    ];
     Engine::new(
         Arc::clone(&pager),
         cat,
-        procs,
+        procs(),
         kind,
         EngineOptions {
             shard,
@@ -139,13 +143,22 @@ fn build_engine(kind: StrategyKind, keys: &[i64], shard: Option<u32>) -> Engine 
     .unwrap()
 }
 
+/// Range-place `R1` the way the engine does — over the loaded keys and
+/// the procedures' key windows — and load each group its slice.
 fn build_replicated(kind: StrategyKind, shards: usize, replicas: usize) -> ShardedEngine {
     let keys: Vec<i64> = (0..R1_ROWS).collect();
-    ShardedEngine::new_replicated(shards, replicas, |sid, _rid| {
+    let procs = procs();
+    let router = Router::split_for(
+        shards,
+        keys.iter().copied(),
+        procs.iter().map(|p| &p.view.selection),
+        0,
+    );
+    ShardedEngine::new_replicated(router.clone(), replicas, |sid, _rid| {
         let slice: Vec<i64> = keys
             .iter()
             .copied()
-            .filter(|&k| shard_of(k, shards) == sid)
+            .filter(|&k| router.shard_of(k) == sid)
             .collect();
         Ok::<Engine, String>(build_engine(kind, &slice, Some(sid as u32)))
     })

@@ -16,6 +16,11 @@
 //! * **Cross-shard moves survive kill-points** (satellite): a crash
 //!   mid delete-take/insert move leaves the re-keyed row on exactly
 //!   one shard after recovery — never zero, never two.
+//! * **A dead shard fails only the accesses that need it** — an access
+//!   whose key window lies in live shards answers while another shard's
+//!   lone primary is down.
+//!
+//! The per-shard slices come from the engine's own range placement.
 
 use std::sync::Arc;
 
@@ -26,7 +31,7 @@ use procdb::core::{Engine, EngineOptions, ProcedureDef, StrategyKind};
 use procdb::query::{
     Catalog, CompOp, FieldType, Organization, Predicate, Schema, Table, Term, Value,
 };
-use procdb::shard::{shard_of, ReplicaRole, ShardedEngine};
+use procdb::shard::{ReplicaRole, Router, ShardedEngine};
 use procdb::storage::{AccountingMode, CostConstants, FaultPlan, Pager, PagerConfig};
 
 const R1_ROWS: i64 = 120;
@@ -41,6 +46,48 @@ fn next(rng: &mut u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
+
+/// The procedures every engine registers: `p1` and `p2` cross the
+/// split, `p3` fits in one shard (shard 0 when `S = 2`).
+fn procs() -> Vec<ProcedureDef> {
+    vec![
+        ProcedureDef::new(
+            0,
+            "p1".to_string(),
+            ViewDef {
+                base: "R1".into(),
+                selection: Predicate::int_range(0, 10, 79),
+                joins: vec![],
+            },
+        ),
+        ProcedureDef::new(
+            1,
+            "p2".to_string(),
+            ViewDef {
+                base: "R1".into(),
+                selection: Predicate::int_range(0, 0, 149),
+                joins: vec![JoinStep {
+                    inner: "R2".into(),
+                    outer_key_field: 1,
+                    residual: Predicate {
+                        terms: vec![Term::new(4, CompOp::Eq, 0i64)],
+                    },
+                }],
+            },
+        ),
+        ProcedureDef::new(
+            2,
+            "p3".to_string(),
+            ViewDef {
+                base: "R1".into(),
+                selection: Predicate::int_range(0, 30, 49),
+                joins: vec![],
+            },
+        ),
+    ]
+}
+
+const N_PROCS: usize = 3;
 
 /// `R1(skey, a)` holding exactly `keys` plus the replicated inner
 /// `R2(b, c, f2sel)` — the same fixture as the shard-equivalence fuzz,
@@ -87,36 +134,10 @@ fn build_engine(kind: StrategyKind, keys: &[i64], shard: Option<u32>) -> Engine 
     cat.add(r2);
     pager.ledger().reset();
     pager.set_charging(true);
-    let procs = vec![
-        ProcedureDef::new(
-            0,
-            "p1".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 10, 79),
-                joins: vec![],
-            },
-        ),
-        ProcedureDef::new(
-            1,
-            "p2".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 0, 149),
-                joins: vec![JoinStep {
-                    inner: "R2".into(),
-                    outer_key_field: 1,
-                    residual: Predicate {
-                        terms: vec![Term::new(4, CompOp::Eq, 0i64)],
-                    },
-                }],
-            },
-        ),
-    ];
     Engine::new(
         Arc::clone(&pager),
         cat,
-        procs,
+        procs(),
         kind,
         EngineOptions {
             shard,
@@ -126,13 +147,22 @@ fn build_engine(kind: StrategyKind, keys: &[i64], shard: Option<u32>) -> Engine 
     .unwrap()
 }
 
+/// Range-place `R1` the way the engine does — over the loaded keys and
+/// the procedures' key windows — and load each group its slice.
 fn build_replicated(kind: StrategyKind, shards: usize, replicas: usize) -> ShardedEngine {
     let keys: Vec<i64> = (0..R1_ROWS).collect();
-    ShardedEngine::new_replicated(shards, replicas, |sid, _rid| {
+    let procs = procs();
+    let router = Router::split_for(
+        shards,
+        keys.iter().copied(),
+        procs.iter().map(|p| &p.view.selection),
+        0,
+    );
+    ShardedEngine::new_replicated(router.clone(), replicas, |sid, _rid| {
         let slice: Vec<i64> = keys
             .iter()
             .copied()
-            .filter(|&k| shard_of(k, shards) == sid)
+            .filter(|&k| router.shard_of(k) == sid)
             .collect();
         Ok::<Engine, String>(build_engine(kind, &slice, Some(sid as u32)))
     })
@@ -145,7 +175,7 @@ fn assert_matches_oracle(
     c: &CostConstants,
     ctx: &str,
 ) {
-    for i in 0..2 {
+    for i in 0..N_PROCS {
         let expect = oracle.access(i).unwrap();
         let (got, _ms) = sharded.access(i, c).unwrap();
         assert_eq!(
@@ -172,7 +202,7 @@ fn assert_groups_consistent(sharded: &ShardedEngine, ctx: &str) {
                 "{ctx}: shard {s} replica {} still down after resync",
                 rs.replica
             );
-            for i in 0..2 {
+            for i in 0..N_PROCS {
                 let (got, expect_here, norm_got, norm_here) =
                     sharded.with_replica_engine_mut(s, rs.replica, |e| {
                         let got = e.access(i).unwrap();
@@ -279,7 +309,7 @@ fn run_schedule(kind: StrategyKind, shards: usize, replicas: usize, schedule_see
     // rebuild of its slice.
     sharded.recover(None);
     sharded.resync(None).unwrap();
-    for i in 0..2 {
+    for i in 0..N_PROCS {
         let expect = oracle.expected_rows(i).unwrap();
         let (got, _ms) = sharded.access(i, &c).unwrap();
         assert_eq!(
@@ -413,11 +443,12 @@ fn kill_point_mid_cross_shard_move_leaves_row_on_exactly_one_shard() {
         let sharded = build_replicated(kind, shards, 1);
         sharded.warm_up().unwrap();
         // Pick a victim and a new key on *different* shards.
+        let router = sharded.router();
         let victim = (0..R1_ROWS)
-            .find(|&k| shard_of(k, shards) == 0)
+            .find(|&k| router.shard_of(k) == 0)
             .expect("shard 0 owns some key");
         let new_key = (R1_ROWS..KEY_SPACE)
-            .find(|&k| shard_of(k, shards) == 1)
+            .find(|&k| router.shard_of(k) == 1)
             .expect("shard 1 owns some spare key");
         let src_pager = sharded.with_engine(0, |e| e.pager().clone());
         // The next charged transfer on the source shard dies: the
@@ -465,11 +496,50 @@ fn kill_point_mid_cross_shard_move_leaves_row_on_exactly_one_shard() {
             "{kind}: the moved row must live on the destination shard"
         );
         // And the recovered cluster still answers like a fresh rebuild.
-        for i in 0..2 {
+        for i in 0..N_PROCS {
             let (got, _ms) = sharded.access(i, &c).unwrap();
             let expect = sharded.expected_rows(i).unwrap();
             let norm = sharded.with_engine(0, |e| (e.normalize(i, &got), e.normalize(i, &expect)));
             assert_eq!(norm.0, norm.1, "{kind}: post-recovery answers diverged");
         }
+    }
+}
+
+/// An access asks only the shards its key window overlaps, so a dead
+/// shard outside the window cannot fail it: with `S = 2`, `R = 1` and
+/// shard 1's lone primary crashed, `p3` (held by shard 0) still answers
+/// like the oracle, while `p1`, which crosses the split, still errors.
+#[test]
+fn a_crashed_shard_outside_the_window_does_not_fail_the_access() {
+    let c = CostConstants::default();
+    let keys: Vec<i64> = (0..R1_ROWS).collect();
+    for kind in StrategyKind::ALL {
+        let mut oracle = build_engine(kind, &keys, None);
+        let sharded = build_replicated(kind, 2, 1);
+        oracle.warm_up().unwrap();
+        sharded.warm_up().unwrap();
+        assert_eq!(sharded.router().shards_for(30, 49), 0..1, "p3 is shard 0's");
+        assert_eq!(sharded.router().shards_for(10, 79), 0..2, "p1 crosses");
+        // Crash shard 1 with no follower to promote, and latch its pager
+        // so that every page it would read back fails.
+        let pager = sharded.with_engine(1, |e| e.pager().clone());
+        pager.install_faults(FaultPlan::new(11).kill_at(1));
+        sharded.crash(Some(1));
+        let expect = oracle.access(2).unwrap();
+        let (got, _ms) = sharded
+            .access(2, &c)
+            .unwrap_or_else(|e| panic!("{kind}: p3 must not need shard 1: {e}"));
+        assert_eq!(
+            oracle.normalize(2, &got),
+            oracle.normalize(2, &expect),
+            "{kind}: p3 diverged while shard 1 was down"
+        );
+        assert!(
+            sharded.access(0, &c).is_err(),
+            "{kind}: p1 needs the crashed shard and must fail"
+        );
+        pager.clear_faults();
+        assert_eq!(sharded.recover(Some(1)).len(), 1);
+        assert_matches_oracle(&mut oracle, &sharded, &c, &format!("{kind} after recover"));
     }
 }

@@ -3,14 +3,17 @@
 //! cycles, a [`procdb::shard::ShardedEngine`] must serve **byte-identical**
 //! answers to a single-engine serial oracle replaying the same schedule —
 //! for all four strategies and both procedure models (`P1` selection-only
-//! and `P2` join procedures).
+//! and `P2` join procedures), under the range placement the engine runs:
+//! the per-shard slices come from the same [`procdb::shard::Router`].
+//! A procedure whose window fits in one shard must be served by that
+//! shard alone.
 //!
 //! The oracle comparison is on [`procdb::core::Engine::normalize`] output
 //! (schema-encoded, sorted bytes), so any divergence in routing, merge
 //! order, cross-shard moves, or per-shard recovery shows up as a byte
 //! mismatch rather than a flaky row-order difference.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
@@ -19,7 +22,7 @@ use procdb::core::{Engine, EngineOptions, ProcedureDef, StrategyKind};
 use procdb::query::{
     Catalog, CompOp, FieldType, Organization, Predicate, Schema, Table, Term, Value,
 };
-use procdb::shard::{shard_of, ShardedEngine};
+use procdb::shard::{Router, ShardedEngine};
 use procdb::storage::{AccountingMode, CostConstants, Pager, PagerConfig};
 
 const R1_ROWS: i64 = 120;
@@ -33,6 +36,71 @@ fn next(rng: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The key window of `p3`: the placement keeps it inside one shard for
+/// every shard count the fuzz draws.
+const P3_WINDOW: (i64, i64) = (30, 49);
+
+/// The procedures every engine registers. `P1` is a pure selection whose
+/// window crosses the split; `P2` pipelines a selection over the whole
+/// key range into a replicated-inner hash join, so its partials always
+/// merge across shards; `p3` is a selection that one shard answers.
+fn procs() -> Vec<ProcedureDef> {
+    vec![
+        ProcedureDef::new(
+            0,
+            "p1".to_string(),
+            ViewDef {
+                base: "R1".into(),
+                selection: Predicate::int_range(0, 10, 79),
+                joins: vec![],
+            },
+        ),
+        ProcedureDef::new(
+            1,
+            "p2".to_string(),
+            ViewDef {
+                base: "R1".into(),
+                selection: Predicate::int_range(0, 0, 149),
+                joins: vec![JoinStep {
+                    inner: "R2".into(),
+                    outer_key_field: 1,
+                    residual: Predicate {
+                        terms: vec![Term::new(4, CompOp::Eq, 0i64)],
+                    },
+                }],
+            },
+        ),
+        ProcedureDef::new(
+            2,
+            "p3".to_string(),
+            ViewDef {
+                base: "R1".into(),
+                selection: Predicate::int_range(0, P3_WINDOW.0, P3_WINDOW.1),
+                joins: vec![],
+            },
+        ),
+    ]
+}
+
+const N_PROCS: usize = 3;
+
+/// Shard counters live in the process-global registry, labeled by shard
+/// id only, so the tests in this binary must not interleave their
+/// accesses or one would count the other's.
+static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
+
+/// The placement the engine runs: split over the loaded keys and the
+/// procedures' key windows.
+fn router(shards: usize, keys: &[i64]) -> Router {
+    let procs = procs();
+    Router::split_for(
+        shards,
+        keys.iter().copied(),
+        procs.iter().map(|p| &p.view.selection),
+        0,
+    )
 }
 
 /// `R1(skey, a)` holding exactly `keys` (the full relation or one
@@ -80,38 +148,10 @@ fn build_engine(kind: StrategyKind, keys: &[i64], shard: Option<u32>) -> Engine 
     cat.add(r2);
     pager.ledger().reset();
     pager.set_charging(true);
-    // Both procedure models over the same base: P1 is a pure selection,
-    // P2 pipelines the selection into a replicated-inner hash join.
-    let procs = vec![
-        ProcedureDef::new(
-            0,
-            "p1".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 10, 79),
-                joins: vec![],
-            },
-        ),
-        ProcedureDef::new(
-            1,
-            "p2".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 0, 149),
-                joins: vec![JoinStep {
-                    inner: "R2".into(),
-                    outer_key_field: 1,
-                    residual: Predicate {
-                        terms: vec![Term::new(4, CompOp::Eq, 0i64)],
-                    },
-                }],
-            },
-        ),
-    ];
     Engine::new(
         Arc::clone(&pager),
         cat,
-        procs,
+        procs(),
         kind,
         EngineOptions {
             shard,
@@ -122,14 +162,16 @@ fn build_engine(kind: StrategyKind, keys: &[i64], shard: Option<u32>) -> Engine 
 }
 
 fn run_schedule(kind: StrategyKind, shards: usize, schedule_seed: u64) {
+    let _serial = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let c = CostConstants::default();
     let keys: Vec<i64> = (0..R1_ROWS).collect();
     let mut oracle = build_engine(kind, &keys, None);
-    let sharded = ShardedEngine::new(shards, |sid| {
+    let placement = router(shards, &keys);
+    let sharded = ShardedEngine::new(placement.clone(), |sid| {
         let slice: Vec<i64> = keys
             .iter()
             .copied()
-            .filter(|&k| shard_of(k, shards) == sid)
+            .filter(|&k| placement.shard_of(k) == sid)
             .collect();
         Ok::<Engine, String>(build_engine(kind, &slice, Some(sid as u32)))
     })
@@ -137,12 +179,22 @@ fn run_schedule(kind: StrategyKind, shards: usize, schedule_seed: u64) {
     oracle.warm_up().unwrap();
     sharded.warm_up().unwrap();
     let ctx = format!("{kind} shards={shards} seed={schedule_seed}");
+    let router = sharded.router();
+    assert_eq!(router, &placement);
+    let p3_shards = router.shards_for(P3_WINDOW.0, P3_WINDOW.1);
+    assert_eq!(p3_shards.len(), 1, "{ctx}: p3 must fit in one shard");
+    assert_eq!(
+        router.shards_for(0, 149).len(),
+        shards,
+        "{ctx}: p2 must span every shard"
+    );
     let mut rng = schedule_seed;
     for op in 0..30 {
         match next(&mut rng) % 4 {
-            // Half the schedule is accesses: both models, every time.
+            // Half the schedule is accesses: every model, every time.
             0 | 1 => {
-                for i in 0..2 {
+                for i in 0..N_PROCS {
+                    let before = sharded.shard_stats();
                     let expect = oracle.access(i).unwrap();
                     let (got, _ms) = sharded.access(i, &c).unwrap();
                     assert_eq!(
@@ -150,6 +202,19 @@ fn run_schedule(kind: StrategyKind, shards: usize, schedule_seed: u64) {
                         oracle.normalize(i, &expect),
                         "{ctx} op {op}: sharded access diverged on proc {i}"
                     );
+                    if i == 2 {
+                        // The pruned scatter asked p3's shard alone.
+                        for (b, a) in before.iter().zip(sharded.shard_stats()) {
+                            let asked = p3_shards.contains(&a.shard);
+                            assert_eq!(
+                                a.accesses - b.accesses,
+                                u64::from(asked),
+                                "{ctx} op {op}: shard {} served p3 {} time(s)",
+                                a.shard,
+                                a.accesses - b.accesses
+                            );
+                        }
+                    }
                 }
             }
             2 => {
@@ -183,9 +248,10 @@ fn run_schedule(kind: StrategyKind, shards: usize, schedule_seed: u64) {
             }
         }
     }
-    // Final sweep: every shard recovered, both models still byte-identical,
-    // and the merged base relation matches the oracle's row count.
-    for i in 0..2 {
+    // Final sweep: every shard recovered, every procedure still
+    // byte-identical, and the merged base relation matches the oracle's
+    // row count.
+    for i in 0..N_PROCS {
         let expect = oracle.expected_rows(i).unwrap();
         let (got, _ms) = sharded.access(i, &c).unwrap();
         assert_eq!(

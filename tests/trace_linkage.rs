@@ -23,6 +23,10 @@ use procdb_wire::{Request, Response, WireClient};
 
 const ROWS: i64 = 16;
 const VIEWS: usize = 2;
+/// A view across the split at key 8 (V0 and V1 each fit in one shard),
+/// so its accesses scatter to both shards and run on pool workers. Its
+/// start, rank 4, is outside the ±2-rank snapping band around 8.
+const CROSSING: &str = "VX";
 const PIPELINE_WINDOW: u32 = 8;
 
 /// The span registry is process-global and its finished-trace ring is
@@ -58,6 +62,10 @@ fn build_session(strategy: StrategyKind) -> Session {
         ))
         .unwrap();
     }
+    s.define_view(&format!(
+        "define view {CROSSING} (EMP.all) where EMP.eid >= 4 and EMP.eid <= 11"
+    ))
+    .unwrap();
     s.set_shards(2).unwrap();
     s.set_replicas(2).unwrap();
     s.set_strategy(strategy).unwrap();
@@ -153,7 +161,8 @@ proptest! {
                 pending.insert(id, 0);
             }
             let line = match op {
-                0..=4 => format!("access V{}", *op as usize % VIEWS),
+                0..=1 => format!("access V{op}"),
+                2..=4 => format!("access {CROSSING}"),
                 _ => format!("update {} -> {}", *op as i64, *op as i64 + 100),
             };
             let tid = base + i as u64 + 1;
@@ -206,14 +215,18 @@ fn explain_analyze_over_v2_renders_a_multi_layer_tree() {
     };
     // One tree, all layers: wire root, session, shard workers (with
     // shard/role tags), storage leaves, and the engine span carrying
-    // the cost model's prediction next to observed time.
+    // the cost model's prediction next to observed time. V0's window
+    // ends below the split, so only shard 0 works on it.
+    assert!(
+        !text.contains("shard=1"),
+        "V0 must not reach shard 1:\n{text}"
+    );
     for needle in [
         "trace ",
         "wire.request",
         "session.access",
         "shard.worker",
         "shard=0",
-        "shard=1",
         "role=",
         "pager.read",
         "access",
@@ -263,6 +276,21 @@ fn explain_analyze_over_v2_renders_a_multi_layer_tree() {
     for s in &tree.spans {
         assert_eq!(s.trace_id, tid);
         assert!(s.parent_id == 0 || by_id.contains_key(&s.parent_id));
+    }
+
+    // A window across the split asks both shards: each one's worker
+    // span lands in the same tree.
+    client
+        .send(&Request::Command {
+            line: format!("explain analyze access {CROSSING}"),
+        })
+        .unwrap();
+    let (_, resp) = client.recv().unwrap();
+    let Response::OkText { text } = resp else {
+        panic!("explain analyze failed: {resp:?}");
+    };
+    for needle in ["shard.worker", "shard=0", "shard=1", "pager.read"] {
+        assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
     client.close().unwrap();
     server.stop();
