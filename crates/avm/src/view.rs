@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use std::sync::{Arc, OnceLock};
 
-use procdb_query::{execute, Catalog, Plan, Predicate, Schema, Tuple};
+use procdb_query::{execute, execute_encoded, Catalog, Plan, Predicate, Schema, Tuple};
 use procdb_storage::{HeapFile, Pager, Result, Rid};
 
 use crate::delta::Delta;
@@ -183,15 +183,18 @@ impl MaterializedView {
     pub fn recompute_full(&mut self, catalog: &Catalog) -> Result<()> {
         self.heap.clear()?;
         self.locator.clear();
-        let rows = execute(&self.def.to_plan(), catalog)?;
-        for row in rows {
-            self.insert_row(&row)?;
+        let rows = execute_encoded(&self.def.to_plan(), catalog)?;
+        for row in rows.iter() {
+            self.insert_encoded(row.to_vec())?;
         }
         Ok(())
     }
 
     fn insert_row(&mut self, row: &Tuple) -> Result<()> {
-        let bytes = self.schema.encode(row);
+        self.insert_encoded(self.schema.encode(row))
+    }
+
+    fn insert_encoded(&mut self, bytes: Vec<u8>) -> Result<()> {
         let rid = self.heap.insert(&bytes)?;
         self.locator.entry(bytes).or_default().push(rid);
         Ok(())

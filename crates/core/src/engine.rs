@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use procdb_avm::{Delta, MaterializedView, ViewDef};
 use procdb_ilock::{ILockManager, ProcId, TableRef, ValidityTable};
-use procdb_query::{execute, Catalog, Organization, Schema, Tuple};
+use procdb_query::{execute, execute_encoded, Catalog, Organization, Schema, Tuple};
 use procdb_rete::{NodeId, Rete, Token};
 use procdb_storage::{AccountingMode, CostConstants, CostLedger, HeapFile, Pager, Result};
 
@@ -590,7 +590,7 @@ impl Engine {
         self.metrics.cache_refills.inc();
         let _sp = procdb_obs::span!(procdb_obs::global(), "recompute", proc = i);
         let plan = self.procs[i].plan();
-        let rows = execute(&plan, &self.catalog)?;
+        let rows = execute_encoded(&plan, &self.catalog)?;
         let StrategyState::CacheInval {
             caches,
             validity,
@@ -600,13 +600,12 @@ impl Engine {
             panic!("refill_cache outside CacheInval");
         };
         let entry = &mut caches[i];
-        let encoded: Vec<Vec<u8>> = rows.iter().map(|r| entry.schema.encode(r)).collect();
-        entry.heap.rewrite(&encoded)?;
+        entry.heap.rewrite(&rows.iter().collect::<Vec<_>>())?;
         let pid = ProcId(i as u32);
         locks.drop_locks(pid);
         locks.set_range_lock(R1_TABLE, entry.bounds.0, entry.bounds.1, pid);
         validity.mark_valid(pid);
-        Ok(rows)
+        Ok(rows.decode(&entry.schema))
     }
 
     /// Read the full current value of procedure `i` (one of the paper's

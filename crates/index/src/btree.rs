@@ -11,6 +11,14 @@
 //! Deletion is lazy (no merging/rebalancing): pages can under-fill but
 //! never violate ordering. This mirrors many production trees and keeps
 //! the page-count behavior stable for the simulation's steady state.
+//!
+//! Read paths work on page bytes in place: the descent picks each child
+//! inside the pager's read closure, and a range scan copies each leaf out
+//! of the pager once and walks its entries with [`Reader`], handing the
+//! callback slices of that copy — no node value and no per-entry
+//! allocation. The callback runs outside the pager lock, so it may itself
+//! read pages. Write paths (insert, delete, in-place update) decode whole
+//! nodes, edit them, and encode them back.
 
 use std::sync::Arc;
 
@@ -131,6 +139,36 @@ impl Node {
             }
         }
     }
+}
+
+/// The child of an internal page whose subtree holds `ek`, read from the
+/// page bytes in place; `None` for a leaf.
+fn child_for(page: &[u8], ek: EntryKey) -> Option<u32> {
+    let mut r = Reader::new(page);
+    if r.u8() == LEAF {
+        return None;
+    }
+    let count = r.u16() as usize;
+    let child0 = r.u32();
+    let entry = |i: usize| {
+        let mut r = Reader::new(&page[INTERNAL_HDR + i * INTERNAL_ENTRY..]);
+        let key = EntryKey {
+            key: r.i64(),
+            seq: r.i64() as u64,
+        };
+        (key, r.u32())
+    };
+    // Binary search for the number of separators `≤ ek`.
+    let (mut lo, mut hi) = (0, count);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if entry(mid).0 <= ek {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(if lo == 0 { child0 } else { entry(lo - 1).1 })
 }
 
 /// A clustered B+-tree file of `(i64 key, tuple bytes)` entries.
@@ -309,18 +347,14 @@ impl BTreeFile {
         }
     }
 
-    /// Descend to the leaf that would contain `ek`. Charges `height` reads.
+    /// Descend to the leaf that would contain `ek`, choosing each child on
+    /// the page bytes in place. Charges `height` reads.
     fn find_leaf(&self, ek: EntryKey) -> Result<u32> {
         let mut page_no = self.root;
-        loop {
-            match self.read_node(page_no)? {
-                Node::Leaf { .. } => return Ok(page_no),
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| *k <= ek);
-                    page_no = children[idx];
-                }
-            }
+        while let Some(child) = self.pager.read(self.pid(page_no), |p| child_for(p, ek))? {
+            page_no = child;
         }
+        Ok(page_no)
     }
 
     /// Scan all tuples with `lo ≤ key ≤ hi` in key order, calling
@@ -330,19 +364,30 @@ impl BTreeFile {
         if lo > hi {
             return Ok(());
         }
-        let start = EntryKey::min(lo);
-        let mut page_no = self.find_leaf(start)?;
+        let mut page_no = self.find_leaf(EntryKey::min(lo))?;
+        // One copy per leaf: `f` runs outside the pager lock.
+        let mut page = Vec::with_capacity(self.pager.page_size());
         loop {
-            let node = self.read_node(page_no)?;
-            let Node::Leaf { entries, next } = node else {
+            self.pager.read(self.pid(page_no), |p| {
+                page.clear();
+                page.extend_from_slice(p);
+            })?;
+            let mut r = Reader::new(&page);
+            if r.u8() != LEAF {
                 return Err(StorageError::CorruptPage(self.pid(page_no)));
-            };
-            for (k, v) in &entries {
-                if k.key > hi {
+            }
+            let count = r.u16();
+            let next = r.u32();
+            for _ in 0..count {
+                let key = r.i64();
+                let seq = r.i64() as u64;
+                let len = r.u16() as usize;
+                let tuple = r.bytes(len);
+                if key > hi {
                     return Ok(());
                 }
-                if k.key >= lo {
-                    f(k.key, k.seq, v);
+                if key >= lo {
+                    f(key, seq, tuple);
                 }
             }
             if next == NO_PAGE {
@@ -514,10 +559,104 @@ mod tests {
         let mut got = Vec::new();
         t.scan_range(3, 7, |k, _, _| got.push(k)).unwrap();
         assert_eq!(got, vec![3, 4, 5, 6, 7]);
-        // Empty range.
+        // Empty range: nothing visited, nothing read.
+        let before = t.pager().ledger().snapshot();
         let mut none = Vec::new();
         t.scan_range(7, 3, |k, _, _| none.push(k)).unwrap();
         assert!(none.is_empty());
+        assert_eq!(t.pager().ledger().snapshot(), before);
+        // Ranges past either end, and one covering both.
+        let keys = |lo, hi| {
+            let mut got = Vec::new();
+            t.scan_range(lo, hi, |k, _, _| got.push(k)).unwrap();
+            got
+        };
+        assert!(keys(-100, -1).is_empty());
+        assert!(keys(10, 100).is_empty());
+        assert_eq!(keys(i64::MIN, i64::MAX), (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_tree_scans_root_leaf_only() {
+        let t = BTreeFile::create(pager(256), "t").unwrap();
+        let before = t.pager().ledger().snapshot();
+        let mut n = 0;
+        t.scan_all(|_, _, _| n += 1).unwrap();
+        assert_eq!(n, 0);
+        // The descent reads the root leaf, the scan reads it again.
+        assert_eq!(t.pager().ledger().snapshot().since(&before).page_reads, 2);
+        assert!(t.get_all(0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn duplicates_straddling_leaf_splits_scan_in_order() {
+        let mut t = BTreeFile::create(pager(256), "t").unwrap();
+        // Four 40-byte entries fit a 256-byte leaf: the run of 30
+        // duplicates spans several leaves, with neighbours on each side.
+        t.insert(4, &[0xAA; 40]).unwrap();
+        for i in 0..30u8 {
+            t.insert(5, &[i; 40]).unwrap();
+        }
+        t.insert(6, &[0xBB; 40]).unwrap();
+        t.check_invariants().unwrap();
+        let before = t.pager().ledger().snapshot();
+        let got = t.get_all(5).unwrap();
+        let reads = t.pager().ledger().snapshot().since(&before).page_reads;
+        assert_eq!(got, (0..30u8).map(|i| vec![i; 40]).collect::<Vec<_>>());
+        assert!(
+            reads >= t.height() as u64 + 8,
+            "run spans leaves: {reads} reads"
+        );
+        let mut all = Vec::new();
+        t.scan_range(4, 6, |k, _, _| all.push(k)).unwrap();
+        assert_eq!(all.len(), 32);
+        assert!(all.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn scan_reaching_a_non_leaf_page_is_corrupt() {
+        let mut t = BTreeFile::create(pager(256), "t").unwrap();
+        for i in 0..200i64 {
+            t.insert(i, &[0u8; 40]).unwrap();
+        }
+        assert!(t.height() >= 2);
+        // Point the leftmost leaf's sibling link (header bytes 3..7) at
+        // the root, an internal page.
+        let leaf = t.find_leaf(EntryKey::min(i64::MIN)).unwrap();
+        let root = t.root;
+        t.pager
+            .write(t.pid(leaf), |p| {
+                p[3..7].copy_from_slice(&root.to_le_bytes())
+            })
+            .unwrap();
+        let err = t.scan_all(|_, _, _| {}).unwrap_err();
+        assert!(
+            matches!(err, StorageError::CorruptPage(pid) if pid == t.pid(root)),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn probe_inside_scan_callback_does_not_deadlock() {
+        let pager = pager(256);
+        let mut t = BTreeFile::create(pager.clone(), "t").unwrap();
+        let mut h = crate::HashFile::create(pager, "h", 2).unwrap();
+        for i in 0..50i64 {
+            t.insert(i, &[(i % 4) as u8; 40]).unwrap();
+        }
+        for d in 0..4u8 {
+            h.insert(d as i64, &[d; 8]).unwrap();
+        }
+        let mut joined = 0;
+        t.scan_all(|_, _, tuple| {
+            h.probe(tuple[0] as i64, |inner| {
+                assert_eq!(inner[0], tuple[0]);
+                joined += 1;
+            })
+            .unwrap();
+        })
+        .unwrap();
+        assert_eq!(joined, 50);
     }
 
     #[test]

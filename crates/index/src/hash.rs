@@ -5,6 +5,11 @@
 //! A probe for one key reads the bucket's page chain (one page when the
 //! file is well-sized), which is exactly how the paper's Yao terms count
 //! pages touched while joining into `R2`/`R3`.
+//!
+//! Read paths (probe, full scan) copy each bucket page out of the pager
+//! once and walk its entries in place; the callback gets slices of that
+//! copy and runs outside the pager lock. Writes decode a whole bucket,
+//! edit it, and encode it back.
 
 use std::sync::Arc;
 
@@ -58,6 +63,20 @@ impl Bucket {
         }
         Bucket { entries, next }
     }
+}
+
+/// Walk one bucket page in place, calling `f(key, tuple)` per entry;
+/// returns the page's overflow link.
+fn walk_bucket(page: &[u8], mut f: impl FnMut(i64, &[u8])) -> u32 {
+    let mut r = Reader::new(page);
+    let count = r.u16();
+    let next = r.u32();
+    for _ in 0..count {
+        let key = r.i64();
+        let len = r.u16() as usize;
+        f(key, r.bytes(len));
+    }
+    next
 }
 
 /// A hash-organized file of `(i64 key, tuple bytes)` entries.
@@ -178,21 +197,31 @@ impl HashFile {
         }
     }
 
+    /// Copy page `page_no` into `page`, so that callbacks walking it run
+    /// outside the pager lock.
+    fn read_copy(&self, page_no: u32, page: &mut Vec<u8>) -> Result<()> {
+        self.pager.read(self.pid(page_no), |p| {
+            page.clear();
+            page.extend_from_slice(p);
+        })
+    }
+
     /// Probe: call `f` for every tuple stored under `key`. Reads the
     /// bucket's page chain (typically one page).
     pub fn probe(&self, key: i64, mut f: impl FnMut(&[u8])) -> Result<()> {
+        let mut page = Vec::with_capacity(self.pager.page_size());
         let mut page_no = self.bucket_of(key);
         loop {
-            let bucket = self.pager.read(self.pid(page_no), Bucket::decode)?;
-            for (k, v) in &bucket.entries {
-                if *k == key {
+            self.read_copy(page_no, &mut page)?;
+            let next = walk_bucket(&page, |k, v| {
+                if k == key {
                     f(v);
                 }
-            }
-            if bucket.next == NO_PAGE {
+            });
+            if next == NO_PAGE {
                 return Ok(());
             }
-            page_no = bucket.next;
+            page_no = next;
         }
     }
 
@@ -231,11 +260,10 @@ impl HashFile {
 
     /// Full scan over every bucket and overflow page.
     pub fn scan_all(&self, mut f: impl FnMut(i64, &[u8])) -> Result<()> {
+        let mut page = Vec::with_capacity(self.pager.page_size());
         for page_no in 0..self.page_count() {
-            let bucket = self.pager.read(self.pid(page_no), Bucket::decode)?;
-            for (k, v) in &bucket.entries {
-                f(*k, v);
-            }
+            self.read_copy(page_no, &mut page)?;
+            walk_bucket(&page, &mut f);
         }
         Ok(())
     }
@@ -280,6 +308,11 @@ mod tests {
         for i in 0..40i64 {
             assert_eq!(h.get_all(i).unwrap(), vec![vec![i as u8; 30]]);
         }
+        // An absent key walks the whole chain and finds nothing.
+        let before = h.pager().ledger().snapshot();
+        assert!(h.get_all(99).unwrap().is_empty());
+        let reads = h.pager().ledger().snapshot().since(&before).page_reads;
+        assert_eq!(reads, h.page_count() as u64);
     }
 
     #[test]

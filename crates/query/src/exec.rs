@@ -13,10 +13,21 @@
 //! Every predicate screen is charged to the pager's [`CostLedger`]
 //! (`C1` each); page I/O is charged by the storage layer underneath.
 //!
+//! Rows stay encoded from the page to the last operator: a selection
+//! screens each leaf row in place and appends survivors to one buffer
+//! ([`EncodedRows`]), a join lays `outer ++ inner` down at the end of its
+//! output buffer and keeps it only if the residual holds, and a projection
+//! copies byte ranges. Screens are counted per operator and charged to
+//! the ledger once when the operator ends, failed or not. [`execute`]
+//! decodes the rows that qualified, once; [`execute_encoded`] hands them
+//! over as bytes to callers that store them.
+//!
 //! [`CostLedger`]: procdb_storage::CostLedger
 
+use std::borrow::Cow;
+
 use crate::predicate::Predicate;
-use crate::table::{Catalog, Organization};
+use crate::table::{Catalog, Organization, Table};
 use crate::value::{Schema, Tuple};
 use procdb_storage::Result;
 
@@ -84,31 +95,11 @@ impl Plan {
     /// Output schema of the plan.
     pub fn output_schema(&self, catalog: &Catalog) -> Schema {
         match self {
-            Plan::BTreeSelect { table, .. } => catalog
-                .get(table)
-                .unwrap_or_else(|| panic!("unknown table {table}"))
-                .schema()
-                .clone(),
-            Plan::HashJoin { outer, inner, .. } => {
-                let left = outer.output_schema(catalog);
-                let right = catalog
-                    .get(inner)
-                    .unwrap_or_else(|| panic!("unknown table {inner}"))
-                    .schema();
-                left.concat(right)
-            }
-            Plan::Project { input, fields } => {
-                let inner = input.output_schema(catalog);
-                Schema::new(
-                    fields
-                        .iter()
-                        .map(|&i| {
-                            let f = &inner.fields()[i];
-                            (f.name.as_str(), f.ty)
-                        })
-                        .collect::<Vec<_>>(),
-                )
-            }
+            Plan::BTreeSelect { table: name, .. } => table(catalog, name).schema().clone(),
+            Plan::HashJoin { outer, inner, .. } => outer
+                .output_schema(catalog)
+                .concat(table(catalog, inner).schema()),
+            Plan::Project { input, fields } => input.output_schema(catalog).project(fields),
         }
     }
 
@@ -147,32 +138,93 @@ impl Plan {
     }
 }
 
+/// A plan's result rows, encoded at the output schema's fixed width and
+/// stored back to back in one buffer.
+#[derive(Debug)]
+pub struct EncodedRows {
+    width: usize,
+    len: usize,
+    bytes: Vec<u8>,
+}
+
+impl EncodedRows {
+    fn new(width: usize) -> EncodedRows {
+        EncodedRows {
+            width,
+            len: 0,
+            bytes: Vec::new(),
+        }
+    }
+
+    /// The encoded rows, in result order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        (0..self.len).map(move |i| &self.bytes[i * self.width..(i + 1) * self.width])
+    }
+
+    /// Decode every row with `schema` (the plan's output schema).
+    pub fn decode(&self, schema: &Schema) -> Vec<Tuple> {
+        self.iter().map(|row| schema.decode(row)).collect()
+    }
+
+    fn push(&mut self, row: &[u8]) {
+        debug_assert_eq!(row.len(), self.width, "row width mismatch");
+        self.bytes.extend_from_slice(row);
+        self.len += 1;
+    }
+}
+
 /// Execute a plan against the catalog, returning the result tuples.
 /// Page I/O and predicate screens are charged to the tables' ledger.
 pub fn execute(plan: &Plan, catalog: &Catalog) -> Result<Vec<Tuple>> {
+    let (schema, rows) = run(plan, catalog)?;
+    Ok(rows.decode(&schema))
+}
+
+/// [`execute`] without the final decode: the result rows as encoded by
+/// the plan's output schema, charged identically.
+pub fn execute_encoded(plan: &Plan, catalog: &Catalog) -> Result<EncodedRows> {
+    Ok(run(plan, catalog)?.1)
+}
+
+fn table<'c>(catalog: &'c Catalog, name: &str) -> &'c Table {
+    catalog
+        .get(name)
+        .unwrap_or_else(|| panic!("unknown table {name}"))
+}
+
+/// Charge one operator's `screens` (`C1` each) to `t`'s ledger.
+fn charge_screens(t: &Table, screens: u64) {
+    if t.pager().is_charging() {
+        t.pager().ledger().add_screens(screens);
+    }
+}
+
+/// Run `plan`, returning its output schema and encoded rows.
+fn run<'c>(plan: &Plan, catalog: &'c Catalog) -> Result<(Cow<'c, Schema>, EncodedRows)> {
     match plan {
-        Plan::BTreeSelect { table, predicate } => {
-            let t = catalog
-                .get(table)
-                .unwrap_or_else(|| panic!("unknown table {table}"));
+        Plan::BTreeSelect {
+            table: name,
+            predicate,
+        } => {
+            let t = table(catalog, name);
             let Organization::BTree { key_field } = t.organization() else {
-                panic!("BTreeSelect on non-btree table {table}");
+                panic!("BTreeSelect on non-btree table {name}");
             };
             let (lo, hi) = predicate
                 .int_bounds(key_field)
                 .unwrap_or((i64::MIN, i64::MAX));
-            let ledger = t.pager().ledger().clone();
-            let charging = t.pager().is_charging();
-            let mut out = Vec::new();
-            t.range_scan(lo, hi, |tuple| {
-                if charging {
-                    ledger.add_screens(1);
+            let schema = t.schema();
+            let mut out = EncodedRows::new(schema.tuple_width());
+            let mut screens = 0;
+            let scanned = t.range_scan_encoded(lo, hi, |row| {
+                screens += 1;
+                if predicate.eval_encoded(schema, row) {
+                    out.push(row);
                 }
-                if predicate.eval(&tuple) {
-                    out.push(tuple);
-                }
-            })?;
-            Ok(out)
+            });
+            charge_screens(t, screens);
+            scanned?;
+            Ok((Cow::Borrowed(schema), out))
         }
         Plan::HashJoin {
             outer,
@@ -180,34 +232,44 @@ pub fn execute(plan: &Plan, catalog: &Catalog) -> Result<Vec<Tuple>> {
             outer_key_field,
             residual,
         } => {
-            let outer_rows = execute(outer, catalog)?;
-            let t = catalog
-                .get(inner)
-                .unwrap_or_else(|| panic!("unknown table {inner}"));
-            let ledger = t.pager().ledger().clone();
-            let charging = t.pager().is_charging();
-            let mut out = Vec::new();
-            for outer_row in &outer_rows {
-                let key = outer_row[*outer_key_field].as_int();
-                t.probe(key, |inner_row| {
-                    if charging {
-                        ledger.add_screens(1);
+            let (outer_schema, outer_rows) = run(outer, catalog)?;
+            let t = table(catalog, inner);
+            let schema = outer_schema.concat(t.schema());
+            let mut out = EncodedRows::new(schema.tuple_width());
+            let mut screens = 0;
+            let probed = outer_rows.iter().try_for_each(|outer_row| {
+                let key = outer_schema.field(outer_row, *outer_key_field).as_int();
+                t.probe_encoded(key, |inner_row| {
+                    screens += 1;
+                    // Build `outer ++ inner` as the output's next row; drop
+                    // it again if the residual rejects it.
+                    let start = out.bytes.len();
+                    out.bytes.extend_from_slice(outer_row);
+                    out.bytes.extend_from_slice(inner_row);
+                    if residual.eval_encoded(&schema, &out.bytes[start..]) {
+                        out.len += 1;
+                    } else {
+                        out.bytes.truncate(start);
                     }
-                    let mut combined = outer_row.clone();
-                    combined.extend(inner_row);
-                    if residual.eval(&combined) {
-                        out.push(combined);
-                    }
-                })?;
-            }
-            Ok(out)
+                })
+            });
+            charge_screens(t, screens);
+            probed?;
+            Ok((Cow::Owned(schema), out))
         }
         Plan::Project { input, fields } => {
-            let rows = execute(input, catalog)?;
-            Ok(rows
-                .into_iter()
-                .map(|row| fields.iter().map(|&i| row[i].clone()).collect())
-                .collect())
+            let (in_schema, in_rows) = run(input, catalog)?;
+            let schema = in_schema.project(fields);
+            let ranges: Vec<_> = fields.iter().map(|&i| in_schema.field_range(i)).collect();
+            let mut out = EncodedRows::new(schema.tuple_width());
+            out.bytes.reserve(in_rows.len * out.width);
+            for row in in_rows.iter() {
+                for r in &ranges {
+                    out.bytes.extend_from_slice(&row[r.clone()]);
+                }
+                out.len += 1;
+            }
+            Ok((Cow::Owned(schema), out))
         }
     }
 }
@@ -220,7 +282,7 @@ mod tests {
     use crate::value::{FieldType, Schema, Value};
     use std::sync::Arc;
 
-    use procdb_storage::{AccountingMode, Pager, PagerConfig};
+    use procdb_storage::{AccountingMode, FaultPlan, Pager, PagerConfig};
 
     fn pager() -> Arc<Pager> {
         Pager::new(PagerConfig {
@@ -342,6 +404,30 @@ mod tests {
         let d = p.ledger().snapshot().since(&before);
         // 20 outer screens + 20 probe-result screens.
         assert_eq!(d.screens, 40);
+    }
+
+    #[test]
+    fn screens_are_charged_when_a_scan_fails() {
+        let p = pager();
+        let cat = setup(p.clone());
+        // Start cold, and fail the fourth disk read: past the descent and
+        // the first leaves, so some rows were screened before the error.
+        let fail_fourth_read = || {
+            p.clear_buffer().unwrap();
+            p.install_faults(FaultPlan::new(1).fail_window(4, 5));
+        };
+        fail_fourth_read();
+        let mut visited = 0;
+        let scanned = cat
+            .get("R1")
+            .unwrap()
+            .range_scan_encoded(i64::MIN, i64::MAX, |_| visited += 1);
+        assert!(scanned.is_err());
+        assert!(visited > 0 && visited < 100, "visited = {visited}");
+        fail_fourth_read();
+        let before = p.ledger().snapshot();
+        assert!(execute(&Plan::select("R1", Predicate::always()), &cat).is_err());
+        assert_eq!(p.ledger().snapshot().since(&before).screens, visited);
     }
 
     #[test]

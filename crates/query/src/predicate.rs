@@ -1,8 +1,12 @@
 //! Selection predicates: conjunctions of `field op constant` terms — the
 //! paper's `C_f(R_i)` restriction clauses and the Rete network's t-const
 //! node conditions.
+//!
+//! A predicate evaluates either on a decoded [`Tuple`] or on an encoded
+//! row in place (`eval_encoded`); both compare through one `ValueRef`
+//! path, so they agree on every row.
 
-use crate::value::{Tuple, Value};
+use crate::value::{Schema, Tuple, Value, ValueRef};
 
 /// Comparison operator (the paper's `{<, >, ≤, ≥, =, ≠}`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,10 +63,19 @@ impl Term {
 
     /// Does the term hold for `tuple`?
     pub fn eval(&self, tuple: &Tuple) -> bool {
-        let v = &tuple[self.field];
+        self.holds_for(tuple[self.field].view())
+    }
+
+    /// Does the term hold for the encoded row `row` of `schema`? Reads
+    /// the one field it tests in place.
+    pub(crate) fn eval_encoded(&self, schema: &Schema, row: &[u8]) -> bool {
+        self.holds_for(schema.field(row, self.field))
+    }
+
+    fn holds_for(&self, v: ValueRef<'_>) -> bool {
         match (v, &self.constant) {
-            (Value::Int(a), Value::Int(b)) => self.op.holds(a.cmp(b)),
-            (Value::Bytes(a), Value::Bytes(b)) => self.op.holds(a.cmp(b)),
+            (ValueRef::Int(a), Value::Int(b)) => self.op.holds(a.cmp(b)),
+            (ValueRef::Bytes(a), Value::Bytes(b)) => self.op.holds(a.cmp(b.as_slice())),
             // Cross-type comparisons never hold (schema mismatch).
             _ => false,
         }
@@ -111,6 +124,12 @@ impl Predicate {
         self.terms.iter().all(|t| t.eval(tuple))
     }
 
+    /// Does the whole conjunction hold for the encoded row `row` of
+    /// `schema`? Agrees with [`Predicate::eval`] on the decoded row.
+    pub(crate) fn eval_encoded(&self, schema: &Schema, row: &[u8]) -> bool {
+        self.terms.iter().all(|t| t.eval_encoded(schema, row))
+    }
+
     /// Whether this is the trivial (always-true) predicate.
     pub fn is_trivial(&self) -> bool {
         self.terms.is_empty()
@@ -153,6 +172,7 @@ impl Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::FieldType;
 
     fn t(id: i64, dept: i64) -> Tuple {
         vec![Value::Int(id), Value::Int(dept)]
@@ -182,6 +202,14 @@ mod tests {
         assert!(Term::new(0, CompOp::Lt, Value::Bytes(b"abd".to_vec())).eval(&tup));
         // Cross-type: never holds.
         assert!(!Term::new(0, CompOp::Eq, 1i64).eval(&tup));
+        // Encoded: the field is compared at its full declared width.
+        let schema = Schema::new(vec![("s", FieldType::Bytes(5))]);
+        let row = schema.encode(&tup);
+        let eq = |c: &[u8]| Term::new(0, CompOp::Eq, Value::Bytes(c.to_vec()));
+        assert!(!eq(b"abc").eval_encoded(&schema, &row));
+        assert!(eq(b"abc\0\0").eval_encoded(&schema, &row));
+        assert!(Term::new(0, CompOp::Gt, Value::Bytes(b"abc".to_vec())).eval_encoded(&schema, &row));
+        assert!(!Term::new(0, CompOp::Ne, 1i64).eval_encoded(&schema, &row));
     }
 
     #[test]

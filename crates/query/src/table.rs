@@ -166,16 +166,33 @@ impl Table {
     /// Key-range scan (B-tree tables only): all tuples with
     /// `lo ≤ key ≤ hi`, in key order.
     pub fn range_scan(&self, lo: i64, hi: i64, mut f: impl FnMut(Tuple)) -> Result<()> {
+        self.range_scan_encoded(lo, hi, |bytes| f(self.schema.decode(bytes)))
+    }
+
+    /// [`Table::range_scan`] without decoding: `f` gets each encoded row
+    /// in place.
+    pub(crate) fn range_scan_encoded(
+        &self,
+        lo: i64,
+        hi: i64,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<()> {
         match &self.storage {
-            Storage::BTree(t) => t.scan_range(lo, hi, |_, _, bytes| f(self.schema.decode(bytes))),
+            Storage::BTree(t) => t.scan_range(lo, hi, |_, _, bytes| f(bytes)),
             _ => panic!("range_scan on non-btree table {}", self.name),
         }
     }
 
     /// Hash probe (hash tables only): all tuples with this key.
     pub fn probe(&self, key: i64, mut f: impl FnMut(Tuple)) -> Result<()> {
+        self.probe_encoded(key, |bytes| f(self.schema.decode(bytes)))
+    }
+
+    /// [`Table::probe`] without decoding: `f` gets each encoded row in
+    /// place.
+    pub(crate) fn probe_encoded(&self, key: i64, f: impl FnMut(&[u8])) -> Result<()> {
         match &self.storage {
-            Storage::Hash(h) => h.probe(key, |bytes| f(self.schema.decode(bytes))),
+            Storage::Hash(h) => h.probe(key, f),
             _ => panic!("probe on non-hash table {}", self.name),
         }
     }
@@ -184,8 +201,8 @@ impl Table {
     pub fn key_count(&self, key: i64) -> Result<u64> {
         let mut n = 0u64;
         match self.org {
-            Organization::BTree { .. } => self.range_scan(key, key, |_| n += 1)?,
-            Organization::Hash { .. } => self.probe(key, |_| n += 1)?,
+            Organization::BTree { .. } => self.range_scan_encoded(key, key, |_| n += 1)?,
+            Organization::Hash { .. } => self.probe_encoded(key, |_| n += 1)?,
             Organization::Heap => panic!("key_count on heap table {}", self.name),
         }
         Ok(n)
@@ -198,7 +215,7 @@ impl Table {
         key: i64,
         mut pred: impl FnMut(&Tuple) -> bool,
     ) -> Result<Option<Tuple>> {
-        let schema = self.schema.clone();
+        let schema = &self.schema;
         match &mut self.storage {
             Storage::BTree(t) => Ok(t
                 .delete_where(key, |bytes| pred(&schema.decode(bytes)))?

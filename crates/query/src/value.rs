@@ -4,7 +4,10 @@
 //! schema encodes every tuple to exactly [`Schema::tuple_width`] bytes:
 //! `Int` fields as 8-byte little-endian, `Bytes(n)` fields as `n` raw
 //! bytes. A `Bytes` *pad* field stretches a logical schema to the model's
-//! `S`.
+//! `S`. The schema computes each field's byte offset once, so a field of
+//! an encoded tuple can be read in place as a `ValueRef`.
+
+use std::ops::Range;
 
 /// A single field value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,11 +27,40 @@ impl Value {
             Value::Bytes(_) => panic!("expected Int value"),
         }
     }
+
+    /// Borrow the value as a [`ValueRef`].
+    pub(crate) fn view(&self) -> ValueRef<'_> {
+        match self {
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Bytes(b) => ValueRef::Bytes(b),
+        }
+    }
 }
 
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)
+    }
+}
+
+/// A field value borrowed from an encoded tuple: the in-place twin of
+/// [`Value`]. `Bytes` fields span their full declared width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ValueRef<'a> {
+    /// 64-bit integer.
+    Int(i64),
+    /// Fixed-width byte string.
+    Bytes(&'a [u8]),
+}
+
+impl ValueRef<'_> {
+    /// The integer inside, panicking on type mismatch (schema-checked
+    /// call sites only).
+    pub(crate) fn as_int(self) -> i64 {
+        match self {
+            ValueRef::Int(v) => v,
+            ValueRef::Bytes(_) => panic!("expected Int value"),
+        }
     }
 }
 
@@ -64,6 +96,9 @@ pub struct Field {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Schema {
     fields: Vec<Field>,
+    /// Byte offset of each field in the encoding, derived from `fields`.
+    offsets: Vec<usize>,
+    width: usize,
 }
 
 /// A tuple: one value per schema field.
@@ -72,14 +107,28 @@ pub type Tuple = Vec<Value>;
 impl Schema {
     /// Build a schema from `(name, type)` pairs.
     pub fn new(fields: Vec<(&str, FieldType)>) -> Schema {
-        Schema {
-            fields: fields
+        Schema::from_fields(
+            fields
                 .into_iter()
                 .map(|(name, ty)| Field {
                     name: name.to_string(),
                     ty,
                 })
                 .collect(),
+        )
+    }
+
+    fn from_fields(fields: Vec<Field>) -> Schema {
+        let mut offsets = Vec::with_capacity(fields.len());
+        let mut width = 0;
+        for f in &fields {
+            offsets.push(width);
+            width += f.ty.width();
+        }
+        Schema {
+            fields,
+            offsets,
+            width,
         }
     }
 
@@ -100,14 +149,35 @@ impl Schema {
 
     /// Encoded width of every tuple, in bytes (the model's `S`).
     pub fn tuple_width(&self) -> usize {
-        self.fields.iter().map(|f| f.ty.width()).sum()
+        self.width
     }
 
     /// Concatenate two schemas (join output schema).
     pub fn concat(&self, other: &Schema) -> Schema {
         let mut fields = self.fields.clone();
         fields.extend(other.fields.iter().cloned());
-        Schema { fields }
+        Schema::from_fields(fields)
+    }
+
+    /// The listed fields, in the listed order (projection output schema).
+    pub(crate) fn project(&self, fields: &[usize]) -> Schema {
+        Schema::from_fields(fields.iter().map(|&i| self.fields[i].clone()).collect())
+    }
+
+    /// Byte range of field `i` within an encoded tuple.
+    pub(crate) fn field_range(&self, i: usize) -> Range<usize> {
+        self.offsets[i]..self.offsets[i] + self.fields[i].ty.width()
+    }
+
+    /// Field `i` of the encoded tuple `row`, read in place.
+    pub(crate) fn field<'a>(&self, row: &'a [u8], i: usize) -> ValueRef<'a> {
+        let bytes = &row[self.field_range(i)];
+        match self.fields[i].ty {
+            FieldType::Int => ValueRef::Int(i64::from_le_bytes(
+                bytes.try_into().expect("Int fields are 8 bytes wide"),
+            )),
+            FieldType::Bytes(_) => ValueRef::Bytes(bytes),
+        }
     }
 
     /// Canonicalize a tuple: zero-pad every `Bytes` field to its declared
@@ -236,6 +306,30 @@ mod tests {
         assert_eq!(c.arity(), 3);
         assert_eq!(c.field_index("z"), Some(2));
         assert_eq!(c.tuple_width(), 8 + 8 + 4);
+        assert_eq!(c.field_range(2), 16..20);
+        let p = c.project(&[2, 0]);
+        assert_eq!(p.field_index("x"), Some(1));
+        assert_eq!((p.tuple_width(), p.field_range(1)), (12, 4..12));
+    }
+
+    #[test]
+    fn fields_read_in_place() {
+        let s = emp_schema();
+        let t: Tuple = vec![
+            Value::Int(42),
+            Value::Int(-7),
+            Value::Bytes(b"ann".to_vec()),
+        ];
+        let row = s.encode(&t);
+        assert_eq!(s.field(&row, 1), ValueRef::Int(-7));
+        assert_eq!(s.field(&row, 1).as_int(), -7);
+        let ValueRef::Bytes(name) = s.field(&row, 2) else {
+            panic!()
+        };
+        assert_eq!((name.len(), &name[..3]), (16, &b"ann"[..]));
+        for (i, v) in s.normalize(&t).iter().enumerate() {
+            assert_eq!(s.field(&row, i), v.view());
+        }
     }
 
     #[test]

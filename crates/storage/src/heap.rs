@@ -209,10 +209,11 @@ impl HeapFile {
     /// procedure value. Previously used pages beyond the new contents are
     /// emptied (also a charged page write); untouched empty pages are
     /// skipped.
-    pub fn rewrite(&mut self, records: &[Vec<u8>]) -> Result<()> {
+    pub fn rewrite<R: AsRef<[u8]>>(&mut self, records: &[R]) -> Result<()> {
         let page_size = self.pager.page_size();
         let max = slotted::max_record_len(page_size);
         for r in records {
+            let r = r.as_ref();
             if r.len() > max {
                 return Err(StorageError::RecordTooLarge {
                     requested: r.len(),
@@ -221,11 +222,12 @@ impl HeapFile {
             }
         }
         // Greedy packing plan.
-        let mut pages: Vec<Vec<&Vec<u8>>> = Vec::new();
-        let mut current: Vec<&Vec<u8>> = Vec::new();
+        let mut pages: Vec<Vec<&[u8]>> = Vec::new();
+        let mut current: Vec<&[u8]> = Vec::new();
         let mut used = 0usize;
         let capacity = page_size - 4; // slotted header
         for r in records {
+            let r = r.as_ref();
             let need = r.len() + 4;
             if used + need > capacity && !current.is_empty() {
                 pages.push(std::mem::take(&mut current));
@@ -259,7 +261,7 @@ impl HeapFile {
     /// [`rewrite`]'s write phase: pack `pages` in, empty leftovers.
     ///
     /// [`rewrite`]: HeapFile::rewrite
-    fn write_packed(&mut self, pages: &[Vec<&Vec<u8>>], empty_free: u16) -> Result<()> {
+    fn write_packed(&mut self, pages: &[Vec<&[u8]>], empty_free: u16) -> Result<()> {
         for (i, recs) in pages.iter().enumerate() {
             let remaining = self.pager.write(self.pid(i as u32), |data| {
                 slotted::init(data);
@@ -420,7 +422,7 @@ mod tests {
         let big: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 60]).collect();
         h.rewrite(&big).unwrap();
         assert!(h.page_count() > 1);
-        h.rewrite(&[]).unwrap(); // every page recorded as empty
+        h.rewrite::<&[u8]>(&[]).unwrap(); // every page recorded as empty
         pg.install_faults(
             crate::fault::FaultPlan::new(9)
                 .torn_writes(1.0)
@@ -465,7 +467,7 @@ mod tests {
     fn rewrite_empty_clears() {
         let mut h = HeapFile::create(pager(), "t");
         h.insert(&[9u8; 30]).unwrap();
-        h.rewrite(&[]).unwrap();
+        h.rewrite::<&[u8]>(&[]).unwrap();
         assert!(h.is_empty());
         assert!(h.scan_all().unwrap().is_empty());
     }
