@@ -12,13 +12,25 @@
 //! evaluated — screen the delta tuples against the selection, pipe the
 //! survivors through the view's join steps (hash probes into `R2`/`R3`),
 //! and patch the stored copy.
+//!
+//! The stored copy lives on heap-file pages. Per stored view tuple RAM
+//! holds one record id under a 64-bit fingerprint of the tuple's encoded
+//! bytes — never the bytes. A fingerprint with a single tuple keeps its
+//! rid inline ([`RidIndex`]), so a view of distinct tuples costs no heap
+//! block per tuple. A delete finds its candidates by fingerprint and
+//! removes the newest whose page bytes match ([`HeapFile::delete_if_eq`]),
+//! inside the one page write it makes anyway, and changes the index only
+//! once that write has succeeded. Two different tuples that share a
+//! fingerprint therefore cost one extra charged write, never a wrong
+//! delete. Fingerprints are not persisted: a full recompute re-derives
+//! them.
 
-use std::collections::HashMap;
-
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
 
 use procdb_query::{execute, execute_encoded, Catalog, Plan, Predicate, Schema, Tuple};
-use procdb_storage::{HeapFile, Pager, Result, Rid};
+use procdb_storage::{HeapFile, Pager, Result, RidIndex};
 
 use crate::delta::Delta;
 
@@ -128,28 +140,46 @@ pub struct MaintStats {
     pub view_deleted: usize,
 }
 
-/// A stored view kept current by AVM.
+/// A stored view kept current by AVM. `S` makes the tuple fingerprints;
+/// the default keys them at random per view, so tuples cannot be crafted
+/// to collide.
 ///
-/// The stored copy lives in a heap file; an in-memory locator maps encoded
-/// tuples to their record ids so a delete touches only the page holding
+/// The stored copy lives in a heap file; the in-RAM index maps tuple
+/// fingerprints to record ids so a delete touches only the page holding
 /// the victim (the paper's `Y3`/`Y4` refresh terms count exactly the pages
 /// holding changed tuples).
-pub struct MaterializedView {
+pub struct MaterializedView<S = RandomState> {
     def: ViewDef,
     schema: Schema,
     heap: HeapFile,
-    locator: HashMap<Vec<u8>, Vec<Rid>>,
+    /// fingerprint → rids of the stored tuples with it, in insertion order.
+    by_fingerprint: RidIndex<u64>,
+    fingerprint: S,
 }
 
 impl MaterializedView {
     /// Create an empty materialized view.
     pub fn new(pager: Arc<Pager>, name: &str, def: ViewDef, catalog: &Catalog) -> MaterializedView {
+        MaterializedView::with_hasher(pager, name, def, catalog, RandomState::new())
+    }
+}
+
+impl<S: BuildHasher> MaterializedView<S> {
+    /// [`MaterializedView::new`] fingerprinting tuples with `fingerprint`.
+    pub fn with_hasher(
+        pager: Arc<Pager>,
+        name: &str,
+        def: ViewDef,
+        catalog: &Catalog,
+        fingerprint: S,
+    ) -> MaterializedView<S> {
         let schema = def.output_schema(catalog);
         MaterializedView {
             def,
             schema,
             heap: HeapFile::create(pager, name),
-            locator: HashMap::new(),
+            by_fingerprint: RidIndex::new(),
+            fingerprint,
         }
     }
 
@@ -182,37 +212,37 @@ impl MaterializedView {
     /// (used at view creation; the engine usually does this uncharged).
     pub fn recompute_full(&mut self, catalog: &Catalog) -> Result<()> {
         self.heap.clear()?;
-        self.locator.clear();
+        self.by_fingerprint.clear();
         let rows = execute_encoded(&self.def.to_plan(), catalog)?;
         for row in rows.iter() {
-            self.insert_encoded(row.to_vec())?;
+            self.insert_encoded(row)?;
         }
         Ok(())
     }
 
     fn insert_row(&mut self, row: &Tuple) -> Result<()> {
-        self.insert_encoded(self.schema.encode(row))
+        self.insert_encoded(&self.schema.encode(row))
     }
 
-    fn insert_encoded(&mut self, bytes: Vec<u8>) -> Result<()> {
-        let rid = self.heap.insert(&bytes)?;
-        self.locator.entry(bytes).or_default().push(rid);
+    fn insert_encoded(&mut self, bytes: &[u8]) -> Result<()> {
+        let rid = self.heap.insert(bytes)?;
+        self.by_fingerprint
+            .push(self.fingerprint.hash_one(bytes), rid);
         Ok(())
     }
 
+    /// Delete the most recently inserted stored copy of `row`; a failed
+    /// write leaves it, and its index entry, in place.
     fn delete_row(&mut self, row: &Tuple) -> Result<bool> {
         let bytes = self.schema.encode(row);
-        match self.locator.get_mut(&bytes) {
-            Some(rids) if !rids.is_empty() => {
-                let rid = rids.pop().expect("non-empty");
-                if rids.is_empty() {
-                    self.locator.remove(&bytes);
-                }
-                self.heap.delete(rid)?;
-                Ok(true)
+        let fp = self.fingerprint.hash_one(&bytes[..]);
+        for (i, &rid) in self.by_fingerprint.get(&fp).iter().enumerate().rev() {
+            if self.heap.delete_if_eq(rid, &bytes)? {
+                self.by_fingerprint.remove(fp, i);
+                return Ok(true);
             }
-            _ => Ok(false),
         }
+        Ok(false)
     }
 
     /// Apply one transaction's (pre-filtered) base-relation delta: evaluate
@@ -581,6 +611,29 @@ mod tests {
             v.contents_normalized().unwrap(),
             fresh2.contents_normalized().unwrap()
         );
+    }
+
+    #[test]
+    fn failed_delete_write_leaves_tuple_removable() {
+        let p = pager();
+        let cat = setup(&p);
+        let mut v = MaterializedView::new(p.clone(), "v1", p1_def(), &cat);
+        v.recompute_full(&cat).unwrap();
+        let victim = vec![Value::Int(15), Value::Int(0)];
+        let d = Delta {
+            inserted: vec![],
+            deleted: vec![victim.clone()],
+        };
+        // Evict the page so the delete's write must fault it in, then fail
+        // that transfer.
+        p.clear_buffer().unwrap();
+        p.install_faults(procdb_storage::FaultPlan::new(1).fail_window(1, 2));
+        assert!(v.apply_delta(&d, &cat).is_err());
+        p.clear_faults();
+        assert_eq!(v.len(), 10, "tuple survives");
+        assert_eq!(v.apply_delta(&d, &cat).unwrap().view_deleted, 1);
+        assert_eq!(v.len(), 9);
+        assert!(!v.read_all().unwrap().contains(&victim));
     }
 
     #[test]

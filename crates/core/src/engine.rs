@@ -135,8 +135,8 @@ enum StrategyState {
         views: Vec<MaterializedView>,
         /// Per-procedure selection bounds on `R1` (the i-lock intervals).
         bounds: Vec<(i64, i64)>,
-        /// Per-view needs-rebuild flags: set by a crash (the in-memory
-        /// locators would not survive one) or by a failed maintenance
+        /// Per-view needs-rebuild flags: set by a crash (the in-RAM rid
+        /// indexes would not survive one) or by a failed maintenance
         /// pass; cleared by recompute-on-first-access.
         dirty: Vec<bool>,
     },
@@ -412,7 +412,7 @@ impl Engine {
     /// dropped un-flushed (true volatility — the disk keeps only what
     /// was actually written), the CI validity table loses its bitmap and
     /// unforced WAL buffer, and UC derived state is marked for rebuild
-    /// (its in-memory locators would not survive a real crash). I-locks
+    /// (its in-RAM rid indexes would not survive a real crash). I-locks
     /// are *persistent* locks in the paper's sense \[SSH86\] and survive.
     /// A fault injector's kill latch, if set, stays set until
     /// [`Engine::recover`].

@@ -1,40 +1,68 @@
-//! α/β-memory node storage: page-materialized tuple sets with in-memory
-//! probe and locator indexes.
+//! α/β-memory node storage: page-materialized tuple sets with one in-RAM
+//! probe index.
 //!
 //! The paper materializes memory-node contents on disk pages so that
 //! refreshing a memory after an update costs `2·C2` per touched page
 //! (`C_refresh-α`) and probing it for joining tuples costs a Yao-counted
-//! number of page reads (`Y5`/`Y8`). The in-memory indexes reproduce what
-//! a real system keeps in RAM: *which* pages hold the interesting tuples,
-//! so only those pages are touched.
+//! number of page reads (`Y5`/`Y8`). The in-RAM index reproduces what a
+//! real system keeps in RAM: *which* pages hold the interesting tuples, so
+//! only those pages are touched.
+//!
+//! Per stored tuple RAM holds one index entry: its probe key, its [`Rid`]
+//! and a 64-bit fingerprint of its encoded bytes — never the bytes. A key
+//! with a single tuple keeps its entry inline ([`RidIndex`]), so a memory
+//! over distinct keys costs no heap block per tuple. A `−` token finds its
+//! candidates under its probe key by fingerprint and deletes the newest
+//! whose page bytes match ([`HeapFile::delete_if_eq`]), inside the one
+//! page write the delete makes anyway; the index changes only once that
+//! write has succeeded. A fingerprint collision between different tuples
+//! therefore costs one extra charged write and never removes the wrong
+//! tuple. Fingerprints are not persisted: a rebuild re-derives them as it
+//! re-inserts.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use procdb_query::{Schema, Tuple};
-use procdb_storage::{HeapFile, Pager, Result, Rid};
+use procdb_storage::{HeapFile, Pager, Result, Rid, RidIndex};
 
-/// A materialized memory node (α or β).
-pub struct MemoryStore {
+/// A materialized memory node (α or β). `S` makes the tuple fingerprints;
+/// the default keys them at random per store, so tuples cannot be crafted
+/// to collide.
+pub struct MemoryStore<S = RandomState> {
     schema: Schema,
     heap: HeapFile,
     probe_field: usize,
-    /// probe-key → rids of tuples with that key.
-    by_key: HashMap<i64, Vec<Rid>>,
-    /// encoded tuple → rids (multiset locator for deletions).
-    locator: HashMap<Vec<u8>, Vec<Rid>>,
+    /// probe key → (rid, fingerprint) of each tuple with that key, in
+    /// insertion order.
+    by_key: RidIndex<i64, (Rid, u64)>,
+    fingerprint: S,
 }
 
 impl MemoryStore {
     /// Create an empty memory whose tuples will be probed by `probe_field`.
     pub fn new(pager: Arc<Pager>, name: &str, schema: Schema, probe_field: usize) -> MemoryStore {
+        MemoryStore::with_hasher(pager, name, schema, probe_field, RandomState::new())
+    }
+}
+
+impl<S: BuildHasher> MemoryStore<S> {
+    /// [`MemoryStore::new`] fingerprinting tuples with `fingerprint`.
+    pub fn with_hasher(
+        pager: Arc<Pager>,
+        name: &str,
+        schema: Schema,
+        probe_field: usize,
+        fingerprint: S,
+    ) -> MemoryStore<S> {
         assert!(probe_field < schema.arity(), "probe field out of range");
         MemoryStore {
             schema,
             heap: HeapFile::create(pager, name),
             probe_field,
-            by_key: HashMap::new(),
-            locator: HashMap::new(),
+            by_key: RidIndex::new(),
+            fingerprint,
         }
     }
 
@@ -70,7 +98,6 @@ impl MemoryStore {
     pub fn clear(&mut self) -> Result<()> {
         self.heap.clear()?;
         self.by_key.clear();
-        self.locator.clear();
         Ok(())
     }
 
@@ -78,35 +105,28 @@ impl MemoryStore {
     /// page write through the pager.
     pub fn insert(&mut self, tuple: &Tuple) -> Result<()> {
         let bytes = self.schema.encode(tuple);
-        let key = tuple[self.probe_field].as_int();
         let rid = self.heap.insert(&bytes)?;
-        self.by_key.entry(key).or_default().push(rid);
-        self.locator.entry(bytes).or_default().push(rid);
+        let key = tuple[self.probe_field].as_int();
+        self.by_key
+            .push(key, (rid, self.fingerprint.hash_one(&bytes)));
         Ok(())
     }
 
-    /// Remove one instance of a tuple (a `−` token). Returns whether a
-    /// matching tuple existed. Charges the page write through the pager.
+    /// Remove one instance of a tuple (a `−` token): the most recently
+    /// inserted one. Returns whether a matching tuple existed. Charges the
+    /// page write through the pager; a failed write leaves the tuple and
+    /// its index entry in place.
     pub fn remove(&mut self, tuple: &Tuple) -> Result<bool> {
         let bytes = self.schema.encode(tuple);
-        let Some(rids) = self.locator.get_mut(&bytes) else {
-            return Ok(false);
-        };
-        let Some(rid) = rids.pop() else {
-            return Ok(false);
-        };
-        if rids.is_empty() {
-            self.locator.remove(&bytes);
-        }
+        let fp = self.fingerprint.hash_one(&bytes);
         let key = tuple[self.probe_field].as_int();
-        if let Some(krids) = self.by_key.get_mut(&key) {
-            krids.retain(|r| *r != rid);
-            if krids.is_empty() {
-                self.by_key.remove(&key);
+        for (i, &(rid, f)) in self.by_key.get(&key).iter().enumerate().rev() {
+            if f == fp && self.heap.delete_if_eq(rid, &bytes)? {
+                self.by_key.remove(key, i);
+                return Ok(true);
             }
         }
-        self.heap.delete(rid)?;
-        Ok(true)
+        Ok(false)
     }
 
     /// Probe: all tuples whose probe field equals `key`. Reads only the
@@ -114,11 +134,9 @@ impl MemoryStore {
     /// heap; repeats within an operation are deduplicated under physical
     /// accounting).
     pub fn probe(&self, key: i64) -> Result<Vec<Tuple>> {
-        let Some(rids) = self.by_key.get(&key) else {
-            return Ok(Vec::new());
-        };
+        let rids = self.by_key.get(&key);
         let mut out = Vec::with_capacity(rids.len());
-        for &rid in rids {
+        for &(rid, _) in rids {
             let bytes = self.heap.get(rid)?;
             out.push(self.schema.decode(&bytes));
         }
@@ -206,6 +224,23 @@ mod tests {
         assert_eq!(m.probe(5).unwrap().len(), 1);
         assert!(m.remove(&t(5, 5)).unwrap());
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn failed_delete_write_leaves_tuple_removable() {
+        let p = pager();
+        let mut m = MemoryStore::new(p.clone(), "m", schema(), 0);
+        m.insert(&t(1, 10)).unwrap();
+        // Evict the page so the delete's write must fault it in, then fail
+        // that transfer.
+        p.clear_buffer().unwrap();
+        p.install_faults(procdb_storage::FaultPlan::new(1).fail_window(1, 2));
+        assert!(m.remove(&t(1, 10)).is_err());
+        p.clear_faults();
+        assert_eq!(m.probe(1).unwrap(), vec![t(1, 10)], "tuple survives");
+        assert!(m.remove(&t(1, 10)).unwrap(), "and can still be removed");
+        assert!(m.is_empty());
+        assert!(m.probe(1).unwrap().is_empty());
     }
 
     #[test]

@@ -5,7 +5,16 @@
 //! α/β-memories are all heap files. A full scan charges one page read per
 //! allocated page — exactly the `⌈f·b⌉` term the paper uses for reading a
 //! stored object.
+//!
+//! The in-RAM indexes over heap files (Rete memories, AVM views) keep only
+//! record ids and 64-bit fingerprints of the stored bytes, never the bytes
+//! themselves: [`RidIndex`] maps a key to its rids, and
+//! [`HeapFile::delete_if_eq`] checks the real bytes inside the delete's
+//! own page write.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use crate::disk::{FileId, PageId};
@@ -26,6 +35,87 @@ impl Rid {
     /// Construct a record id.
     pub fn new(page_no: u32, slot: u16) -> Self {
         Rid { page_no, slot }
+    }
+}
+
+/// An in-RAM index from a key to the record ids stored under it (`T` may
+/// carry more per record, such as a fingerprint), in insertion order per
+/// key. A key with one entry holds it inline — the common case for a
+/// mostly-unique key, which then costs no heap block of its own — and a
+/// `Vec` only beyond that.
+#[derive(Debug)]
+pub struct RidIndex<K, T = Rid> {
+    map: HashMap<K, RidList<T>>,
+}
+
+#[derive(Debug)]
+enum RidList<T> {
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<K: Hash + Eq, T: Copy> RidIndex<K, T> {
+    /// An empty index.
+    pub fn new() -> Self {
+        RidIndex {
+            map: HashMap::new(),
+        }
+    }
+
+    /// The entries under `key`, in insertion order (empty if none).
+    pub fn get(&self, key: &K) -> &[T] {
+        match self.map.get(key) {
+            None => &[],
+            Some(RidList::One(x)) => std::slice::from_ref(x),
+            Some(RidList::Many(v)) => v,
+        }
+    }
+
+    /// Append an entry under `key`.
+    pub fn push(&mut self, key: K, x: T) {
+        match self.map.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(RidList::One(x));
+            }
+            Entry::Occupied(mut e) => {
+                let list = e.get_mut();
+                match list {
+                    RidList::One(a) => *list = RidList::Many(vec![*a, x]),
+                    RidList::Many(v) => v.push(x),
+                }
+            }
+        }
+    }
+
+    /// Remove the entry at position `i` under `key`, keeping the others in
+    /// order.
+    pub fn remove(&mut self, key: K, i: usize) {
+        let Entry::Occupied(mut e) = self.map.entry(key) else {
+            panic!("no entries under the key");
+        };
+        match e.get_mut() {
+            RidList::One(_) => {
+                assert_eq!(i, 0, "index out of range");
+                e.remove();
+            }
+            RidList::Many(v) => {
+                v.remove(i);
+                if let [x] = v[..] {
+                    *e.get_mut() = RidList::One(x);
+                }
+            }
+        }
+    }
+
+    /// Drop every entry.
+    pub fn clear(&mut self) {
+        self.map.clear();
+    }
+}
+
+impl<K: Hash + Eq, T: Copy> Default for RidIndex<K, T> {
+    fn default() -> Self {
+        RidIndex::new()
     }
 }
 
@@ -147,22 +237,37 @@ impl HeapFile {
 
     /// Delete the record at `rid`.
     pub fn delete(&mut self, rid: Rid) -> Result<()> {
+        self.delete_matching(rid, |_| true).map(|_| ())
+    }
+
+    /// Delete the record at `rid` if its bytes equal `expected`, inside one
+    /// charged page write. Returns whether it was deleted; a live record
+    /// with other bytes stays in place, and the write is charged all the
+    /// same. An index that keeps only fingerprints in RAM deletes through
+    /// this, so a fingerprint collision costs a write but never removes
+    /// the wrong record.
+    pub fn delete_if_eq(&mut self, rid: Rid, expected: &[u8]) -> Result<bool> {
+        self.delete_matching(rid, |rec| rec == expected)
+    }
+
+    fn delete_matching(&mut self, rid: Rid, matches: impl FnOnce(&[u8]) -> bool) -> Result<bool> {
         if rid.page_no >= self.page_count() {
             return Err(StorageError::UnknownRecord(rid));
         }
-        let freed = self.pager.write(self.pid(rid.page_no), |data| {
-            if slotted::delete(data, rid.slot) {
-                Some(slotted::total_free(data) as u16)
-            } else {
-                None
+        let outcome = self.pager.write(self.pid(rid.page_no), |data| {
+            if !matches(slotted::get(data, rid.slot)?) {
+                return Some(None);
             }
+            slotted::delete(data, rid.slot);
+            Some(Some(slotted::total_free(data) as u16))
         })?;
-        match freed {
-            Some(remaining) => {
+        match outcome {
+            Some(Some(remaining)) => {
                 self.free[rid.page_no as usize] = remaining;
                 self.live -= 1;
-                Ok(())
+                Ok(true)
             }
+            Some(None) => Ok(false),
             None => Err(StorageError::UnknownRecord(rid)),
         }
     }
@@ -479,6 +584,44 @@ mod tests {
             h.insert(&[0u8; 4096]),
             Err(StorageError::RecordTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn delete_if_eq_compares_inside_one_write() {
+        let mut h = HeapFile::create(pager(), "t");
+        let rid = h.insert(b"aaaa").unwrap();
+        let before = h.pager().ledger().snapshot();
+        assert!(!h.delete_if_eq(rid, b"bbbb").unwrap(), "other bytes stay");
+        assert!(h.delete_if_eq(rid, b"aaaa").unwrap());
+        let d = h.pager().ledger().snapshot().since(&before);
+        assert_eq!((d.page_reads, d.page_writes), (2, 2), "one write each");
+        assert!(h.is_empty());
+        assert!(matches!(
+            h.delete_if_eq(rid, b"aaaa"),
+            Err(StorageError::UnknownRecord(_))
+        ));
+    }
+
+    #[test]
+    fn rid_index_keeps_insertion_order() {
+        let (a, b, c) = (Rid::new(0, 0), Rid::new(0, 1), Rid::new(1, 0));
+        let mut ix: RidIndex<i64> = RidIndex::new();
+        assert!(ix.get(&7).is_empty());
+        ix.push(7, a);
+        assert!(matches!(ix.map[&7], RidList::One(_)), "one entry is inline");
+        ix.push(7, b);
+        ix.push(7, c);
+        ix.push(8, c);
+        assert_eq!(ix.get(&7), &[a, b, c]);
+        ix.remove(7, 1);
+        assert_eq!(ix.get(&7), &[a, c]);
+        ix.remove(7, 0);
+        assert_eq!(ix.get(&7), &[c]);
+        assert!(matches!(ix.map[&7], RidList::One(_)), "back inline");
+        ix.remove(7, 0);
+        assert!(ix.get(&7).is_empty());
+        assert!(!ix.map.contains_key(&7), "a spent key is dropped");
+        assert_eq!(ix.get(&8), &[c]);
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub mod slotted;
 pub use disk::{Disk, FileId, PageId};
 pub use error::{Result, StorageError};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultStatus, TransferKind};
-pub use heap::{HeapFile, Rid};
+pub use heap::{HeapFile, Rid, RidIndex};
 pub use ledger::{CostConstants, CostLedger, CostSnapshot};
 pub use pager::{AccountingMode, Pager, PagerConfig};
