@@ -7,10 +7,6 @@
 //!   the parameter table, the §8 headline numbers, and two ablations);
 //! * `sim` — discrete-simulation twins of the key figures plus an
 //!   analytic-vs-simulated validation run.
-//!
-//! Criterion micro-benchmarks (`benches/`) time the real substrate
-//! operations: B-tree, hash file, slotted pages, Rete propagation, AVM
-//! deltas, and full engine round-trips.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,120 +60,10 @@ pub fn render_figure_sparse(fig: &Figure, step: usize) -> String {
     render_figure(&thin)
 }
 
-/// Latency percentile summary over per-operation samples (microseconds).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Median.
-    pub p50_us: f64,
-    /// 95th percentile.
-    pub p95_us: f64,
-    /// 99th percentile.
-    pub p99_us: f64,
-    /// 99.9th percentile (the tail bucket a closed-loop run cares about).
-    pub p999_us: f64,
-    /// Arithmetic mean.
-    pub mean_us: f64,
-    /// Worst observed.
-    pub max_us: f64,
-}
-
-impl LatencySummary {
-    /// Summarize samples (sorts in place). `None` when empty.
-    pub fn from_samples(samples_us: &mut [f64]) -> Option<LatencySummary> {
-        if samples_us.is_empty() {
-            return None;
-        }
-        samples_us.sort_by(|a, b| a.total_cmp(b));
-        Some(LatencySummary {
-            count: samples_us.len(),
-            p50_us: percentile(samples_us, 50.0),
-            p95_us: percentile(samples_us, 95.0),
-            p99_us: percentile(samples_us, 99.0),
-            p999_us: percentile(samples_us, 99.9),
-            mean_us: samples_us.iter().sum::<f64>() / samples_us.len() as f64,
-            max_us: samples_us[samples_us.len() - 1],
-        })
-    }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-///
-/// Total on degenerate input: an empty slice yields `0.0` (never a panic
-/// or a NaN — these values feed straight into reports), a single sample
-/// is every percentile of itself, and `p` is clamped to `[0, 100]`.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let p = p.clamp(0.0, 100.0);
-    // The epsilon counters upward float noise in p/100·n (e.g. 99.9% of
-    // 10 000 computing as 9990.000000000001 and ceiling one rank high).
-    let rank = ((p / 100.0) * sorted.len() as f64 - 1e-9).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use procdb_costmodel::paper_figures;
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let sorted: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&sorted, 50.0), 50.0);
-        assert_eq!(percentile(&sorted, 95.0), 95.0);
-        assert_eq!(percentile(&sorted, 99.0), 99.0);
-        assert_eq!(percentile(&sorted, 100.0), 100.0);
-        assert_eq!(percentile(&sorted, 0.0), 1.0);
-        assert_eq!(percentile(&[7.0], 50.0), 7.0);
-    }
-
-    #[test]
-    fn percentile_degenerate_inputs_are_total() {
-        // Empty: defined as 0, not a panic.
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[], 0.0), 0.0);
-        // Single sample: every percentile is that sample.
-        for p in [0.0, 0.1, 50.0, 99.9, 100.0] {
-            assert_eq!(percentile(&[7.0], p), 7.0);
-        }
-        // Out-of-range p clamps instead of indexing out of bounds.
-        let sorted = [1.0, 2.0, 3.0];
-        assert_eq!(percentile(&sorted, -5.0), 1.0);
-        assert_eq!(percentile(&sorted, 250.0), 3.0);
-        // Results are finite even with extreme sample values.
-        assert!(percentile(&[0.0, f64::MAX], 99.9).is_finite());
-    }
-
-    #[test]
-    fn p999_sits_between_p99_and_max() {
-        let mut samples: Vec<f64> = (1..=10_000).map(|i| i as f64).collect();
-        let s = LatencySummary::from_samples(&mut samples).unwrap();
-        assert_eq!(s.p99_us, 9900.0);
-        assert_eq!(s.p999_us, 9990.0);
-        assert_eq!(s.max_us, 10_000.0);
-        assert!(s.p99_us <= s.p999_us && s.p999_us <= s.max_us);
-        // With few samples the tail percentiles degrade to the max.
-        let mut tiny = vec![5.0, 1.0];
-        let t = LatencySummary::from_samples(&mut tiny).unwrap();
-        assert_eq!(t.p999_us, 5.0);
-        assert_eq!(t.max_us, 5.0);
-    }
-
-    #[test]
-    fn latency_summary_from_unsorted_samples() {
-        let mut samples: Vec<f64> = (1..=1000).rev().map(|i| i as f64).collect();
-        let s = LatencySummary::from_samples(&mut samples).unwrap();
-        assert_eq!(s.count, 1000);
-        assert_eq!(s.p50_us, 500.0);
-        assert_eq!(s.p95_us, 950.0);
-        assert_eq!(s.p99_us, 990.0);
-        assert_eq!(s.max_us, 1000.0);
-        assert!((s.mean_us - 500.5).abs() < 1e-9);
-        assert_eq!(LatencySummary::from_samples(&mut []), None);
-    }
 
     #[test]
     fn renders_every_paper_figure() {

@@ -13,9 +13,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod command;
-pub mod session;
-
-pub use command::{parse, Command, HELP};
+pub use procdb_server::command::{parse, Command, HELP};
 pub use procdb_server::exec::{execute, Outcome};
-pub use session::{Session, SessionError, TableSpec};
+pub use procdb_server::session::{Session, SessionError, TableSpec};

@@ -58,7 +58,9 @@ pub use deadline::{
     DeadlineGuard,
 };
 pub use registry::{Counter, FloatCounter, Gauge, Histogram, MetricValue, Registry, Sample};
-pub use trace::{BoostGuard, ContextGuard, SpanEvent, SpanGuard, TraceContext, TraceTree};
+pub use trace::{
+    splitmix64, BoostGuard, ContextGuard, SpanEvent, SpanGuard, TraceContext, TraceTree,
+};
 
 use std::sync::OnceLock;
 

@@ -384,8 +384,10 @@ fn epoch_micros() -> u64 {
         .unwrap_or(0)
 }
 
-/// SplitMix64 finalizer: the deterministic id/sampling mixer.
-fn splitmix64(mut z: u64) -> u64 {
+/// SplitMix64 finalizer: the deterministic id/sampling mixer. Stepping
+/// a state by `0x9E37_79B9_7F4A_7C15` per call and mixing the old state
+/// yields the standard splitmix64 stream.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

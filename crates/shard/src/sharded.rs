@@ -410,9 +410,39 @@ fn promote_cas(slot: &ShardSlot, from: usize, to: usize) -> bool {
     }
     let epoch = slot.epoch.fetch_add(1, Ordering::AcqRel) + 1;
     slot.replicas[to].note_epoch(epoch);
+    catch_up(slot, &slot.replicas[to]);
     slot.failovers.inc();
     slot.notify_epoch(epoch);
     true
+}
+
+/// Replay the log tail a just-promoted primary has not applied. A live
+/// follower can trail the log head — a chaos-held ship waits in its
+/// inbox for the next delivery to drain it — and a primary gets no
+/// deliveries, so without this replay the held op would never reach
+/// it: an acked write lost, or a cross-shard move applied on one side
+/// only. Every committed op is in the log, which makes the inbox
+/// redundant here.
+fn catch_up(slot: &ShardSlot, rep: &Replica) {
+    rep.inbox.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    let from = rep.engine.read().applied_lsn();
+    // A tail truncated past `from` cannot be replayed; the replica
+    // serves what it has, as it did before it was promoted.
+    let Some(tail) = slot.log.lock().tail_after(from) else {
+        return;
+    };
+    let mut eng = rep.engine.write();
+    for d in &tail {
+        // As in resync: a maintenance fault leaves the base effect
+        // durable and the derived state dirty-marked; dying mid-apply
+        // makes the position ambiguous.
+        if eng.apply_delta_op(&d.op).is_err() && eng.is_crashed() {
+            rep.mark_suspect();
+            break;
+        }
+        eng.note_applied_lsn(d.lsn);
+    }
+    rep.applied.store(eng.applied_lsn(), Ordering::Relaxed);
 }
 
 /// Apply one in-order delta on a follower's engine (the caller has

@@ -35,13 +35,11 @@ const MAX_RETRIES: usize = 400;
 /// The three windows tiling `[0, KEY_SPACE)`.
 const WINDOWS: [(i64, i64); 3] = [(0, 13), (14, 27), (28, 41)];
 
-/// Splitmix-style step; deterministic schedule choices per seed.
+/// One splitmix64 step; deterministic schedule choices per seed.
 fn next(rng: &mut u64) -> u64 {
-    *rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *rng;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let out = procdb_obs::splitmix64(*rng);
+    *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    out
 }
 
 struct Client {

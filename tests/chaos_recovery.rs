@@ -25,13 +25,11 @@ const SEEDS: [u64; 3] = [11, 23, 47];
 const OPS_PER_CYCLE: usize = 12;
 const CRASH_CYCLES: u64 = 2;
 
-/// Splitmix-style step; deterministic workload choices per seed.
+/// One splitmix64 step; deterministic workload choices per seed.
 fn next(rng: &mut u64) -> u64 {
-    *rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *rng;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let out = procdb_obs::splitmix64(*rng);
+    *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    out
 }
 
 /// R1(skey, a, pad) 200 rows, R2(b, c, f2sel) 20 rows. Built uncharged,

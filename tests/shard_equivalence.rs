@@ -29,13 +29,11 @@ const R1_ROWS: i64 = 120;
 const R2_ROWS: i64 = 20;
 const KEY_SPACE: i64 = 240;
 
-/// Splitmix-style step; deterministic schedule choices per seed.
+/// One splitmix64 step; deterministic schedule choices per seed.
 fn next(rng: &mut u64) -> u64 {
-    *rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *rng;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let out = procdb_obs::splitmix64(*rng);
+    *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    out
 }
 
 /// The key window of `p3`: the placement keeps it inside one shard for

@@ -8,8 +8,13 @@
 //! tree must contain wire, session, per-shard-worker, and storage spans
 //! sharing one trace id, with predicted-vs-observed cost on the engine
 //! span, and `db.trace(ID)` must return the same tree after the fact.
+//! And the slow-query log: with every request sampled and the threshold
+//! at zero, `db.slow_queries()` must list a retained tree that reaches
+//! from the wire span through a shard worker into the pager.
 
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -294,4 +299,73 @@ fn explain_analyze_over_v2_renders_a_multi_layer_tree() {
     }
     client.close().unwrap();
     server.stop();
+}
+
+/// Read one v1 response: its text up to the `ok` terminator.
+fn v1_read(reader: &mut BufReader<TcpStream>) -> String {
+    let mut text = String::new();
+    loop {
+        let mut l = String::new();
+        assert!(reader.read_line(&mut l).unwrap() > 0, "server hung up");
+        let l = l.trim_end();
+        if l == "ok" || l.starts_with("ok ") {
+            return text;
+        }
+        assert!(!l.starts_with("err"), "{l}");
+        text.push_str(l);
+        text.push('\n');
+    }
+}
+
+#[test]
+fn slow_log_retains_trees_from_wire_to_pager() {
+    let _guard = REGISTRY_LOCK.lock().unwrap();
+    let reg = procdb::obs::global();
+    let (sample, slow_us) = (reg.trace_sample(), reg.slow_threshold_us());
+    let server = Server::start(
+        build_session(StrategyKind::AlwaysRecompute),
+        ServerConfig {
+            port: 0,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    v1_read(&mut reader); // greeting
+    let mut cmd = |line: &str| {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        v1_read(&mut reader)
+    };
+
+    cmd("trace sample 1");
+    cmd("trace slow 0");
+    for view in ["V0", CROSSING, "V1", CROSSING] {
+        cmd(&format!("access {view}"));
+    }
+    let listed = cmd("call db.slow_queries()");
+    cmd(&format!("trace sample {sample}"));
+    cmd(&format!("trace slow {}", slow_us as u64));
+    cmd("quit");
+    server.stop();
+
+    let deep = listed
+        .lines()
+        .filter_map(|l| {
+            l.strip_prefix("trace ")?
+                .split_whitespace()
+                .next()?
+                .parse()
+                .ok()
+        })
+        .filter_map(|id: u64| reg.find_trace(id))
+        .find(|tree| {
+            let has = |prefix: &str| tree.spans.iter().any(|s| s.name.starts_with(prefix));
+            tree.depth() >= 3 && has("wire.request") && has("shard.worker") && has("pager.")
+        });
+    assert!(
+        deep.is_some(),
+        "no retained tree reaches wire -> shard worker -> pager:\n{listed}"
+    );
 }
