@@ -29,7 +29,9 @@ use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
 
-use procdb_query::{execute, execute_encoded, Catalog, Plan, Predicate, Schema, Tuple};
+use procdb_query::{
+    execute, execute_encoded, Catalog, EncodedRows, Plan, Predicate, Schema, Tuple,
+};
 use procdb_storage::{HeapFile, Pager, Result, RidIndex};
 
 use crate::delta::Delta;
@@ -388,13 +390,16 @@ impl<S: BuildHasher> MaterializedView<S> {
             .collect()
     }
 
-    /// Read the full stored value (the per-access `C_read` cost: one page
-    /// read per page of the stored copy).
+    /// Read the full stored value as stored, without decoding it (the
+    /// per-access `C_read` cost: one page read per page of the stored
+    /// copy).
+    pub fn read_encoded(&self) -> Result<EncodedRows> {
+        EncodedRows::read_heap(&self.heap, self.schema.tuple_width())
+    }
+
+    /// [`MaterializedView::read_encoded`], decoded.
     pub fn read_all(&self) -> Result<Vec<Tuple>> {
-        let mut out = Vec::with_capacity(self.heap.len() as usize);
-        self.heap
-            .scan(|_, bytes| out.push(self.schema.decode(bytes)))?;
-        Ok(out)
+        Ok(self.read_encoded()?.decode(&self.schema))
     }
 
     /// Sorted encoded contents — multiset equality checks in tests.

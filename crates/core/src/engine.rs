@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use procdb_avm::{Delta, MaterializedView, ViewDef};
 use procdb_ilock::{ILockManager, ProcId, TableRef, ValidityTable};
-use procdb_query::{execute, execute_encoded, Catalog, Organization, Schema, Tuple};
+use procdb_query::{execute_encoded, Catalog, EncodedRows, Organization, RowBatch, Schema, Tuple};
 use procdb_rete::{NodeId, Rete, Token};
 use procdb_storage::{AccountingMode, CostConstants, CostLedger, HeapFile, Pager, Result};
 
@@ -119,7 +119,6 @@ impl Default for EngineOptions {
 
 struct CacheEntry {
     heap: HeapFile,
-    schema: Schema,
     /// Static selection bounds on `R1` (re-locked on every recompute).
     bounds: (i64, i64),
 }
@@ -147,6 +146,14 @@ enum StrategyState {
         /// views, so rebuild granularity is the network).
         dirty: bool,
     },
+}
+
+/// What an access measured before it ran (`Engine::begin_access`).
+struct AccessProbe {
+    predicted: f64,
+    before: procdb_storage::CostSnapshot,
+    start: Instant,
+    span: procdb_obs::SpanGuard<'static>,
 }
 
 /// What one [`Engine::recover`] pass did (and what it left deferred).
@@ -208,6 +215,9 @@ pub struct Engine {
     pager: Arc<Pager>,
     catalog: Catalog,
     procs: Vec<ProcedureDef>,
+    /// Each procedure's output schema, computed once at build; every
+    /// answer batch shares it.
+    schemas: Vec<Arc<Schema>>,
     opts: EngineOptions,
     kind: StrategyKind,
     state: StrategyState,
@@ -256,10 +266,15 @@ impl Engine {
         opts: EngineOptions,
     ) -> Result<Engine> {
         let metrics = EngineMetrics::new(kind, opts.shard);
+        let schemas = procs
+            .iter()
+            .map(|p| Arc::new(p.view.output_schema(&catalog)))
+            .collect();
         let mut engine = Engine {
             pager,
             catalog,
             procs,
+            schemas,
             opts,
             kind,
             state: StrategyState::Recompute,
@@ -293,7 +308,6 @@ impl Engine {
                 for p in &self.procs {
                     caches.push(CacheEntry {
                         heap: HeapFile::create(self.pager.clone(), &format!("cache-{}", p.name)),
-                        schema: p.view.output_schema(&self.catalog),
                         bounds: self.selection_bounds(&p.view),
                     });
                 }
@@ -338,7 +352,7 @@ impl Engine {
                     };
                 let mut rete = Rete::new(self.pager.clone());
                 let mut outputs = Vec::with_capacity(self.procs.len());
-                for p in &self.procs {
+                for (p, schema) in self.procs.iter().zip(&self.schemas) {
                     let (spec, _) = crate::rete_planner::choose_spec(
                         &p.view,
                         &self.catalog,
@@ -346,7 +360,9 @@ impl Engine {
                         self.opts.rvm_base_probe_field,
                         self.opts.r1_key_field,
                     );
-                    outputs.push(rete.add_view(&spec));
+                    let out = rete.add_view(&spec);
+                    debug_assert_eq!(rete.memory(out).schema(), &**schema);
+                    outputs.push(out);
                 }
                 rete.initialize(&self.catalog)?;
                 Ok(StrategyState::Rvm {
@@ -586,7 +602,7 @@ impl Engine {
 
     /// Recompute procedure `i`'s value, rewrite its cache, reset its
     /// i-locks, and mark it valid. Returns the fresh rows.
-    fn refill_cache(&mut self, i: usize) -> Result<Vec<Tuple>> {
+    fn refill_cache(&mut self, i: usize) -> Result<EncodedRows> {
         self.metrics.cache_refills.inc();
         let _sp = procdb_obs::span!(procdb_obs::global(), "recompute", proc = i);
         let plan = self.procs[i].plan();
@@ -605,86 +621,31 @@ impl Engine {
         locks.drop_locks(pid);
         locks.set_range_lock(R1_TABLE, entry.bounds.0, entry.bounds.1, pid);
         validity.mark_valid(pid);
-        Ok(rows.decode(&entry.schema))
-    }
-
-    /// Read the full current value of procedure `i` (one of the paper's
-    /// `q` operations). All work is charged to the ledger.
-    ///
-    /// Every access also feeds the observability layer: predicted cost
-    /// (from [`Engine::estimate_access_ms`], priced at the paper's default
-    /// constants) is recorded next to the observed ledger delta, so cost-
-    /// model error is queryable (`procdb_cost_model_abs_rel_error`).
-    pub fn access(&mut self, i: usize) -> Result<Vec<Tuple>> {
-        assert!(i < self.procs.len(), "procedure index out of range");
-        let c = CostConstants::default();
-        let predicted = self.estimate_access_ms(i, &c);
-        let before = self.pager.ledger().snapshot();
-        let start = Instant::now();
-        let mut sp = procdb_obs::span!(procdb_obs::global(), "access", proc = i);
-        self.rebuild_if_dirty(i)?;
-        let rows = match &mut self.state {
-            StrategyState::Recompute => execute(&self.procs[i].plan(), &self.catalog)?,
-            StrategyState::CacheInval {
-                caches, validity, ..
-            } => {
-                if validity.is_valid(ProcId(i as u32)) {
-                    let entry = &caches[i];
-                    let mut rows = Vec::with_capacity(entry.heap.len() as usize);
-                    entry
-                        .heap
-                        .scan(|_, bytes| rows.push(entry.schema.decode(bytes)))?;
-                    rows
-                } else {
-                    self.refill_cache(i)?
-                }
-            }
-            StrategyState::Avm { views, .. } => views[i].read_all()?,
-            StrategyState::Rvm { rete, outputs, .. } => rete.read_view(outputs[i])?,
-        };
-        self.end_operation()?;
-        // A refill's mark_valid is only committed once its cache pages are
-        // durable (the flush above) — WAL order for the validity log.
-        self.force_validity();
-        let observed = self.pager.ledger().snapshot().since(&before).priced(&c);
-        self.record_access(predicted, observed, start, rows.len(), &mut sp);
         Ok(rows)
     }
 
-    /// Shared-path variant of [`Engine::access`]: serve procedure `i`
-    /// through `&self` when the strategy's read path needs no engine
-    /// mutation — Always Recompute, AVM, RVM, and a valid Cache &
-    /// Invalidate entry. Returns `Ok(None)` for an invalid cache entry,
-    /// whose refill must mutate; callers escalate to exclusive access
-    /// and call [`Engine::access`]. Work is charged identically to
-    /// `access` (the pager and ledger are internally synchronized).
-    pub fn access_shared(&self, i: usize) -> Result<Option<Vec<Tuple>>> {
-        assert!(i < self.procs.len(), "procedure index out of range");
-        let c = CostConstants::default();
-        let predicted = self.estimate_access_ms(i, &c);
-        let before = self.pager.ledger().snapshot();
-        let start = Instant::now();
-        let mut sp = procdb_obs::span!(procdb_obs::global(), "access", proc = i);
-        let rows = match &self.state {
-            StrategyState::Recompute => execute(&self.procs[i].plan(), &self.catalog)?,
+    /// Procedure `i`'s current rows as the strategy holds them, read
+    /// through `&self`: recomputed (Always Recompute), or scanned from a
+    /// valid cache, an AVM view or a Rete output memory. `Ok(None)` when
+    /// the read must first write — an invalid cache entry's refill, a
+    /// dirty view's or network's rebuild.
+    fn read_stored(&self, i: usize) -> Result<Option<EncodedRows>> {
+        let width = self.schemas[i].tuple_width();
+        Ok(Some(match &self.state {
+            StrategyState::Recompute => execute_encoded(&self.procs[i].plan(), &self.catalog)?,
             StrategyState::CacheInval {
                 caches, validity, ..
             } => {
                 if !validity.is_valid(ProcId(i as u32)) {
                     return Ok(None);
                 }
-                let entry = &caches[i];
-                let mut rows = Vec::with_capacity(entry.heap.len() as usize);
-                entry
-                    .heap
-                    .scan(|_, bytes| rows.push(entry.schema.decode(bytes)))?;
-                rows
+                EncodedRows::read_heap(&caches[i].heap, width)?
             }
             StrategyState::Avm { views, dirty, .. } => {
                 if dirty[i] {
-                    return Ok(None); // rebuild needs &mut — escalate
+                    return Ok(None);
                 }
-                views[i].read_all()?
+                views[i].read_encoded()?
             }
             StrategyState::Rvm {
                 rete,
@@ -692,30 +653,82 @@ impl Engine {
                 dirty,
             } => {
                 if *dirty {
-                    return Ok(None); // rebuild needs &mut — escalate
+                    return Ok(None);
                 }
                 rete.read_view(outputs[i])?
             }
-        };
-        self.end_operation()?;
-        let observed = self.pager.ledger().snapshot().since(&before).priced(&c);
-        self.record_access(predicted, observed, start, rows.len(), &mut sp);
-        Ok(Some(rows))
+        }))
     }
 
-    /// Record one completed access into the metric registry and the span.
+    /// Read the full current value of procedure `i` (one of the paper's
+    /// `q` operations) as one batch of encoded rows. All work is charged
+    /// to the ledger; no row is decoded.
+    ///
+    /// Every access also feeds the observability layer: predicted cost
+    /// (from [`Engine::estimate_access_ms`], priced at the paper's default
+    /// constants) is recorded next to the observed ledger delta, so cost-
+    /// model error is queryable (`procdb_cost_model_abs_rel_error`).
+    pub fn access(&mut self, i: usize) -> Result<RowBatch> {
+        let probe = self.begin_access(i);
+        self.rebuild_if_dirty(i)?;
+        let rows = match self.read_stored(i)? {
+            Some(rows) => rows,
+            None => self.refill_cache(i)?,
+        };
+        self.end_operation()?;
+        // A refill's mark_valid is only committed once its cache pages are
+        // durable (the flush above) — WAL order for the validity log.
+        self.force_validity();
+        Ok(self.finish_access(i, probe, rows))
+    }
+
+    /// Shared-path variant of [`Engine::access`]: serve procedure `i`
+    /// through `&self` when the strategy's read path needs no engine
+    /// mutation — Always Recompute, AVM, RVM, and a valid Cache &
+    /// Invalidate entry. Returns `Ok(None)` for an invalid cache entry or
+    /// dirty derived state, whose repair must mutate; callers escalate to
+    /// exclusive access and call [`Engine::access`]. Work is charged
+    /// identically to `access` (the pager and ledger are internally
+    /// synchronized).
+    pub fn access_shared(&self, i: usize) -> Result<Option<RowBatch>> {
+        let probe = self.begin_access(i);
+        let Some(rows) = self.read_stored(i)? else {
+            return Ok(None);
+        };
+        self.end_operation()?;
+        Ok(Some(self.finish_access(i, probe, rows)))
+    }
+
+    fn begin_access(&self, i: usize) -> AccessProbe {
+        assert!(i < self.procs.len(), "procedure index out of range");
+        let c = CostConstants::default();
+        AccessProbe {
+            predicted: self.estimate_access_ms(i, &c),
+            before: self.pager.ledger().snapshot(),
+            start: Instant::now(),
+            span: procdb_obs::span!(procdb_obs::global(), "access", proc = i),
+        }
+    }
+
+    /// Price the access `probe` opened, record it into the metric
+    /// registry and its span, and wrap the rows in procedure `i`'s batch.
     ///
     /// Under a concurrent server the ledger is shared, so the observed
     /// delta may include another thread's overlapping work; the error
     /// series is exact single-threaded and an upper bound under load.
-    fn record_access(
-        &self,
-        predicted: f64,
-        observed: f64,
-        start: Instant,
-        rows: usize,
-        sp: &mut procdb_obs::SpanGuard<'_>,
-    ) {
+    fn finish_access(&self, i: usize, probe: AccessProbe, rows: EncodedRows) -> RowBatch {
+        let AccessProbe {
+            predicted,
+            before,
+            start,
+            mut span,
+        } = probe;
+        let observed = self
+            .pager
+            .ledger()
+            .snapshot()
+            .since(&before)
+            .priced(&CostConstants::default());
         let m = &self.metrics;
         m.accesses.inc();
         m.access_us.observe(start.elapsed().as_secs_f64() * 1e6);
@@ -724,11 +737,12 @@ impl Engine {
         if observed > 0.0 {
             m.rel_error.observe((predicted - observed).abs() / observed);
         }
-        if sp.is_recording() {
-            sp.field("rows", rows as f64);
-            sp.field("predicted_ms", predicted);
-            sp.field("observed_ms", observed);
+        if span.is_recording() {
+            span.field("rows", rows.len() as f64);
+            span.field("predicted_ms", predicted);
+            span.field("observed_ms", observed);
         }
+        RowBatch::new(Arc::clone(&self.schemas[i]), rows)
     }
 
     /// Apply one update transaction: modify tuples of `R1` in place. Each
@@ -1048,20 +1062,12 @@ impl Engine {
 
     /// Reference answer for procedure `i`, recomputed fresh and uncharged
     /// (test/verification support).
-    pub fn expected_rows(&self, i: usize) -> Result<Vec<Tuple>> {
+    pub fn expected_rows(&self, i: usize) -> Result<RowBatch> {
         let was = self.pager.is_charging();
         self.pager.set_charging(false);
-        let rows = execute(&self.procs[i].plan(), &self.catalog);
+        let rows = execute_encoded(&self.procs[i].plan(), &self.catalog);
         self.pager.set_charging(was);
-        rows
-    }
-
-    /// Normalize rows for multiset comparison (encode + sort).
-    pub fn normalize(&self, i: usize, rows: &[Tuple]) -> Vec<Vec<u8>> {
-        let schema = self.procs[i].view.output_schema(&self.catalog);
-        let mut out: Vec<Vec<u8>> = rows.iter().map(|r| schema.encode(r)).collect();
-        out.sort_unstable();
-        out
+        Ok(RowBatch::new(Arc::clone(&self.schemas[i]), rows?))
     }
 
     /// Rete network statistics (RVM engines only).
@@ -1370,8 +1376,8 @@ mod tests {
         let got = e.access(i).unwrap();
         let expect = e.expected_rows(i).unwrap();
         assert_eq!(
-            e.normalize(i, &got),
-            e.normalize(i, &expect),
+            got.normalized(),
+            expect.normalized(),
             "{} proc {i} diverged",
             e.strategy()
         );
@@ -1480,8 +1486,8 @@ mod tests {
         e.apply_update(&[(61, 15)]).unwrap();
         let after = e.expected_rows(0).unwrap();
         assert_eq!(
-            e.normalize(0, &before),
-            e.normalize(0, &after),
+            before.normalized(),
+            after.normalized(),
             "object value must be unchanged"
         );
         assert_eq!(

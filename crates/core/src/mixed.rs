@@ -9,7 +9,7 @@
 //! identical), and each group pays maintenance only for its own
 //! procedures.
 
-use procdb_query::Tuple;
+use procdb_query::RowBatch;
 use procdb_storage::{CostConstants, CostSnapshot, Result};
 
 use crate::engine::{Engine, EngineOptions};
@@ -91,7 +91,7 @@ impl MixedEngine {
     }
 
     /// Read procedure `i`'s value under its assigned strategy.
-    pub fn access(&mut self, i: usize) -> Result<Vec<Tuple>> {
+    pub fn access(&mut self, i: usize) -> Result<RowBatch> {
         let (g, local) = self.route[i];
         self.groups[g].access(local)
     }
@@ -121,15 +121,9 @@ impl MixedEngine {
     }
 
     /// Uncharged reference answer for procedure `i`.
-    pub fn expected_rows(&self, i: usize) -> Result<Vec<Tuple>> {
+    pub fn expected_rows(&self, i: usize) -> Result<RowBatch> {
         let (g, local) = self.route[i];
         self.groups[g].expected_rows(local)
-    }
-
-    /// Normalize rows for multiset comparison.
-    pub fn normalize(&self, i: usize, rows: &[Tuple]) -> Vec<Vec<u8>> {
-        let (g, local) = self.route[i];
-        self.groups[g].normalize(local, rows)
     }
 
     /// Sum of all groups' work counters.
@@ -236,7 +230,7 @@ mod tests {
             for i in 0..2 {
                 let got = m.access(i).unwrap();
                 let expect = m.expected_rows(i).unwrap();
-                assert_eq!(m.normalize(i, &got), m.normalize(i, &expect), "proc {i}");
+                assert_eq!(got.normalized(), expect.normalized(), "proc {i}");
             }
         }
     }

@@ -20,16 +20,19 @@
 //! copies byte ranges. Screens are counted per operator and charged to
 //! the ledger once when the operator ends, failed or not. [`execute`]
 //! decodes the rows that qualified, once; [`execute_encoded`] hands them
-//! over as bytes to callers that store them.
+//! over as bytes. A procedure's answer travels on as a [`RowBatch`] —
+//! those bytes plus the schema that decodes them — so a caller decodes
+//! only the rows it shows.
 //!
 //! [`CostLedger`]: procdb_storage::CostLedger
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use crate::predicate::Predicate;
 use crate::table::{Catalog, Organization, Table};
 use crate::value::{Schema, Tuple};
-use procdb_storage::Result;
+use procdb_storage::{HeapFile, Result};
 
 /// A precompiled, statically optimized execution plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,7 +143,7 @@ impl Plan {
 
 /// A plan's result rows, encoded at the output schema's fixed width and
 /// stored back to back in one buffer.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedRows {
     width: usize,
     len: usize,
@@ -148,17 +151,46 @@ pub struct EncodedRows {
 }
 
 impl EncodedRows {
+    /// An empty buffer for rows `width` bytes wide.
     fn new(width: usize) -> EncodedRows {
+        EncodedRows::with_capacity(width, 0)
+    }
+
+    /// An empty buffer with room for `rows` rows `width` bytes wide.
+    pub(crate) fn with_capacity(width: usize, rows: usize) -> EncodedRows {
         EncodedRows {
             width,
             len: 0,
-            bytes: Vec::new(),
+            bytes: Vec::with_capacity(width * rows),
         }
+    }
+
+    /// Every live record of `heap`, in scan order (one page read charged
+    /// per page). Each record must be one `width`-byte row.
+    pub fn read_heap(heap: &HeapFile, width: usize) -> Result<EncodedRows> {
+        let mut out = EncodedRows::with_capacity(width, heap.len() as usize);
+        heap.scan(|_, row| out.push(row))?;
+        Ok(out)
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Row `i`.
+    pub(crate) fn get(&self, i: usize) -> &[u8] {
+        &self.bytes[i * self.width..(i + 1) * self.width]
     }
 
     /// The encoded rows, in result order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
-        (0..self.len).map(move |i| &self.bytes[i * self.width..(i + 1) * self.width])
+        (0..self.len).map(move |i| self.get(i))
     }
 
     /// Decode every row with `schema` (the plan's output schema).
@@ -166,10 +198,98 @@ impl EncodedRows {
         self.iter().map(|row| schema.decode(row)).collect()
     }
 
-    fn push(&mut self, row: &[u8]) {
-        debug_assert_eq!(row.len(), self.width, "row width mismatch");
+    /// Append one row.
+    pub(crate) fn push(&mut self, row: &[u8]) {
+        assert_eq!(row.len(), self.width, "row width mismatch");
         self.bytes.extend_from_slice(row);
         self.len += 1;
+    }
+
+    /// The rows of `parts`, concatenated and sorted by their bytes.
+    /// Allocates the output and one index per row, never per-row
+    /// buffers.
+    fn concat_sorted(parts: &[EncodedRows]) -> EncodedRows {
+        let width = parts.first().map_or(0, |p| p.width);
+        assert!(parts.iter().all(|p| p.width == width), "row width mismatch");
+        let mut order: Vec<(usize, usize)> = parts
+            .iter()
+            .enumerate()
+            .flat_map(|(p, part)| (0..part.len).map(move |i| (p, i)))
+            .collect();
+        order.sort_unstable_by(|&(pa, a), &(pb, b)| parts[pa].get(a).cmp(parts[pb].get(b)));
+        let mut out = EncodedRows::with_capacity(width, order.len());
+        for (p, i) in order {
+            out.push(parts[p].get(i));
+        }
+        out
+    }
+}
+
+/// A procedure's answer as one fixed-width batch: the encoded rows and
+/// the schema that decodes them. Rows stay bytes until a caller asks for
+/// [`Value`](crate::Value)s, and then only the rows it asks for are
+/// decoded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowBatch {
+    schema: Arc<Schema>,
+    rows: EncodedRows,
+}
+
+impl RowBatch {
+    /// Pair `rows` with the schema they were encoded by.
+    pub fn new(schema: Arc<Schema>, rows: EncodedRows) -> RowBatch {
+        assert_eq!(
+            schema.tuple_width(),
+            rows.width,
+            "batch width does not match its schema"
+        );
+        RowBatch { schema, rows }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Row `i`, decoded.
+    pub fn tuple(&self, i: usize) -> Tuple {
+        self.schema.decode(self.rows.get(i))
+    }
+
+    /// Every row, decoded, in batch order.
+    pub fn decode(&self) -> Vec<Tuple> {
+        self.rows.decode(&self.schema)
+    }
+
+    /// The rows' bytes, sorted: equal for two batches exactly when they
+    /// hold the same multiset of rows.
+    pub fn normalized(&self) -> Vec<Vec<u8>> {
+        let mut out: Vec<Vec<u8>> = self.rows.iter().map(<[u8]>::to_vec).collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Merge partial answers over disjoint inputs: a lone part is
+    /// returned as is, in the order it came; several are concatenated
+    /// and sorted by their bytes, so the order does not depend on which
+    /// part arrived first. Every part must share one schema.
+    pub fn merge(mut parts: Vec<RowBatch>) -> RowBatch {
+        assert!(!parts.is_empty(), "merge needs at least one part");
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
+        let schema = Arc::clone(&parts[0].schema);
+        debug_assert!(
+            parts.iter().all(|p| p.schema == schema),
+            "merged parts must share one schema"
+        );
+        let rows: Vec<EncodedRows> = parts.into_iter().map(|p| p.rows).collect();
+        RowBatch::new(schema, EncodedRows::concat_sorted(&rows))
     }
 }
 

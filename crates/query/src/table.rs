@@ -7,6 +7,7 @@ use std::sync::Arc;
 use procdb_index::{BTreeFile, HashFile};
 use procdb_storage::{HeapFile, Pager, Result, StorageError};
 
+use crate::exec::EncodedRows;
 use crate::value::{Schema, Tuple};
 
 /// Physical organization of a table.
@@ -154,6 +155,18 @@ impl Table {
             Storage::Hash(h) => h.scan_all(|_, bytes| f(self.schema.decode(bytes))),
             Storage::Heap(h) => h.scan(|_, bytes| f(self.schema.decode(bytes))),
         }
+    }
+
+    /// Every row, encoded, in storage order (the order [`Table::scan`]
+    /// visits them).
+    pub fn scan_encoded(&self) -> Result<EncodedRows> {
+        let mut out = EncodedRows::with_capacity(self.schema.tuple_width(), self.len() as usize);
+        match &self.storage {
+            Storage::BTree(t) => t.scan_all(|_, _, bytes| out.push(bytes)),
+            Storage::Hash(h) => h.scan_all(|_, bytes| out.push(bytes)),
+            Storage::Heap(h) => h.scan(|_, bytes| out.push(bytes)),
+        }?;
+        Ok(out)
     }
 
     /// All tuples (convenience for tests and small results).

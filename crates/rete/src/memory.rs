@@ -24,7 +24,7 @@ use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use std::sync::Arc;
 
-use procdb_query::{Schema, Tuple};
+use procdb_query::{EncodedRows, Schema, Tuple};
 use procdb_storage::{HeapFile, Pager, Result, Rid, RidIndex};
 
 /// A materialized memory node (α or β). `S` makes the tuple fingerprints;
@@ -162,10 +162,13 @@ impl<S: BuildHasher> MemoryStore<S> {
     /// Full contents (charges one read per page — the `C_read` term when
     /// the memory is a procedure's result).
     pub fn scan_all(&self) -> Result<Vec<Tuple>> {
-        let mut out = Vec::with_capacity(self.heap.len() as usize);
-        self.heap
-            .scan(|_, bytes| out.push(self.schema.decode(bytes)))?;
-        Ok(out)
+        Ok(self.scan_encoded()?.decode(&self.schema))
+    }
+
+    /// [`MemoryStore::scan_all`] without the decode: the stored rows as
+    /// they sit on the pages, charged identically.
+    pub fn scan_encoded(&self) -> Result<EncodedRows> {
+        EncodedRows::read_heap(&self.heap, self.schema.tuple_width())
     }
 
     /// Sorted encoded contents for multiset comparisons in tests.

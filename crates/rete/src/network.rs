@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use procdb_query::{Catalog, Predicate, Schema, Tuple};
+use procdb_query::{Catalog, EncodedRows, Predicate, Schema, Tuple};
 use procdb_storage::{Pager, Result};
 
 use crate::memory::MemoryStore;
@@ -482,10 +482,10 @@ impl Rete {
         Ok(())
     }
 
-    /// Full contents of a view's output memory (charges one page read per
-    /// page — the per-access `C_read`).
-    pub fn read_view(&self, id: NodeId) -> Result<Vec<Tuple>> {
-        self.memory_store(id).scan_all()
+    /// Full contents of a view's output memory, as stored (charges one
+    /// page read per page — the per-access `C_read`).
+    pub fn read_view(&self, id: NodeId) -> Result<EncodedRows> {
+        self.memory_store(id).scan_encoded()
     }
 
     /// Whether a structurally equal spec already exists in the network.

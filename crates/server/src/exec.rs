@@ -53,10 +53,8 @@ pub fn execute(session: &mut Session, cmd: Command) -> Result<Outcome, String> {
             ))
         }
         Command::Access(view) => {
-            let (rows, ms) = session.access(&view)?;
-            let mut s = format!("{} rows in {ms:.1} model-ms:\n", rows.len());
-            s.push_str(&session.render_rows(&rows, 20));
-            Outcome::Text(s.trim_end_matches('\n').to_string())
+            let (rows, ms) = session.access_batch(&view)?;
+            Outcome::Text(session.render_access(&rows, ms))
         }
         Command::Update(victim, new_key) => {
             let (n, ms) = session.update(victim, new_key)?;

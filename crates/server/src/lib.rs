@@ -53,4 +53,4 @@ pub use command::{parse, Command, HELP};
 pub use exec::{execute, Outcome};
 pub use procedures::{CallOutcome, ProcedureRegistry};
 pub use server::{Server, ServerConfig};
-pub use session::{Session, SessionError, TableSpec};
+pub use session::{RenderRows, Session, SessionError, TableSpec};

@@ -100,7 +100,7 @@ impl CallOutcome {
         }
         if !self.rows.is_empty() {
             s.push_str(&format!("{} row(s):\n", self.rows.len()));
-            s.push_str(&session.render_rows(&self.rows, 20));
+            s.push_str(&session.render_rows(self.rows.as_slice(), 20));
         }
         s.trim_end_matches('\n').to_string()
     }

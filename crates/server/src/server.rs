@@ -539,8 +539,7 @@ fn run_line_inner(shared: &Arc<Shared>, line: &str) -> Response {
         match session.access_shared(view) {
             Err(msg) => return Response::Error(msg),
             Ok(Some((rows, ms))) => {
-                let mut text = format!("{} rows in {ms:.1} model-ms:\n", rows.len());
-                text.push_str(&session.render_rows(&rows, 20));
+                let text = session.render_access(&rows, ms);
                 if let Some(ticket) = ticket {
                     shared
                         .cache

@@ -25,6 +25,8 @@
 //! [`WorkloadObserver`] behind a mutex counts per-procedure accesses
 //! and conflicting updates (surfaced by the `stats` command).
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,13 +36,45 @@ use procdb_core::{
     parse_define_view, DeltaObserver, Engine, EngineOptions, ProcedureDef, RecoveryOutcome,
     StrategyKind, WorkloadObserver,
 };
-use procdb_query::{Catalog, FieldType, Organization, Schema, Table, Tuple, Value};
+use procdb_query::{Catalog, FieldType, Organization, RowBatch, Schema, Table, Tuple, Value};
 use procdb_shard::{Router, ShardedEngine};
 use procdb_storage::{CostConstants, FaultPlan, Pager, PagerConfig};
 
 /// Health-check cadence of the replica supervisor the session starts
 /// when a replicated engine is built.
 const SUPERVISOR_INTERVAL: Duration = Duration::from_millis(20);
+
+/// Rows an `access` response prints before `... N more`.
+const ACCESS_ROWS_SHOWN: usize = 20;
+
+/// Rows [`Session::render_rows`] can print: decoded tuples, or an
+/// answer batch whose printed rows alone get decoded.
+pub trait RenderRows {
+    /// Number of rows.
+    fn row_count(&self) -> usize;
+    /// Row `i`, decoded if it is not already.
+    fn row(&self, i: usize) -> Cow<'_, Tuple>;
+}
+
+impl RenderRows for [Tuple] {
+    fn row_count(&self) -> usize {
+        self.len()
+    }
+
+    fn row(&self, i: usize) -> Cow<'_, Tuple> {
+        Cow::Borrowed(&self[i])
+    }
+}
+
+impl RenderRows for RowBatch {
+    fn row_count(&self) -> usize {
+        self.len()
+    }
+
+    fn row(&self, i: usize) -> Cow<'_, Tuple> {
+        Cow::Owned(self.tuple(i))
+    }
+}
 
 /// One declared table: schema, organization, and its rows.
 #[derive(Debug, Clone)]
@@ -509,20 +543,27 @@ impl Session {
             .ok_or_else(|| format!("unknown view {view}"))
     }
 
-    /// Read a view's current value; returns the rows and the priced
-    /// cost. Builds the engine first if needed.
+    /// Read a view's current value, decoded; returns the rows and the
+    /// priced cost. Builds the engine first if needed.
     pub fn access(&mut self, view: &str) -> Result<(Vec<Tuple>, f64), SessionError> {
+        let (rows, ms) = self.access_batch(view)?;
+        Ok((rows.decode(), ms))
+    }
+
+    /// [`Session::access_shared`], building the engine first if needed.
+    pub fn access_batch(&mut self, view: &str) -> Result<(RowBatch, f64), SessionError> {
         self.view_index(view)?;
         self.ensure_backend()?;
         Ok(self.access_shared(view)?.expect("engine was just built"))
     }
 
-    /// Read a view's current value through `&self`. `Ok(None)` means
-    /// the engine is not built yet and the caller must escalate to
-    /// [`Session::access`]. A live engine always serves here: a read
-    /// that has to write (a Cache & Invalidate refill, a post-crash
+    /// Read a view's current value through `&self`, as one batch of
+    /// encoded rows, and its priced cost. `Ok(None)` means the engine is
+    /// not built yet and the caller must escalate to
+    /// [`Session::access_batch`]. A live engine always serves here: a
+    /// read that has to write (a Cache & Invalidate refill, a post-crash
     /// rebuild) escalates per shard, inside that shard's own lock.
-    pub fn access_shared(&self, view: &str) -> Result<Option<(Vec<Tuple>, f64)>, SessionError> {
+    pub fn access_shared(&self, view: &str) -> Result<Option<(RowBatch, f64)>, SessionError> {
         let idx = self.view_index(view)?;
         let Some(engine) = self.engine.as_ref() else {
             return Ok(None);
@@ -1173,25 +1214,22 @@ impl Session {
         Ok(out)
     }
 
-    /// Pretty row rendering against the base schemas (for display).
-    pub fn render_rows(&self, rows: &[Tuple], limit: usize) -> String {
+    /// Pretty row rendering, one line per row: the first `limit` rows
+    /// (only those are decoded), then `... N more` for the rest.
+    pub fn render_rows<R: RenderRows + ?Sized>(&self, rows: &R, limit: usize) -> String {
         let mut out = String::new();
-        for row in rows.iter().take(limit) {
-            let cells: Vec<String> = row
-                .iter()
-                .map(|v| match v {
-                    Value::Int(i) => i.to_string(),
-                    Value::Bytes(b) => {
-                        let end = b.iter().position(|&c| c == 0).unwrap_or(b.len());
-                        format!("{:?}", String::from_utf8_lossy(&b[..end]))
-                    }
-                })
-                .collect();
-            out.push_str(&format!("  ({})\n", cells.join(", ")));
-        }
-        if rows.len() > limit {
-            out.push_str(&format!("  ... {} more\n", rows.len() - limit));
-        }
+        write_rows(&mut out, rows, limit);
+        out
+    }
+
+    /// The body of an `access` response: a header line, then the first
+    /// 20 rows, without a trailing newline. Every path that answers an
+    /// `access` — the shared read, the exclusive build and the front
+    /// cache that stores it — sends this text.
+    pub fn render_access(&self, rows: &RowBatch, ms: f64) -> String {
+        let mut out = format!("{} rows in {ms:.1} model-ms:\n", rows.len());
+        write_rows(&mut out, rows, ACCESS_ROWS_SHOWN);
+        out.truncate(out.trim_end_matches('\n').len());
         out
     }
 
@@ -1215,6 +1253,29 @@ impl Session {
             _ => t.rows.len() as u64,
         };
         Ok(format!("{} ({rows} rows, {org})", t.name))
+    }
+}
+
+fn write_rows<R: RenderRows + ?Sized>(out: &mut String, rows: &R, limit: usize) {
+    let n = rows.row_count();
+    for i in 0..n.min(limit) {
+        out.push_str("  (");
+        for (j, v) in rows.row(i).iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            let _ = match v {
+                Value::Int(x) => write!(out, "{x}"),
+                Value::Bytes(b) => {
+                    let end = b.iter().position(|&c| c == 0).unwrap_or(b.len());
+                    write!(out, "{:?}", String::from_utf8_lossy(&b[..end]))
+                }
+            };
+        }
+        out.push_str(")\n");
+    }
+    if n > limit {
+        let _ = writeln!(out, "  ... {} more", n - limit);
     }
 }
 
@@ -1371,7 +1432,8 @@ mod tests {
         assert!(s.explain("F0").unwrap().contains("HashJoin"));
         assert!(s.table_summary("EMP").unwrap().contains("btree on eid"));
         assert!(s.table_summary("DEPT").unwrap().contains("hash on dname"));
-        let rendered = s.render_rows(&[vec![Value::Int(1), Value::Bytes(b"hi\0\0".to_vec())]], 5);
+        let rows = [vec![Value::Int(1), Value::Bytes(b"hi\0\0".to_vec())]];
+        let rendered = s.render_rows(&rows[..], 5);
         assert!(rendered.contains("1, \"hi\""));
     }
 
@@ -1404,6 +1466,7 @@ mod tests {
         assert_eq!(n, 1);
         let (rows, _) = s.access_shared("V").unwrap().expect("engine is live");
         assert_eq!(rows.len(), 9);
+        let rows = rows.decode();
         assert!(rows.iter().all(|r| r[0] != Value::Int(15)), "{rows:?}");
     }
 
@@ -1433,7 +1496,7 @@ mod tests {
                     let (rows, _) = s.access(view).unwrap();
                     assert_eq!(
                         rows,
-                        oracle.access(i).unwrap(),
+                        oracle.access(i).unwrap().decode(),
                         "{kind} {view} after {step}: rows or their order differ"
                     );
                 }

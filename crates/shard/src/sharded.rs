@@ -11,10 +11,10 @@
 //!   shard's *primary* computes its partial answer over its `R1` slice
 //!   (shared lock; escalated to exclusive only when the shard's strategy
 //!   must write — refill a cache, fold maintenance, rebuild after a
-//!   crash), and the partials merge by sorting schema-encoded rows (a
-//!   lone partial is its own merge). The last shard's job runs on the
-//!   calling thread, so a view that fits in one shard costs no thread
-//!   hop and no merge. A shard outside the window holds no row the
+//!   crash) as one encoded batch, and the partial batches merge by
+//!   sorting their rows' bytes (a lone partial is its own merge). The
+//!   last shard's job runs on the calling thread, so a view that fits
+//!   in one shard costs no thread hop and no merge. A shard outside the window holds no row the
 //!   selection can pass, so the merged multiset is exactly the serial
 //!   engine's answer.
 //! * **Updates** route to the shard owning the victim key; the shard's
@@ -94,7 +94,7 @@ use procdb_core::{
     StrategyKind,
 };
 use procdb_obs::{Counter, Gauge, Histogram};
-use procdb_query::{Schema, Tuple, Value};
+use procdb_query::{RowBatch, Tuple, Value};
 use procdb_storage::{CostConstants, Result, StorageError};
 
 use crate::chaos::{ChaosInjector, ChaosPlan, ChaosStatus, ShipFate};
@@ -105,8 +105,8 @@ use crate::replica::{
 use crate::router::Router;
 
 /// A boxed per-shard access task handed to the [`WorkerPool`]: runs one
-/// shard's share of a scatter and returns `(partial rows, priced ms)`.
-type AccessJob = Box<dyn FnOnce() -> Result<(Vec<Tuple>, f64)> + Send>;
+/// shard's share of a scatter and returns `(partial batch, priced ms)`.
+type AccessJob = Box<dyn FnOnce() -> Result<(RowBatch, f64)> + Send>;
 
 /// Total time an access job may spend retrying one shard through
 /// failovers before surfacing the error (the bounded failover window).
@@ -567,7 +567,7 @@ fn ack_of(rep: &Replica) -> Option<DeltaAck> {
 
 /// Serve one access on one replica: shared path first, escalating to
 /// the exclusive lock when the strategy must write. Returns
-/// `(rows, priced_ms, escalated)`. With a request deadline installed on
+/// `(batch, priced_ms, escalated)`. With a request deadline installed on
 /// the worker thread, the exclusive-lock acquisition is budgeted: a
 /// lock that stays contended past the deadline surfaces the typed
 /// [`StorageError::Deadline`] error instead of queueing indefinitely.
@@ -576,7 +576,7 @@ fn serve_on(
     shard: usize,
     i: usize,
     c: &CostConstants,
-) -> Result<(Vec<Tuple>, f64, bool)> {
+) -> Result<(RowBatch, f64, bool)> {
     {
         let eng = rep.engine.read();
         let before = eng.ledger().snapshot();
@@ -612,7 +612,7 @@ fn hedged_read(
     pidx: usize,
     i: usize,
     c: &CostConstants,
-) -> Result<Option<(Vec<Tuple>, f64)>> {
+) -> Result<Option<(RowBatch, f64)>> {
     for rep in &slot.replicas {
         if rep.idx == pidx || !rep.is_alive() {
             continue;
@@ -1032,34 +1032,16 @@ impl ShardedEngine {
         f(&mut self.slots[shard].replicas[replica].engine.write())
     }
 
-    fn output_schema(&self, i: usize) -> Schema {
-        let slot = &self.slots[0];
-        let eng = slot.replicas[slot.primary_idx()].engine.read();
-        eng.procedures()[i].view.output_schema(eng.catalog())
-    }
-
-    /// Merge per-shard partials deterministically: partition
-    /// disjointness means concatenation is the right multiset, and
-    /// sorting by the schema encoding fixes the order regardless of
-    /// which shard reported first. A one-way merge is the identity, so a
-    /// lone partial is returned as is — in the order its engine
-    /// produced it, with no schema lookup, encode, or sort.
-    fn merge(partials: Vec<Vec<Tuple>>, schema: impl FnOnce() -> Schema) -> Vec<Tuple> {
-        if partials.len() == 1 {
-            return partials.into_iter().next().expect("one partial");
-        }
-        let schema = schema();
-        let mut rows: Vec<Tuple> = partials.into_iter().flatten().collect();
-        rows.sort_by_cached_key(|r| schema.encode(r));
-        rows
-    }
-
     /// Access procedure `i`: scatter to the shards its key window
-    /// overlaps on the worker pool, merge the partials, and return
-    /// `(rows, priced_ms)` where the cost sums each asked shard's ledger
-    /// delta — the work a serial engine would have done, even though
-    /// wall-clock overlaps it. A shard outside the window is not asked,
-    /// so its locks, its breaker and its liveness do not matter here.
+    /// overlaps on the worker pool, merge the partial batches
+    /// ([`RowBatch::merge`]: partition disjointness makes concatenation
+    /// the right multiset, and sorting the rows by their bytes fixes the
+    /// order whichever shard reported first; a lone partial keeps its
+    /// engine's order), and return `(batch, priced_ms)` where the cost
+    /// sums each asked shard's ledger delta — the work a serial engine
+    /// would have done, even though wall-clock overlaps it. A shard
+    /// outside the window is not asked, so its locks, its breaker and
+    /// its liveness do not matter here.
     ///
     /// Each shard serves from its primary — shared lock first,
     /// escalating to exclusive only when the strategy must write. A
@@ -1068,7 +1050,7 @@ impl ShardedEngine {
     /// live followers a dying primary costs latency, not an error. With
     /// hedged reads on, a merely *contended* primary lock routes the
     /// read to a live follower.
-    pub fn access(&self, i: usize, c: &CostConstants) -> Result<(Vec<Tuple>, f64)> {
+    pub fn access(&self, i: usize, c: &CostConstants) -> Result<(RowBatch, f64)> {
         assert!(i < self.targets.len(), "procedure index out of range");
         let c = *c;
         let hedge = self.hedged_reads();
@@ -1164,7 +1146,7 @@ impl ShardedEngine {
             partials.push(rows);
             total_ms += ms;
         }
-        Ok((Self::merge(partials, || self.output_schema(i)), total_ms))
+        Ok((RowBatch::merge(partials), total_ms))
     }
 
     /// Ship `delta` (already applied on the primary and committed to
@@ -1710,7 +1692,7 @@ impl ShardedEngine {
         if full {
             let snapshot = self.scan_r1_of(&slot.replicas[slot.primary_idx()].engine.read())?;
             let mut eng = rep.engine.write();
-            eng.install_r1_snapshot(&snapshot)?;
+            eng.install_r1_snapshot(&snapshot.decode())?;
             eng.note_applied_lsn(target);
             slot.resync_full.inc();
         } else {
@@ -1743,7 +1725,7 @@ impl ShardedEngine {
 
     /// Reference answer for procedure `i`: every shard primary's
     /// uncharged fresh recompute, merged. Test/verification support.
-    pub fn expected_rows(&self, i: usize) -> Result<Vec<Tuple>> {
+    pub fn expected_rows(&self, i: usize) -> Result<RowBatch> {
         let mut partials = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             partials.push(
@@ -1753,26 +1735,19 @@ impl ShardedEngine {
                     .expected_rows(i)?,
             );
         }
-        Ok(Self::merge(partials, || self.output_schema(i)))
+        Ok(RowBatch::merge(partials))
     }
 
-    /// Normalize rows for multiset comparison (encode + sort), using the
-    /// same schema encoding as the single-engine oracle.
-    pub fn normalize(&self, i: usize, rows: &[Tuple]) -> Vec<Vec<u8>> {
-        let slot = &self.slots[0];
-        let eng = slot.replicas[slot.primary_idx()].engine.read();
-        eng.normalize(i, rows)
-    }
-
-    /// One engine's `R1` tuples, read with page charging suspended:
-    /// snapshots are setup work, not priced query cost.
-    fn scan_r1_of(&self, eng: &Engine) -> Result<Vec<Tuple>> {
+    /// One engine's `R1` rows in key order, read with page charging
+    /// suspended: snapshots are setup work, not priced query cost.
+    fn scan_r1_of(&self, eng: &Engine) -> Result<RowBatch> {
+        let r1 = self.r1_table(eng);
         let pager = eng.pager();
         let was = pager.is_charging();
         pager.set_charging(false);
-        let rows = self.r1_table(eng).scan_all();
+        let rows = r1.scan_encoded();
         pager.set_charging(was);
-        rows
+        Ok(RowBatch::new(Arc::new(r1.schema().clone()), rows?))
     }
 
     fn r1_table<'e>(&self, eng: &'e Engine) -> &'e procdb_query::Table {
@@ -1780,21 +1755,16 @@ impl ShardedEngine {
     }
 
     /// All `R1` tuples across shard primaries, uncharged, merged like
-    /// an access's partials: a deterministic (schema-encoded) order
-    /// over several shards, the engine's own key order over one. The
-    /// session reads the base table back through this when it takes the
-    /// rows over from a live engine.
+    /// an access's partials: byte order over several shards, the
+    /// engine's own key order over one. The session reads the base table
+    /// back through this when it takes the rows over from a live engine.
     pub fn scan_r1(&self) -> Result<Vec<Tuple>> {
         let mut partials = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             let eng = slot.replicas[slot.primary_idx()].engine.read();
             partials.push(self.scan_r1_of(&eng)?);
         }
-        Ok(Self::merge(partials, || {
-            let slot = &self.slots[0];
-            let eng = slot.replicas[slot.primary_idx()].engine.read();
-            self.r1_table(&eng).schema().clone()
-        }))
+        Ok(RowBatch::merge(partials).decode())
     }
 
     /// Point-in-time per-shard summaries (allocation-light on the hot

@@ -31,6 +31,4 @@ pub use sim::{
     analytic_prediction, run_all_strategies, run_all_strategies_parallel, run_strategy,
     run_strategy_with_buffer, sim_pager, SimOutcome,
 };
-pub use stream::{
-    generate_stream, session_stream, split_session_stream, split_stream, Op, StreamSpec,
-};
+pub use stream::{generate_stream, Op, StreamSpec};

@@ -43,26 +43,6 @@ impl Default for StreamSpec {
     }
 }
 
-impl Op {
-    /// Render this operation as wire-protocol command lines for
-    /// `procdb-server` (the shell's command language). An access
-    /// becomes one `access NAME` line; an update transaction becomes
-    /// one `update VICTIM -> NEWKEY` line per modified tuple, since the
-    /// wire grammar re-keys one tuple per command.
-    ///
-    /// Panics if an access references a procedure outside `view_names`
-    /// (the stream and the served schema must agree).
-    pub fn to_wire_lines(&self, view_names: &[String]) -> Vec<String> {
-        match self {
-            Op::Access(i) => vec![format!("access {}", view_names[*i])],
-            Op::Update(mods) => mods
-                .iter()
-                .map(|(victim, new_key)| format!("update {victim} -> {new_key}"))
-                .collect(),
-        }
-    }
-}
-
 /// Pick a procedure index under the `Z` skew: the first `⌈z·n⌉`
 /// procedures are "hot" and receive a fraction `1 − z` of accesses.
 pub fn pick_procedure(rng: &mut StdRng, n_procs: usize, z: f64) -> usize {
@@ -93,102 +73,6 @@ pub fn generate_stream(spec: &StreamSpec, n_procs: usize, key_space: i64) -> Vec
         } else {
             out.push(Op::Access(pick_procedure(&mut rng, n_procs, spec.z)));
         }
-    }
-    out
-}
-
-/// Split one global stream across `parts` clients **deterministically**:
-/// a single seeded RNG generates the complete `spec.ops`-operation
-/// sequence (exactly [`generate_stream`]'s), and operation `t` is dealt
-/// to part `t mod parts`. The union of the parts — interleaved back in
-/// round-robin order — is therefore the *identical* global
-/// update/access sequence whatever `parts` is. This is the fix for the
-/// naive per-client seeding (`seed + client_id * prime`), which gave a
-/// partitioned run `parts` independent RNGs and a different global
-/// workload than the single-client baseline it is benchmarked against.
-pub fn split_stream(
-    spec: &StreamSpec,
-    n_procs: usize,
-    key_space: i64,
-    parts: usize,
-) -> Vec<Vec<Op>> {
-    assert!(parts > 0, "need at least one part");
-    let mut out: Vec<Vec<Op>> = vec![Vec::with_capacity(spec.ops / parts + 1); parts];
-    for (t, op) in generate_stream(spec, n_procs, key_space)
-        .into_iter()
-        .enumerate()
-    {
-        out[t % parts].push(op);
-    }
-    out
-}
-
-/// Probability a session's access goes to its affinity procedure rather
-/// than a fresh Z-skew draw. Models a client that mostly re-asks the
-/// same question — the read pattern that makes a front result cache
-/// worth having.
-const AFFINITY_P: f64 = 0.8;
-
-/// Generate a multi-session operation stream: one seeded RNG produces a
-/// single global sequence (so runs are comparable across `sessions`
-/// counts), but operation `t` is *issued by* session `t mod sessions`,
-/// and each session has a pre-drawn **affinity procedure** it re-reads
-/// with probability [`AFFINITY_P`]. Updates are generated exactly as in
-/// [`generate_stream`]. With `sessions = 1` and `AFFINITY_P` hits, the
-/// stream degenerates to a hot-loop on one procedure; with many
-/// sessions it models a fleet of clients each camped on a working set —
-/// the shape the front cache's hit ratio is measured against.
-pub fn session_stream(
-    spec: &StreamSpec,
-    n_procs: usize,
-    key_space: i64,
-    sessions: usize,
-) -> Vec<Op> {
-    assert!(key_space > 0);
-    assert!(sessions > 0, "need at least one session");
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    // Affinity draws happen up front so the per-op RNG consumption does
-    // not depend on which session an op lands on.
-    let affinity: Vec<usize> = if n_procs == 0 {
-        vec![0; sessions]
-    } else {
-        (0..sessions)
-            .map(|_| pick_procedure(&mut rng, n_procs, spec.z))
-            .collect()
-    };
-    let mut out = Vec::with_capacity(spec.ops);
-    for t in 0..spec.ops {
-        if n_procs == 0 || rng.gen_bool(spec.p_update) {
-            let mods = (0..spec.l)
-                .map(|_| (rng.gen_range(0..key_space), rng.gen_range(0..key_space)))
-                .collect();
-            out.push(Op::Update(mods));
-        } else if rng.gen_bool(AFFINITY_P) {
-            out.push(Op::Access(affinity[t % sessions]));
-        } else {
-            out.push(Op::Access(pick_procedure(&mut rng, n_procs, spec.z)));
-        }
-    }
-    out
-}
-
-/// Deal a [`session_stream`] to its sessions round-robin, exactly as
-/// [`split_stream`] deals [`generate_stream`]: part `s` holds the ops
-/// session `s` issues, and re-interleaving the parts reproduces the
-/// global sequence whatever the session count.
-pub fn split_session_stream(
-    spec: &StreamSpec,
-    n_procs: usize,
-    key_space: i64,
-    sessions: usize,
-) -> Vec<Vec<Op>> {
-    assert!(sessions > 0, "need at least one session");
-    let mut out: Vec<Vec<Op>> = vec![Vec::with_capacity(spec.ops / sessions + 1); sessions];
-    for (t, op) in session_stream(spec, n_procs, key_space, sessions)
-        .into_iter()
-        .enumerate()
-    {
-        out[t % sessions].push(op);
     }
     out
 }
@@ -261,89 +145,6 @@ mod tests {
             generate_stream(&spec, 10, 100),
             generate_stream(&spec, 10, 100)
         );
-    }
-
-    #[test]
-    fn ops_render_as_wire_lines() {
-        let names = vec!["HOT".to_string(), "COLD".to_string()];
-        assert_eq!(Op::Access(1).to_wire_lines(&names), vec!["access COLD"]);
-        assert_eq!(
-            Op::Update(vec![(5, 99), (7, 3)]).to_wire_lines(&names),
-            vec!["update 5 -> 99", "update 7 -> 3"]
-        );
-    }
-
-    #[test]
-    fn split_union_is_the_single_client_stream() {
-        let spec = StreamSpec {
-            ops: 97, // deliberately not a multiple of any part count
-            ..StreamSpec::default()
-        };
-        let global = generate_stream(&spec, 10, 500);
-        for parts in 1..=6 {
-            let split = split_stream(&spec, 10, 500, parts);
-            assert_eq!(split.len(), parts);
-            // Re-interleave round-robin and compare with the global
-            // sequence: same ops, same order, for every part count.
-            let mut rebuilt = Vec::with_capacity(global.len());
-            let mut cursors = vec![0usize; parts];
-            for t in 0..global.len() {
-                let p = t % parts;
-                rebuilt.push(split[p][cursors[p]].clone());
-                cursors[p] += 1;
-            }
-            assert_eq!(rebuilt, global, "parts={parts}");
-            assert!(cursors.iter().zip(&split).all(|(&c, part)| c == part.len()));
-        }
-    }
-
-    #[test]
-    fn session_stream_is_deterministic_and_affine() {
-        let spec = StreamSpec {
-            p_update: 0.05,
-            ops: 4000,
-            ..StreamSpec::default()
-        };
-        let a = session_stream(&spec, 20, 500, 8);
-        let b = session_stream(&spec, 20, 500, 8);
-        assert_eq!(a, b);
-        // Each session's accesses concentrate on its affinity
-        // procedure: the modal procedure should take roughly
-        // AFFINITY_P of that session's reads.
-        for s in 0..8 {
-            let mut counts = [0usize; 20];
-            let mut reads = 0usize;
-            for (t, op) in a.iter().enumerate() {
-                if t % 8 == s {
-                    if let Op::Access(i) = op {
-                        counts[*i] += 1;
-                        reads += 1;
-                    }
-                }
-            }
-            let modal = counts.iter().copied().max().unwrap();
-            let frac = modal as f64 / reads as f64;
-            assert!(frac > 0.6, "session {s}: modal fraction {frac}");
-        }
-    }
-
-    #[test]
-    fn session_split_union_is_the_session_stream() {
-        let spec = StreamSpec {
-            ops: 101,
-            ..StreamSpec::default()
-        };
-        for sessions in 1..=5 {
-            let global = session_stream(&spec, 10, 500, sessions);
-            let split = split_session_stream(&spec, 10, 500, sessions);
-            assert_eq!(split.len(), sessions);
-            let mut cursors = vec![0usize; sessions];
-            for (t, want) in global.iter().enumerate() {
-                let p = t % sessions;
-                assert_eq!(&split[p][cursors[p]], want, "sessions={sessions} t={t}");
-                cursors[p] += 1;
-            }
-        }
     }
 
     #[test]

@@ -133,8 +133,8 @@ fn assert_oracle(e: &mut Engine, i: usize, ctx: &str) {
         .unwrap_or_else(|err| panic!("{ctx}: fault-free access failed: {err}"));
     let expect = e.expected_rows(i).unwrap();
     assert_eq!(
-        e.normalize(i, &got),
-        e.normalize(i, &expect),
+        got.normalized(),
+        expect.normalized(),
         "{ctx}: proc {i} diverged from the serial oracle"
     );
 }
@@ -175,8 +175,8 @@ fn run_chaos(kind: StrategyKind, seed: u64) {
                         // serve a wrong answer.
                         let expect = e.expected_rows(i).unwrap();
                         assert_eq!(
-                            e.normalize(i, &rows),
-                            e.normalize(i, &expect),
+                            rows.normalized(),
+                            expect.normalized(),
                             "{kind} seed {seed} cycle {cycle} op {op}: \
                              successful access served a wrong answer"
                         );

@@ -173,8 +173,8 @@ fn assert_matches_oracle(
         let expect = oracle.access(i).unwrap();
         let (got, _ms) = sharded.access(i, c).unwrap();
         assert_eq!(
-            oracle.normalize(i, &got),
-            oracle.normalize(i, &expect),
+            got.normalized(),
+            expect.normalized(),
             "{ctx}: chaos-injected access diverged on proc {i}"
         );
     }
@@ -198,7 +198,7 @@ fn assert_groups_consistent(sharded: &ShardedEngine, ctx: &str) {
                 let (norm_got, norm_here) = sharded.with_replica_engine_mut(s, rs.replica, |e| {
                     let got = e.access(i).unwrap();
                     let expect = e.expected_rows(i).unwrap();
-                    (e.normalize(i, &got), e.normalize(i, &expect))
+                    (got.normalized(), expect.normalized())
                 });
                 assert_eq!(
                     norm_got, norm_here,
@@ -207,7 +207,7 @@ fn assert_groups_consistent(sharded: &ShardedEngine, ctx: &str) {
                 );
                 let norm_primary = sharded
                     .with_replica_engine_mut(s, primary, |e| {
-                        e.expected_rows(i).map(|r| e.normalize(i, &r))
+                        e.expected_rows(i).map(|r| r.normalized())
                     })
                     .unwrap();
                 assert_eq!(
@@ -341,8 +341,8 @@ fn run_chaos_schedule(kind: StrategyKind, shards: usize, replicas: usize, schedu
         let expect = oracle.expected_rows(i).unwrap();
         let (got, _ms) = sharded.access(i, &c).unwrap();
         assert_eq!(
-            oracle.normalize(i, &got),
-            oracle.normalize(i, &expect),
+            got.normalized(),
+            expect.normalized(),
             "{ctx}: final state diverged on proc {i}"
         );
     }

@@ -177,8 +177,8 @@ fn assert_matches_oracle(
         let expect = oracle.access(i).unwrap();
         let (got, _ms) = sharded.access(i, c).unwrap();
         assert_eq!(
-            oracle.normalize(i, &got),
-            oracle.normalize(i, &expect),
+            got.normalized(),
+            expect.normalized(),
             "{ctx}: replicated access diverged on proc {i}"
         );
     }
@@ -206,10 +206,10 @@ fn assert_groups_consistent(sharded: &ShardedEngine, ctx: &str) {
                         let got = e.access(i).unwrap();
                         let expect = e.expected_rows(i).unwrap();
                         (
-                            e.normalize(i, &got).len(),
-                            e.normalize(i, &expect).len(),
-                            e.normalize(i, &got),
-                            e.normalize(i, &expect),
+                            got.normalized().len(),
+                            expect.normalized().len(),
+                            got.normalized(),
+                            expect.normalized(),
                         )
                     });
                 assert_eq!(
@@ -220,7 +220,7 @@ fn assert_groups_consistent(sharded: &ShardedEngine, ctx: &str) {
                 );
                 let norm_primary = sharded
                     .with_replica_engine_mut(s, primary, |e| {
-                        e.expected_rows(i).map(|r| e.normalize(i, &r))
+                        e.expected_rows(i).map(|r| r.normalized())
                     })
                     .unwrap();
                 assert_eq!(
@@ -311,8 +311,8 @@ fn run_schedule(kind: StrategyKind, shards: usize, replicas: usize, schedule_see
         let expect = oracle.expected_rows(i).unwrap();
         let (got, _ms) = sharded.access(i, &c).unwrap();
         assert_eq!(
-            oracle.normalize(i, &got),
-            oracle.normalize(i, &expect),
+            got.normalized(),
+            expect.normalized(),
             "{ctx}: final state diverged on proc {i}"
         );
     }
@@ -497,8 +497,11 @@ fn kill_point_mid_cross_shard_move_leaves_row_on_exactly_one_shard() {
         for i in 0..N_PROCS {
             let (got, _ms) = sharded.access(i, &c).unwrap();
             let expect = sharded.expected_rows(i).unwrap();
-            let norm = sharded.with_engine(0, |e| (e.normalize(i, &got), e.normalize(i, &expect)));
-            assert_eq!(norm.0, norm.1, "{kind}: post-recovery answers diverged");
+            assert_eq!(
+                got.normalized(),
+                expect.normalized(),
+                "{kind}: post-recovery answers diverged"
+            );
         }
     }
 }
@@ -528,8 +531,8 @@ fn a_crashed_shard_outside_the_window_does_not_fail_the_access() {
             .access(2, &c)
             .unwrap_or_else(|e| panic!("{kind}: p3 must not need shard 1: {e}"));
         assert_eq!(
-            oracle.normalize(2, &got),
-            oracle.normalize(2, &expect),
+            got.normalized(),
+            expect.normalized(),
             "{kind}: p3 diverged while shard 1 was down"
         );
         assert!(

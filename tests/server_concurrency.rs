@@ -181,7 +181,7 @@ fn run_strategy(strategy: StrategyKind) {
             assert_eq!(n, 1);
         }
     }
-    let (rows, _) = serial.access("V").unwrap();
+    let (rows, _) = serial.access_batch("V").unwrap();
     let mut serial_rows: Vec<String> = serial
         .render_rows(&rows, rows.len())
         .lines()

@@ -8,10 +8,12 @@
 //! A procedure whose window fits in one shard must be served by that
 //! shard alone.
 //!
-//! The oracle comparison is on [`procdb::core::Engine::normalize`] output
-//! (schema-encoded, sorted bytes), so any divergence in routing, merge
-//! order, cross-shard moves, or per-shard recovery shows up as a byte
-//! mismatch rather than a flaky row-order difference.
+//! The oracle comparison is on [`procdb::query::RowBatch::normalized`]
+//! output (encoded rows, sorted), so any divergence in routing, merge
+//! contents, cross-shard moves, or per-shard recovery shows up as a byte
+//! mismatch rather than a flaky row-order difference. Row *order* is
+//! pinned separately, on the text a session renders for `access`: the
+//! serial engine's order over one shard, byte order over several.
 
 use std::sync::{Arc, Mutex};
 
@@ -20,10 +22,11 @@ use proptest::prelude::*;
 use procdb::avm::{JoinStep, ViewDef};
 use procdb::core::{Engine, EngineOptions, ProcedureDef, StrategyKind};
 use procdb::query::{
-    Catalog, CompOp, FieldType, Organization, Predicate, Schema, Table, Term, Value,
+    Catalog, CompOp, FieldType, Organization, Predicate, Schema, Table, Term, Tuple, Value,
 };
 use procdb::shard::{Router, ShardedEngine};
 use procdb::storage::{AccountingMode, CostConstants, Pager, PagerConfig};
+use procdb_server::{execute, parse, Outcome, Session};
 
 const R1_ROWS: i64 = 120;
 const R2_ROWS: i64 = 20;
@@ -196,8 +199,8 @@ fn run_schedule(kind: StrategyKind, shards: usize, schedule_seed: u64) {
                     let expect = oracle.access(i).unwrap();
                     let (got, _ms) = sharded.access(i, &c).unwrap();
                     assert_eq!(
-                        oracle.normalize(i, &got),
-                        oracle.normalize(i, &expect),
+                        got.normalized(),
+                        expect.normalized(),
                         "{ctx} op {op}: sharded access diverged on proc {i}"
                     );
                     if i == 2 {
@@ -253,8 +256,8 @@ fn run_schedule(kind: StrategyKind, shards: usize, schedule_seed: u64) {
         let expect = oracle.expected_rows(i).unwrap();
         let (got, _ms) = sharded.access(i, &c).unwrap();
         assert_eq!(
-            oracle.normalize(i, &got),
-            oracle.normalize(i, &expect),
+            got.normalized(),
+            expect.normalized(),
             "{ctx}: final state diverged on proc {i}"
         );
     }
@@ -285,4 +288,158 @@ proptest! {
 #[test]
 fn one_shard_is_the_single_engine() {
     run_schedule(StrategyKind::CacheInvalidate, 1, 42);
+}
+
+// ---- rendered order ------------------------------------------------------
+
+/// `EMP` rows for the rendered-order test. Keys are multiples of 37 up
+/// to 2,220, so their little-endian bytes sort differently from their
+/// values, and `name` is a short string NUL-padded to 8 bytes.
+const EMP_ROWS: i64 = 61;
+
+fn emp_row(r: i64) -> Tuple {
+    vec![
+        Value::Int(r * 37),
+        Value::Int(r % 9),
+        Value::Bytes(format!("e{r}").into_bytes()),
+    ]
+}
+
+/// Views of 0, 7 and 61 rows. Every window covers the whole key range,
+/// so with several shards every view merges partials from all of them.
+const RENDER_VIEWS: [(&str, usize); 3] = [
+    (
+        "define view NONE (EMP.all) where EMP.eid >= 0 and EMP.eid <= 3000 and EMP.grp = 100",
+        0,
+    ),
+    (
+        "define view SEVEN (EMP.all) where EMP.eid >= 0 and EMP.eid <= 3000 and EMP.grp = 3",
+        7,
+    ),
+    (
+        "define view MANY (EMP.all) where EMP.eid >= 0 and EMP.eid <= 3000",
+        61,
+    ),
+];
+
+/// Re-keys applied to both sides between checks: they move rows inside
+/// the stored copies and, with several shards, across shards.
+const RENDER_UPDATES: [(i64, i64); 3] = [(185, 2900), (1480, 1), (0, 2999)];
+
+fn render_session(kind: StrategyKind, shards: usize) -> Session {
+    let mut s = Session::new();
+    s.create_table(
+        "EMP",
+        Schema::new(vec![
+            ("eid", FieldType::Int),
+            ("grp", FieldType::Int),
+            ("name", FieldType::Bytes(8)),
+        ]),
+        Organization::BTree { key_field: 0 },
+    )
+    .unwrap();
+    // Insert out of key order, so storage order is the engine's doing.
+    for r in 0..EMP_ROWS {
+        s.insert("EMP", emp_row(r * 17 % EMP_ROWS)).unwrap();
+    }
+    for (stmt, _) in RENDER_VIEWS {
+        s.define_view(stmt).unwrap();
+    }
+    s.set_shards(shards).unwrap();
+    s.set_strategy(kind).unwrap();
+    s
+}
+
+/// The serial oracle: one bare engine over the session's declared rows
+/// and views, built the way the session builds each shard's engine.
+fn render_oracle(kind: StrategyKind, session: &Session) -> Engine {
+    let pager = Pager::new(PagerConfig {
+        page_size: 4000,
+        buffer_capacity: 16 * 1024,
+        mode: AccountingMode::Physical,
+    });
+    pager.set_charging(false);
+    let spec = &session.tables()[0];
+    let mut emp = Table::create(pager.clone(), "EMP", spec.schema.clone(), spec.org, 0).unwrap();
+    for row in &spec.rows {
+        emp.insert(row).unwrap();
+    }
+    let mut cat = Catalog::new();
+    cat.add(emp);
+    pager.set_charging(true);
+    let procs = session
+        .view_defs()
+        .iter()
+        .enumerate()
+        .map(|(i, (name, def))| ProcedureDef::new(i as u32, name.clone(), def.clone()))
+        .collect();
+    let mut e = Engine::new(
+        pager,
+        cat,
+        procs,
+        kind,
+        EngineOptions {
+            r1: "EMP".into(),
+            rvm_base_probe_field: 0,
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    e.warm_up().unwrap();
+    e
+}
+
+/// `got` must be `want`'s rendering: the row count, then the rows (the
+/// first 20, then `... N more`), with no trailing newline.
+fn assert_body(ctx: &str, session: &Session, got: &str, want: &[Tuple]) {
+    let (header, rows) = got.split_once('\n').unwrap_or((got, ""));
+    assert!(
+        header.starts_with(&format!("{} rows in ", want.len())) && header.ends_with(" model-ms:"),
+        "{ctx}: header {header:?}"
+    );
+    assert_eq!(
+        rows,
+        session.render_rows(want, 20).trim_end_matches('\n'),
+        "{ctx}: rendered rows differ from the oracle's"
+    );
+}
+
+#[test]
+fn rendered_access_bodies_follow_the_oracle_order() {
+    let _serial = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for shards in 1..=3 {
+        for kind in StrategyKind::ALL {
+            let mut session = render_session(kind, shards);
+            let mut oracle = render_oracle(kind, &session);
+            let schema = session.tables()[0].schema.clone();
+            for step in 0..=RENDER_UPDATES.len() {
+                if step > 0 {
+                    let (victim, new_key) = RENDER_UPDATES[step - 1];
+                    assert_eq!(session.update(victim, new_key).unwrap().0, 1);
+                    assert_eq!(oracle.apply_update(&[(victim, new_key)]).unwrap(), 1);
+                }
+                for (i, (stmt, n)) in RENDER_VIEWS.iter().enumerate() {
+                    let view = stmt.split_whitespace().nth(2).unwrap();
+                    let ctx = format!("{kind} shards={shards} step={step} {view}");
+                    let mut want = oracle.access(i).unwrap().decode();
+                    assert_eq!(want.len(), *n, "{ctx}: oracle row count");
+                    if shards > 1 {
+                        want.sort_by_cached_key(|t| schema.encode(t));
+                    }
+                    // The exclusive path (it builds the engine on the
+                    // first step), then the shared path.
+                    let cmd = parse(&format!("access {view}")).unwrap().unwrap();
+                    let Outcome::Text(body) = execute(&mut session, cmd).unwrap() else {
+                        panic!("{ctx}: access ended the session");
+                    };
+                    assert_body(&ctx, &session, &body, &want);
+                    let (rows, ms) = session
+                        .access_shared(view)
+                        .unwrap()
+                        .expect("engine is live");
+                    assert_body(&ctx, &session, &session.render_access(&rows, ms), &want);
+                }
+            }
+        }
+    }
 }

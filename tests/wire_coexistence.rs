@@ -309,7 +309,7 @@ fn run_strategy(strategy: StrategyKind) {
             assert_eq!(n, 1);
         }
     }
-    let (rows, _) = serial.access("V").unwrap();
+    let (rows, _) = serial.access_batch("V").unwrap();
     let mut serial_rows: Vec<String> = serial
         .render_rows(&rows, rows.len())
         .lines()
@@ -493,6 +493,66 @@ fn v2_pipelined_responses_match_by_id() {
             other => panic!("unexpected response {other:?}"),
         }
     }
+    client.close().unwrap();
+}
+
+// ---- one access body, whichever path served it -------------------------
+
+/// An `access` body does not depend on the path that served it: the
+/// first access after an engine rebuild (the exclusive path, which
+/// builds the engine), the next one (the shared read, which fills the
+/// front cache) and a front-cache hit all answer the same text, with no
+/// trailing newline — like every other `OkText` body.
+#[test]
+fn v2_access_bodies_do_not_depend_on_the_serving_path() {
+    let mut session = Session::new();
+    session
+        .create_table(
+            "EMP",
+            Schema::new(vec![("eid", FieldType::Int), ("grp", FieldType::Int)]),
+            Organization::BTree { key_field: 0 },
+        )
+        .unwrap();
+    for i in 0..30 {
+        session
+            .insert("EMP", vec![Value::Int(i), Value::Int(i % 4)])
+            .unwrap();
+    }
+    session
+        .define_view("define view V (EMP.all) where EMP.eid >= 0 and EMP.eid <= 5000")
+        .unwrap();
+    let server = Server::start(
+        session,
+        ServerConfig {
+            port: 0,
+            max_conns: 4,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = WireClient::connect(server.addr(), 4).unwrap();
+    let mut text = |line: &str| match retry_shed(&mut client, || Request::Command {
+        line: line.to_string(),
+    }) {
+        Response::OkText { text } => text,
+        other => panic!("{line}: unexpected response {other:?}"),
+    };
+    text("cache on");
+    // A strategy switch drops the engine: the next access rebuilds it.
+    text("strategy ci");
+    let bodies: Vec<String> = (0..3).map(|_| text("access V")).collect();
+    assert!(
+        bodies[0].starts_with("30 rows in ") && bodies[0].ends_with("  ... 10 more"),
+        "{:?}",
+        bodies[0]
+    );
+    assert_eq!(bodies[1], bodies[0], "shared read vs rebuild");
+    assert_eq!(bodies[2], bodies[0], "front-cache hit vs rebuild");
+    let stats = text("cache stats");
+    assert!(
+        stats.contains(" hits=1 "),
+        "the third access must hit: {stats}"
+    );
     client.close().unwrap();
 }
 
