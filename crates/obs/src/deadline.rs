@@ -45,38 +45,30 @@ pub fn deadline_expired() -> bool {
     current_deadline().is_some_and(|d| Instant::now() >= d)
 }
 
-/// Sleep between lock re-tries once the yield phase of [`acquire_by`]
-/// is exhausted; bounds how stale a waiter's next attempt can be.
-const LOCK_RETRY: Duration = Duration::from_micros(50);
+/// Rounds of `try` + `yield_now` before [`yield_then_block`] blocks.
+const YIELD_ROUNDS: u32 = 64;
 
-/// Take a lock by polling `try_lock` until it yields a guard, giving up
-/// (`None`) once `deadline` has passed — the vendored locks have no
-/// timed acquire, so a bounded acquisition is a try-loop. Between
-/// attempts, yield the first rounds (the critical sections behind these
-/// locks are usually tens to hundreds of microseconds), then back off
-/// to short sleeps so a long-held lock doesn't burn a core. A fixed 1ms
-/// sleep here quantized every contended acquisition to the sleep period
-/// — a convoy of writers capped at ~1k lock handoffs/s no matter how
-/// briefly each held it.
-pub fn acquire_by<G>(
-    deadline: Option<Instant>,
+/// Take a contended lock: up to [`YIELD_ROUNDS`] rounds of `try_lock`
+/// with a `yield_now` after each miss, then `block` — the lock's own
+/// blocking acquire (`lock()`), or its timed one (`try_write_until`)
+/// when a deadline bounds the wait. Nothing here sleeps: a parked
+/// waiter is woken by the release itself.
+///
+/// The yield phase is for locks whose critical sections take a few
+/// tens of microseconds, less than a park and wake-up cost. It belongs
+/// at the call sites that take such locks, not inside every vendored
+/// `lock`/`read`/`write`.
+pub fn yield_then_block<G>(
     mut try_lock: impl FnMut() -> Option<G>,
-) -> Option<G> {
-    let mut attempt = 0u32;
-    loop {
+    block: impl FnOnce() -> G,
+) -> G {
+    for _ in 0..YIELD_ROUNDS {
         if let Some(guard) = try_lock() {
-            return Some(guard);
+            return guard;
         }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return None;
-        }
-        if attempt < 64 {
-            thread::yield_now();
-        } else {
-            thread::sleep(LOCK_RETRY);
-        }
-        attempt = attempt.saturating_add(1);
+        thread::yield_now();
     }
+    block()
 }
 
 /// Scope guard from [`install_deadline`]: restores the thread's
@@ -120,15 +112,25 @@ mod tests {
     }
 
     #[test]
-    fn acquire_by_polls_until_the_lock_or_the_deadline() {
+    fn yield_then_block_tries_then_blocks() {
         let lock = std::sync::Mutex::new(7);
-        assert_eq!(*acquire_by(None, || lock.try_lock().ok()).unwrap(), 7);
+        let take = || yield_then_block(|| lock.try_lock().ok(), || lock.lock().unwrap());
+        assert_eq!(*take(), 7);
+        // A lock that never frees up: every yield round tries, then the
+        // blocking acquire answers.
+        let mut tries = 0;
+        let got = yield_then_block(
+            || {
+                tries += 1;
+                None
+            },
+            || "blocked",
+        );
+        assert_eq!((got, tries), ("blocked", YIELD_ROUNDS));
+        // A waiter outlasts the holder.
         let held = lock.lock().unwrap();
-        let soon = Instant::now() + Duration::from_millis(5);
-        assert!(acquire_by(Some(soon), || lock.try_lock().ok()).is_none());
-        // Without a deadline the waiter outlasts the holder.
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| *acquire_by(None, || lock.try_lock().ok()).unwrap());
+            let waiter = s.spawn(|| *take());
             drop(held);
             assert_eq!(waiter.join().unwrap(), 7);
         });

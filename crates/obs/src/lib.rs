@@ -54,7 +54,7 @@ pub mod registry;
 pub mod trace;
 
 pub use deadline::{
-    acquire_by, current_deadline, deadline_expired, deadline_remaining, install_deadline,
+    current_deadline, deadline_expired, deadline_remaining, install_deadline, yield_then_block,
     DeadlineGuard,
 };
 pub use registry::{Counter, FloatCounter, Gauge, Histogram, MetricValue, Registry, Sample};

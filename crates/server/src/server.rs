@@ -385,7 +385,11 @@ pub(crate) fn read_by(
     shared: &Shared,
     deadline: Instant,
 ) -> Option<parking_lot::RwLockReadGuard<'_, Session>> {
-    procdb_obs::acquire_by(Some(deadline), || shared.session.try_read())
+    let session = &shared.session;
+    procdb_obs::yield_then_block(
+        || session.try_read().map(Some),
+        || session.try_read_until(deadline),
+    )
 }
 
 /// Acquire the session write lock before `deadline`, or give up.
@@ -393,7 +397,11 @@ fn write_by(
     shared: &Shared,
     deadline: Instant,
 ) -> Option<parking_lot::RwLockWriteGuard<'_, Session>> {
-    procdb_obs::acquire_by(Some(deadline), || shared.session.try_write())
+    let session = &shared.session;
+    procdb_obs::yield_then_block(
+        || session.try_write().map(Some),
+        || session.try_write_until(deadline),
+    )
 }
 
 pub(crate) fn deadline_expired(shared: &Shared) -> Response {
@@ -859,6 +867,25 @@ mod tests {
             Response::Data(t) => assert!(t.contains("strategy:"), "{t}"),
             _ => panic!("expected success after the writer released"),
         }
+    }
+
+    #[test]
+    fn a_command_queued_behind_a_writer_answers_once_it_releases() {
+        let shared = test_shared(8, Duration::from_secs(10));
+        let stalled = shared.session.write();
+        thread::scope(|s| {
+            let queued = s.spawn(|| run_line(&shared, "show"));
+            // Admitted through the gate: the command now waits on the
+            // session lock.
+            while shared.in_flight.load(Ordering::SeqCst) == 0 {
+                thread::yield_now();
+            }
+            drop(stalled);
+            match queued.join().unwrap() {
+                Response::Data(t) => assert!(t.contains("strategy:"), "{t}"),
+                other => panic!("expected data once the writer released: {other:?}"),
+            }
+        });
     }
 
     #[test]

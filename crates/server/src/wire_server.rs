@@ -27,7 +27,7 @@ use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{self, mpsc, Arc, Condvar};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -236,6 +236,10 @@ struct ConnState {
     writer: Mutex<TcpStream>,
     /// Requests dispatched but not yet answered (pipeline depth).
     in_flight: AtomicUsize,
+    /// `drained` is signalled under `drain` when `in_flight` drops to 0;
+    /// the `Goodbye` barrier waits on it.
+    drain: sync::Mutex<()>,
+    drained: Condvar,
     /// Set when a worker saw `quit` (Closed) — the reader drains and
     /// closes.
     closing: AtomicBool,
@@ -250,6 +254,34 @@ impl ConnState {
         let _ = write_response(&mut *w, request_id, resp);
         let _ = w.flush();
     }
+
+    /// A worker answered one request: count it out of the pipeline and
+    /// wake the drain barrier if that was the last one.
+    fn answered(&self) {
+        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
+            let _drain = self.drain.lock().unwrap_or_else(|e| e.into_inner());
+            self.drained.notify_all();
+        }
+    }
+
+    /// Wait until no request is in flight or `drain_by` has passed;
+    /// returns how many are still in flight (0: drained). The count is
+    /// read under `drain`, which [`Self::answered`] takes to notify, so
+    /// the last answer cannot slip between the read and the wait.
+    fn wait_drained(&self, drain_by: Instant) -> usize {
+        let mut drain = self.drain.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            let left = self.in_flight.load(Ordering::SeqCst);
+            let now = Instant::now();
+            if left == 0 || now >= drain_by {
+                return left;
+            }
+            drain = match self.drained.wait_timeout(drain, drain_by - now) {
+                Ok((drain, _)) => drain,
+                Err(e) => e.into_inner().0,
+            };
+        }
+    }
 }
 
 /// Serve one sniffed-as-v2 connection. `reader` still holds the first
@@ -261,6 +293,8 @@ pub(crate) fn serve_v2(mut reader: BufReader<TcpStream>, writer: TcpStream, shar
     let state = Arc::new(ConnState {
         writer: Mutex::new(writer),
         in_flight: AtomicUsize::new(0),
+        drain: sync::Mutex::new(()),
+        drained: Condvar::new(),
         closing: AtomicBool::new(false),
         prepared: Mutex::new(HashMap::new()),
         next_stmt: AtomicUsize::new(1),
@@ -385,27 +419,18 @@ fn reader_loop(
                 // hold the connection hostage — the farewell degrades to
                 // a typed DEADLINE error and the connection closes.
                 let drain_by = Instant::now() + budget.unwrap_or(shared.deadline);
-                loop {
-                    let left = state.in_flight.load(Ordering::SeqCst);
-                    if left == 0 {
-                        state.write(request_id, &Response::Bye);
-                        return;
-                    }
-                    if Instant::now() >= drain_by {
-                        state.write(
-                            request_id,
-                            &Response::Error {
-                                code: errcode::DEADLINE,
-                                message: format!(
-                                    "DEADLINE (goodbye drain barrier expired with \
-                                     {left} request(s) still in flight)"
-                                ),
-                            },
-                        );
-                        return;
-                    }
-                    thread::sleep(Duration::from_millis(1));
-                }
+                let resp = match state.wait_drained(drain_by) {
+                    0 => Response::Bye,
+                    left => Response::Error {
+                        code: errcode::DEADLINE,
+                        message: format!(
+                            "DEADLINE (goodbye drain barrier expired with \
+                             {left} request(s) still in flight)"
+                        ),
+                    },
+                };
+                state.write(request_id, &resp);
+                return;
             }
             // Engine-touching requests go to the worker pool and may
             // complete out of submission order.
@@ -463,7 +488,7 @@ fn worker_loop(
             state.closing.store(true, Ordering::SeqCst);
         }
         state.write(request_id, &resp);
-        state.in_flight.fetch_sub(1, Ordering::SeqCst);
+        state.answered();
     }
 }
 

@@ -321,8 +321,12 @@ pub fn write_frame_flags(
         request_id,
         payload_len: payload.len() as u32,
     };
-    w.write_all(&header.encode())?;
-    w.write_all(payload)?;
+    // One write per frame: on a `TCP_NODELAY` socket a separate header
+    // write goes out as its own segment.
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&header.encode());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     Ok(())
 }
 
@@ -340,6 +344,29 @@ mod tests {
             payload_len: 12345,
         };
         assert_eq!(FrameHeader::decode(&h.encode()).unwrap(), h);
+    }
+
+    #[test]
+    fn a_frame_goes_out_in_one_write() {
+        /// Counts `write` calls and keeps the bytes.
+        #[derive(Default)]
+        struct Writes(usize, Vec<u8>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes::default();
+        write_frame(&mut w, 0x42, 9, b"payload").unwrap();
+        assert_eq!(w.0, 1, "header and payload in one write");
+        let f = read_frame(&mut w.1.as_slice()).unwrap();
+        assert_eq!((f.opcode, f.request_id), (0x42, 9));
+        assert_eq!(f.payload, b"payload");
     }
 
     #[test]
