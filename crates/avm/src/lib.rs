@@ -49,10 +49,8 @@
 
 pub mod aggregate;
 pub mod delta;
-pub mod dynamic;
 pub mod view;
 
 pub use aggregate::{AggFn, AggregateView, GroupRow};
 pub use delta::Delta;
-pub use dynamic::{DynamicStats, MaintPath};
 pub use view::{JoinStep, MaintStats, MaterializedView, ViewDef};

@@ -12,17 +12,19 @@
 //! never violate ordering. This mirrors many production trees and keeps
 //! the page-count behavior stable for the simulation's steady state.
 //!
-//! Read paths work on page bytes in place: the descent picks each child
-//! inside the pager's read closure, and a range scan copies each leaf out
-//! of the pager once and walks its entries with [`Reader`], handing the
-//! callback slices of that copy — no node value and no per-entry
+//! Pages stay in place. A read takes the page's shared handle from the
+//! pager: the descent picks each child on the bytes of an internal page,
+//! and a range scan walks each leaf's entries and hands the callback
+//! slices of the page itself — no copy, no node value, no per-entry
 //! allocation. The callback runs outside the pager lock, so it may itself
-//! read pages. Write paths (insert, delete, in-place update) decode whole
-//! nodes, edit them, and encode them back.
+//! read pages. An insert, delete or in-place update edits the leaf's bytes:
+//! one read to find the entry's offset and one write that shifts the tail
+//! of the leaf and patches the count. A node is decoded only to split a
+//! leaf or to change an internal page.
 
 use std::sync::Arc;
 
-use procdb_storage::{PageId, Pager, Result, StorageError};
+use procdb_storage::{Page, PageId, Pager, Result, StorageError};
 
 use crate::codec::{Reader, Writer};
 
@@ -31,6 +33,7 @@ const INTERNAL: u8 = 1;
 const NO_PAGE: u32 = u32::MAX;
 
 const LEAF_HDR: usize = 1 + 2 + 4; // type, count, next
+const ENTRY_HDR: usize = 8 + 8 + 2; // key, seq, value length
 const INTERNAL_HDR: usize = 1 + 2 + 4; // type, count, child0
 const INTERNAL_ENTRY: usize = 8 + 8 + 4; // key, seq, child
 
@@ -48,97 +51,97 @@ impl EntryKey {
     pub fn min(key: i64) -> Self {
         EntryKey { key, seq: 0 }
     }
-    /// Largest composite key for a user key.
-    pub fn max(key: i64) -> Self {
-        EntryKey { key, seq: u64::MAX }
-    }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        entries: Vec<(EntryKey, Vec<u8>)>,
-        next: u32,
-    },
-    Internal {
-        /// `children.len() == keys.len() + 1`; subtree `i` holds composite
-        /// keys in `[keys[i-1], keys[i])`.
-        keys: Vec<EntryKey>,
-        children: Vec<u32>,
-    },
+/// An internal page, decoded: `children.len() == keys.len() + 1`, and
+/// subtree `i` holds composite keys in `[keys[i-1], keys[i])`.
+struct Internal {
+    keys: Vec<EntryKey>,
+    children: Vec<u32>,
 }
 
-impl Node {
-    fn encoded_size(&self) -> usize {
-        match self {
-            Node::Leaf { entries, .. } => {
-                LEAF_HDR
-                    + entries
-                        .iter()
-                        .map(|(_, v)| 8 + 8 + 2 + v.len())
-                        .sum::<usize>()
-            }
-            Node::Internal { keys, .. } => INTERNAL_HDR + keys.len() * INTERNAL_ENTRY,
-        }
-    }
-
+impl Internal {
     fn encode(&self, page: &mut [u8]) {
         let mut w = Writer::new(page);
-        match self {
-            Node::Leaf { entries, next } => {
-                w.u8(LEAF);
-                w.u16(entries.len() as u16);
-                w.u32(*next);
-                for (k, v) in entries {
-                    w.i64(k.key);
-                    w.i64(k.seq as i64);
-                    w.u16(v.len() as u16);
-                    w.bytes(v);
-                }
-            }
-            Node::Internal { keys, children } => {
-                w.u8(INTERNAL);
-                w.u16(keys.len() as u16);
-                w.u32(children[0]);
-                for (k, c) in keys.iter().zip(&children[1..]) {
-                    w.i64(k.key);
-                    w.i64(k.seq as i64);
-                    w.u32(*c);
-                }
-            }
+        w.u8(INTERNAL);
+        w.u16(self.keys.len() as u16);
+        w.u32(self.children[0]);
+        for (k, c) in self.keys.iter().zip(&self.children[1..]) {
+            w.i64(k.key);
+            w.i64(k.seq as i64);
+            w.u32(*c);
         }
     }
 
-    fn decode(page: &[u8]) -> Node {
-        let mut r = Reader::new(page);
-        match r.u8() {
-            LEAF => {
-                let count = r.u16() as usize;
-                let next = r.u32();
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = r.i64();
-                    let seq = r.i64() as u64;
-                    let len = r.u16() as usize;
-                    entries.push((EntryKey { key, seq }, r.bytes(len).to_vec()));
-                }
-                Node::Leaf { entries, next }
-            }
-            _ => {
-                let count = r.u16() as usize;
-                let mut children = Vec::with_capacity(count + 1);
-                children.push(r.u32());
-                let mut keys = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = r.i64();
-                    let seq = r.i64() as u64;
-                    keys.push(EntryKey { key, seq });
-                    children.push(r.u32());
-                }
-                Node::Internal { keys, children }
-            }
+    fn decode(page: &[u8]) -> Internal {
+        let mut r = Reader::new(&page[1..]);
+        let count = r.u16() as usize;
+        let mut children = Vec::with_capacity(count + 1);
+        children.push(r.u32());
+        let mut keys = Vec::with_capacity(count);
+        for _ in 0..count {
+            let key = r.i64();
+            let seq = r.i64() as u64;
+            keys.push(EntryKey { key, seq });
+            children.push(r.u32());
         }
+        Internal { keys, children }
     }
+}
+
+fn write_entry(w: &mut Writer<'_>, ek: EntryKey, value: &[u8]) {
+    w.i64(ek.key);
+    w.i64(ek.seq as i64);
+    w.u16(value.len() as u16);
+    w.bytes(value);
+}
+
+/// Make `page` a leaf header with `count` entries and sibling `next`.
+fn init_leaf(page: &mut [u8], count: u16, next: u32) {
+    page[0] = LEAF;
+    set_leaf_count(page, count);
+    page[3..7].copy_from_slice(&next.to_le_bytes());
+}
+
+fn leaf_next(page: &[u8]) -> u32 {
+    u32::from_le_bytes([page[3], page[4], page[5], page[6]])
+}
+
+fn leaf_count(page: &[u8]) -> u16 {
+    u16::from_le_bytes([page[1], page[2]])
+}
+
+fn set_leaf_count(page: &mut [u8], count: u16) {
+    page[1..3].copy_from_slice(&count.to_le_bytes());
+}
+
+/// A leaf's entries in place, in key order: `(byte offset, key, value)`.
+fn leaf_entries(page: &[u8]) -> impl Iterator<Item = (usize, EntryKey, &[u8])> {
+    let mut r = Reader::new(&page[LEAF_HDR..]);
+    (0..leaf_count(page)).map(move |_| {
+        let at = LEAF_HDR + r.position();
+        let key = EntryKey {
+            key: r.i64(),
+            seq: r.i64() as u64,
+        };
+        let len = r.u16() as usize;
+        (at, key, r.bytes(len))
+    })
+}
+
+/// Where `ek` belongs in a leaf: the offset of the first entry not below
+/// it, that entry's value when its key is `ek`, and the end of the
+/// leaf's used bytes.
+fn leaf_find(page: &[u8], ek: EntryKey) -> (usize, Option<&[u8]>, usize) {
+    let (mut at, mut hit, mut end) = (None, None, LEAF_HDR);
+    for (off, k, v) in leaf_entries(page) {
+        if at.is_none() && k >= ek {
+            at = Some(off);
+            hit = (k == ek).then_some(v);
+        }
+        end = off + ENTRY_HDR + v.len();
+    }
+    (at.unwrap_or(end), hit, end)
 }
 
 /// The child of an internal page whose subtree holds `ek`, read from the
@@ -186,11 +189,7 @@ impl BTreeFile {
     pub fn create(pager: Arc<Pager>, name: &str) -> Result<BTreeFile> {
         let file = pager.create_file(name);
         let root_pid = pager.allocate_page(file)?;
-        let root_node = Node::Leaf {
-            entries: Vec::new(),
-            next: NO_PAGE,
-        };
-        pager.write(root_pid, |p| root_node.encode(p))?;
+        pager.write(root_pid, |p| init_leaf(p, 0, NO_PAGE))?;
         Ok(BTreeFile {
             pager,
             file,
@@ -231,24 +230,16 @@ impl BTreeFile {
         PageId::new(self.file, page_no)
     }
 
-    fn read_node(&self, page_no: u32) -> Result<Node> {
-        self.pager.read(self.pid(page_no), Node::decode)
-    }
-
-    fn write_node(&self, page_no: u32, node: &Node) -> Result<()> {
-        debug_assert!(node.encoded_size() <= self.pager.page_size());
-        self.pager.write(self.pid(page_no), |p| node.encode(p))
-    }
-
-    fn allocate_node(&self, node: &Node) -> Result<u32> {
+    /// Allocate a page and fill it in one charged write.
+    fn allocate(&self, fill: impl FnOnce(&mut [u8])) -> Result<u32> {
         let pid = self.pager.allocate_page(self.file)?;
-        self.pager.write(pid, |p| node.encode(p))?;
+        self.pager.write(pid, fill)?;
         Ok(pid.page_no)
     }
 
     /// Insert a tuple under `key`; returns the uniquifying sequence number.
     pub fn insert(&mut self, key: i64, value: &[u8]) -> Result<u64> {
-        let max_value = self.pager.page_size() - LEAF_HDR - 18 - 64;
+        let max_value = self.pager.page_size() - LEAF_HDR - ENTRY_HDR - 64;
         if value.len() > max_value {
             return Err(StorageError::RecordTooLarge {
                 requested: value.len(),
@@ -260,11 +251,11 @@ impl BTreeFile {
         let ek = EntryKey { key, seq };
         if let Some((sep, right)) = self.insert_rec(self.root, ek, value)? {
             // Root split: grow the tree by one level.
-            let new_root = Node::Internal {
+            let new_root = Internal {
                 keys: vec![sep],
                 children: vec![self.root, right],
             };
-            self.root = self.allocate_node(&new_root)?;
+            self.root = self.allocate(|p| new_root.encode(p))?;
             self.height += 1;
         }
         self.len += 1;
@@ -278,73 +269,89 @@ impl BTreeFile {
         ek: EntryKey,
         value: &[u8],
     ) -> Result<Option<(EntryKey, u32)>> {
-        let node = self.read_node(page_no)?;
-        match node {
-            Node::Leaf { mut entries, next } => {
-                let pos = entries.partition_point(|(k, _)| *k < ek);
-                entries.insert(pos, (ek, value.to_vec()));
-                let node = Node::Leaf { entries, next };
-                if node.encoded_size() <= self.pager.page_size() {
-                    self.write_node(page_no, &node)?;
-                    return Ok(None);
-                }
-                // Split: move the upper half to a new right sibling.
-                let Node::Leaf { mut entries, next } = node else {
-                    unreachable!()
-                };
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0].0;
-                let right = Node::Leaf {
-                    entries: right_entries,
-                    next,
-                };
-                let right_no = self.allocate_node(&right)?;
-                let left = Node::Leaf {
-                    entries,
-                    next: right_no,
-                };
-                self.write_node(page_no, &left)?;
-                Ok(Some((sep, right_no)))
-            }
-            Node::Internal {
-                mut keys,
-                mut children,
-            } => {
-                let idx = keys.partition_point(|k| *k <= ek);
-                let split = self.insert_rec(children[idx], ek, value)?;
-                let Some((sep, right_no)) = split else {
-                    return Ok(None);
-                };
-                keys.insert(idx, sep);
-                children.insert(idx + 1, right_no);
-                let node = Node::Internal { keys, children };
-                if node.encoded_size() <= self.pager.page_size() {
-                    self.write_node(page_no, &node)?;
-                    return Ok(None);
-                }
-                let Node::Internal {
-                    mut keys,
-                    mut children,
-                } = node
-                else {
-                    unreachable!()
-                };
-                let mid = keys.len() / 2;
-                let up_key = keys[mid];
-                let right_keys = keys.split_off(mid + 1);
-                keys.pop(); // up_key moves up, not into either half
-                let right_children = children.split_off(mid + 1);
-                let right = Node::Internal {
-                    keys: right_keys,
-                    children: right_children,
-                };
-                let right_no = self.allocate_node(&right)?;
-                let left = Node::Internal { keys, children };
-                self.write_node(page_no, &left)?;
-                Ok(Some((up_key, right_no)))
-            }
+        let pid = self.pid(page_no);
+        let page = self.pager.read(pid, Page::clone)?;
+        let Some(child) = child_for(&page, ek) else {
+            return self.insert_into_leaf(page_no, page, ek, value);
+        };
+        let split = self.insert_rec(child, ek, value)?;
+        let Some((sep, right_no)) = split else {
+            return Ok(None);
+        };
+        let Internal {
+            mut keys,
+            mut children,
+        } = Internal::decode(&page);
+        drop(page);
+        let idx = keys.partition_point(|k| *k <= ek);
+        keys.insert(idx, sep);
+        children.insert(idx + 1, right_no);
+        if INTERNAL_HDR + keys.len() * INTERNAL_ENTRY <= self.pager.page_size() {
+            let node = Internal { keys, children };
+            self.pager.write(pid, |p| node.encode(p))?;
+            return Ok(None);
         }
+        let mid = keys.len() / 2;
+        let up_key = keys[mid];
+        let right_keys = keys.split_off(mid + 1);
+        keys.pop(); // up_key moves up, not into either half
+        let right_children = children.split_off(mid + 1);
+        let right = Internal {
+            keys: right_keys,
+            children: right_children,
+        };
+        let right_no = self.allocate(|p| right.encode(p))?;
+        let left = Internal { keys, children };
+        self.pager.write(pid, |p| left.encode(p))?;
+        Ok(Some((up_key, right_no)))
+    }
+
+    /// Insert into the leaf `page` (already read): in place when the entry
+    /// fits, else split the leaf.
+    fn insert_into_leaf(
+        &mut self,
+        page_no: u32,
+        page: Page,
+        ek: EntryKey,
+        value: &[u8],
+    ) -> Result<Option<(EntryKey, u32)>> {
+        let (at, _, end) = leaf_find(&page, ek);
+        let need = ENTRY_HDR + value.len();
+        let count = leaf_count(&page) + 1;
+        if end + need <= self.pager.page_size() {
+            // Drop the handle so an unshared frame is edited without a copy.
+            drop(page);
+            return self
+                .pager
+                .write(self.pid(page_no), |p| {
+                    p.copy_within(at..end, at + need);
+                    write_entry(&mut Writer::new(&mut p[at..]), ek, value);
+                    set_leaf_count(p, count);
+                })
+                .map(|()| None);
+        }
+        // Split: lay the leaf out with the new entry, then move the upper
+        // half of its entries to a new right sibling.
+        let mut full = vec![0u8; end + need];
+        full[..at].copy_from_slice(&page[..at]);
+        write_entry(&mut Writer::new(&mut full[at..]), ek, value);
+        full[at + need..].copy_from_slice(&page[at..end]);
+        set_leaf_count(&mut full, count);
+        let next = leaf_next(&page);
+        drop(page);
+        let (mid, sep, _) = leaf_entries(&full)
+            .nth(usize::from(count / 2))
+            .expect("a split leaf holds at least two entries");
+        let right = &full[mid..];
+        let right_no = self.allocate(|p| {
+            init_leaf(p, count - count / 2, next);
+            p[LEAF_HDR..LEAF_HDR + right.len()].copy_from_slice(right);
+        })?;
+        self.pager.write(self.pid(page_no), |p| {
+            p[..mid].copy_from_slice(&full[..mid]);
+            init_leaf(p, count / 2, right_no);
+        })?;
+        Ok(Some((sep, right_no)))
     }
 
     /// Descend to the leaf that would contain `ek`, choosing each child on
@@ -358,38 +365,29 @@ impl BTreeFile {
     }
 
     /// Scan all tuples with `lo ≤ key ≤ hi` in key order, calling
-    /// `f(key, seq, tuple)`. Charges one descent plus one read per leaf
-    /// page visited.
+    /// `f(key, seq, tuple)` on slices of each leaf page. Charges one
+    /// descent plus one read per leaf page visited.
     pub fn scan_range(&self, lo: i64, hi: i64, mut f: impl FnMut(i64, u64, &[u8])) -> Result<()> {
         if lo > hi {
             return Ok(());
         }
         let mut page_no = self.find_leaf(EntryKey::min(lo))?;
-        // One copy per leaf: `f` runs outside the pager lock.
-        let mut page = Vec::with_capacity(self.pager.page_size());
         loop {
-            self.pager.read(self.pid(page_no), |p| {
-                page.clear();
-                page.extend_from_slice(p);
-            })?;
-            let mut r = Reader::new(&page);
-            if r.u8() != LEAF {
-                return Err(StorageError::CorruptPage(self.pid(page_no)));
-            }
-            let count = r.u16();
-            let next = r.u32();
-            for _ in 0..count {
-                let key = r.i64();
-                let seq = r.i64() as u64;
-                let len = r.u16() as usize;
-                let tuple = r.bytes(len);
-                if key > hi {
-                    return Ok(());
+            let pid = self.pid(page_no);
+            let next = self.pager.read(pid, |page| {
+                if page[0] != LEAF {
+                    return Err(StorageError::CorruptPage(pid));
                 }
-                if key >= lo {
-                    f(key, seq, tuple);
+                for (_, k, tuple) in leaf_entries(page) {
+                    if k.key > hi {
+                        return Ok(NO_PAGE);
+                    }
+                    if k.key >= lo {
+                        f(k.key, k.seq, tuple);
+                    }
                 }
-            }
+                Ok(leaf_next(page))
+            })??;
             if next == NO_PAGE {
                 return Ok(());
             }
@@ -409,23 +407,41 @@ impl BTreeFile {
         self.scan_range(i64::MIN, i64::MAX, &mut f)
     }
 
+    /// Read the leaf holding `ek` and locate it there: `f` gets the offset
+    /// of `ek`'s entry, its value and the end of the leaf's used bytes.
+    /// `None` when `ek` is absent; charges the descent and one more read
+    /// of the leaf.
+    fn locate<R>(
+        &self,
+        ek: EntryKey,
+        f: impl FnOnce(usize, &[u8], usize) -> R,
+    ) -> Result<Option<(u32, R)>> {
+        let leaf_no = self.find_leaf(ek)?;
+        let pid = self.pid(leaf_no);
+        self.pager.read(pid, |page| {
+            if page[0] != LEAF {
+                return Err(StorageError::CorruptPage(pid));
+            }
+            let (at, hit, end) = leaf_find(page, ek);
+            Ok(hit.map(|v| (leaf_no, f(at, v, end))))
+        })?
+    }
+
     /// Delete the entry `(key, seq)`. Returns the removed tuple, or `None`.
     pub fn delete(&mut self, key: i64, seq: u64) -> Result<Option<Vec<u8>>> {
         let ek = EntryKey { key, seq };
-        let leaf_no = self.find_leaf(ek)?;
-        let node = self.read_node(leaf_no)?;
-        let Node::Leaf { mut entries, next } = node else {
-            return Err(StorageError::CorruptPage(self.pid(leaf_no)));
+        let Some((leaf_no, (at, value, end))) =
+            self.locate(ek, |at, v, end| (at, v.to_vec(), end))?
+        else {
+            return Ok(None);
         };
-        let pos = entries.partition_point(|(k, _)| *k < ek);
-        if pos < entries.len() && entries[pos].0 == ek {
-            let (_, v) = entries.remove(pos);
-            self.write_node(leaf_no, &Node::Leaf { entries, next })?;
-            self.len -= 1;
-            Ok(Some(v))
-        } else {
-            Ok(None)
-        }
+        let gone = ENTRY_HDR + value.len();
+        self.pager.write(self.pid(leaf_no), |p| {
+            p.copy_within(at + gone..end, at);
+            set_leaf_count(p, leaf_count(p) - 1);
+        })?;
+        self.len -= 1;
+        Ok(Some(value))
     }
 
     /// Delete the first tuple under `key` for which `pred` holds. Returns
@@ -451,19 +467,14 @@ impl BTreeFile {
     /// not change). For key-changing updates use delete + insert.
     pub fn update_value(&mut self, key: i64, seq: u64, value: &[u8]) -> Result<bool> {
         let ek = EntryKey { key, seq };
-        let leaf_no = self.find_leaf(ek)?;
-        let node = self.read_node(leaf_no)?;
-        let Node::Leaf { mut entries, next } = node else {
-            return Err(StorageError::CorruptPage(self.pid(leaf_no)));
+        let found = self.locate(ek, |at, v, _| (v.len() == value.len()).then_some(at))?;
+        let Some((leaf_no, Some(at))) = found else {
+            return Ok(false);
         };
-        let pos = entries.partition_point(|(k, _)| *k < ek);
-        if pos < entries.len() && entries[pos].0 == ek && entries[pos].1.len() == value.len() {
-            entries[pos].1 = value.to_vec();
-            self.write_node(leaf_no, &Node::Leaf { entries, next })?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        self.pager.write(self.pid(leaf_no), |p| {
+            p[at + ENTRY_HDR..at + ENTRY_HDR + value.len()].copy_from_slice(value);
+        })?;
+        Ok(true)
     }
 
     /// Check the structural invariants of the whole tree (test support):
@@ -477,32 +488,32 @@ impl BTreeFile {
             hi: Option<EntryKey>,
             count: &mut u64,
         ) -> Result<()> {
-            match tree.read_node(page_no)? {
-                Node::Leaf { entries, .. } => {
-                    for w in entries.windows(2) {
-                        assert!(w[0].0 < w[1].0, "leaf entries out of order");
-                    }
-                    for (k, _) in &entries {
-                        if let Some(lo) = lo {
-                            assert!(*k >= lo, "entry below subtree bound");
-                        }
-                        if let Some(hi) = hi {
-                            assert!(*k < hi, "entry above subtree bound");
-                        }
-                    }
-                    *count += entries.len() as u64;
+            let page = tree.pager.read(tree.pid(page_no), Page::clone)?;
+            if page[0] == LEAF {
+                let keys: Vec<EntryKey> = leaf_entries(&page).map(|(_, k, _)| k).collect();
+                for w in keys.windows(2) {
+                    assert!(w[0] < w[1], "leaf entries out of order");
                 }
-                Node::Internal { keys, children } => {
-                    assert_eq!(children.len(), keys.len() + 1);
-                    for w in keys.windows(2) {
-                        assert!(w[0] < w[1], "internal keys out of order");
+                for k in &keys {
+                    if let Some(lo) = lo {
+                        assert!(*k >= lo, "entry below subtree bound");
                     }
-                    for i in 0..children.len() {
-                        let sub_lo = if i == 0 { lo } else { Some(keys[i - 1]) };
-                        let sub_hi = if i == keys.len() { hi } else { Some(keys[i]) };
-                        walk(tree, children[i], sub_lo, sub_hi, count)?;
+                    if let Some(hi) = hi {
+                        assert!(*k < hi, "entry above subtree bound");
                     }
                 }
+                *count += keys.len() as u64;
+                return Ok(());
+            }
+            let Internal { keys, children } = Internal::decode(&page);
+            assert_eq!(children.len(), keys.len() + 1);
+            for w in keys.windows(2) {
+                assert!(w[0] < w[1], "internal keys out of order");
+            }
+            for i in 0..children.len() {
+                let sub_lo = if i == 0 { lo } else { Some(keys[i - 1]) };
+                let sub_hi = if i == keys.len() { hi } else { Some(keys[i]) };
+                walk(tree, children[i], sub_lo, sub_hi, count)?;
             }
             Ok(())
         }

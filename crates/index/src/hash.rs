@@ -6,10 +6,12 @@
 //! file is well-sized), which is exactly how the paper's Yao terms count
 //! pages touched while joining into `R2`/`R3`.
 //!
-//! Read paths (probe, full scan) copy each bucket page out of the pager
-//! once and walk its entries in place; the callback gets slices of that
-//! copy and runs outside the pager lock. Writes decode a whole bucket,
-//! edit it, and encode it back.
+//! Pages stay in place. A probe or a full scan walks each bucket page's
+//! entries on the pager's shared page handle and hands the callback
+//! slices of the page itself; the callback runs outside the pager lock.
+//! An insert appends the entry's bytes to the first bucket page with room
+//! and a delete shifts the page's tail over the entry: one read to find
+//! the spot, one write to edit the bytes.
 
 use std::sync::Arc;
 
@@ -24,59 +26,44 @@ fn entry_size(value_len: usize) -> usize {
     8 + 2 + value_len // key, len, bytes
 }
 
-#[derive(Debug, Clone)]
-struct Bucket {
-    entries: Vec<(i64, Vec<u8>)>,
-    next: u32,
+fn entry_count(page: &[u8]) -> u16 {
+    u16::from_le_bytes([page[0], page[1]])
 }
 
-impl Bucket {
-    fn encoded_size(&self) -> usize {
-        BUCKET_HDR
-            + self
-                .entries
-                .iter()
-                .map(|(_, v)| entry_size(v.len()))
-                .sum::<usize>()
-    }
-
-    fn encode(&self, page: &mut [u8]) {
-        let mut w = Writer::new(page);
-        w.u16(self.entries.len() as u16);
-        w.u32(self.next);
-        for (k, v) in &self.entries {
-            w.i64(*k);
-            w.u16(v.len() as u16);
-            w.bytes(v);
-        }
-    }
-
-    fn decode(page: &[u8]) -> Bucket {
-        let mut r = Reader::new(page);
-        let count = r.u16() as usize;
-        let next = r.u32();
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let k = r.i64();
-            let len = r.u16() as usize;
-            entries.push((k, r.bytes(len).to_vec()));
-        }
-        Bucket { entries, next }
-    }
+fn set_entry_count(page: &mut [u8], count: u16) {
+    page[0..2].copy_from_slice(&count.to_le_bytes());
 }
 
-/// Walk one bucket page in place, calling `f(key, tuple)` per entry;
-/// returns the page's overflow link.
-fn walk_bucket(page: &[u8], mut f: impl FnMut(i64, &[u8])) -> u32 {
-    let mut r = Reader::new(page);
-    let count = r.u16();
-    let next = r.u32();
-    for _ in 0..count {
+fn bucket_next(page: &[u8]) -> u32 {
+    u32::from_le_bytes([page[2], page[3], page[4], page[5]])
+}
+
+fn set_bucket_next(page: &mut [u8], next: u32) {
+    page[2..6].copy_from_slice(&next.to_le_bytes());
+}
+
+/// Make `page` an empty bucket page with no overflow link.
+fn init_bucket(page: &mut [u8]) {
+    set_entry_count(page, 0);
+    set_bucket_next(page, NO_PAGE);
+}
+
+/// A bucket page's entries in place: `(byte offset, key, tuple)`.
+fn bucket_entries(page: &[u8]) -> impl Iterator<Item = (usize, i64, &[u8])> {
+    let mut r = Reader::new(&page[BUCKET_HDR..]);
+    (0..entry_count(page)).map(move |_| {
+        let at = BUCKET_HDR + r.position();
         let key = r.i64();
         let len = r.u16() as usize;
-        f(key, r.bytes(len));
-    }
-    next
+        (at, key, r.bytes(len))
+    })
+}
+
+/// End of a bucket page's used bytes.
+fn bucket_end(page: &[u8]) -> usize {
+    bucket_entries(page)
+        .last()
+        .map_or(BUCKET_HDR, |(at, _, v)| at + entry_size(v.len()))
 }
 
 /// A hash-organized file of `(i64 key, tuple bytes)` entries.
@@ -96,13 +83,9 @@ impl HashFile {
         assert!(buckets > 0, "need at least one bucket");
         let file = pager.create_file(name);
         let mut directory = Vec::with_capacity(buckets);
-        let empty = Bucket {
-            entries: Vec::new(),
-            next: NO_PAGE,
-        };
         for _ in 0..buckets {
             let pid = pager.allocate_page(file)?;
-            pager.write(pid, |p| empty.encode(p))?;
+            pager.write(pid, init_bucket)?;
             directory.push(pid.page_no);
         }
         Ok(HashFile {
@@ -171,53 +154,48 @@ impl HashFile {
                 max,
             });
         }
+        let need = entry_size(value.len());
         let mut page_no = self.bucket_of(key);
         loop {
-            let mut bucket = self.pager.read(self.pid(page_no), Bucket::decode)?;
-            if bucket.encoded_size() + entry_size(value.len()) <= self.pager.page_size() {
-                bucket.entries.push((key, value.to_vec()));
-                self.pager.write(self.pid(page_no), |p| bucket.encode(p))?;
+            let pid = self.pid(page_no);
+            let (end, next) = self.pager.read(pid, |p| (bucket_end(p), bucket_next(p)))?;
+            if end + need <= self.pager.page_size() {
+                self.pager.write(pid, |p| {
+                    let mut w = Writer::new(&mut p[end..]);
+                    w.i64(key);
+                    w.u16(value.len() as u16);
+                    w.bytes(value);
+                    set_entry_count(p, entry_count(p) + 1);
+                })?;
                 self.len += 1;
                 return Ok(());
             }
-            if bucket.next != NO_PAGE {
-                page_no = bucket.next;
+            if next != NO_PAGE {
+                page_no = next;
                 continue;
             }
             // Chain a fresh overflow page, then retry there.
             let new_pid = self.pager.allocate_page(self.file)?;
-            let fresh = Bucket {
-                entries: Vec::new(),
-                next: NO_PAGE,
-            };
-            self.pager.write(new_pid, |p| fresh.encode(p))?;
-            bucket.next = new_pid.page_no;
-            self.pager.write(self.pid(page_no), |p| bucket.encode(p))?;
+            self.pager.write(new_pid, init_bucket)?;
+            self.pager
+                .write(pid, |p| set_bucket_next(p, new_pid.page_no))?;
             page_no = new_pid.page_no;
         }
-    }
-
-    /// Copy page `page_no` into `page`, so that callbacks walking it run
-    /// outside the pager lock.
-    fn read_copy(&self, page_no: u32, page: &mut Vec<u8>) -> Result<()> {
-        self.pager.read(self.pid(page_no), |p| {
-            page.clear();
-            page.extend_from_slice(p);
-        })
     }
 
     /// Probe: call `f` for every tuple stored under `key`. Reads the
     /// bucket's page chain (typically one page).
     pub fn probe(&self, key: i64, mut f: impl FnMut(&[u8])) -> Result<()> {
-        let mut page = Vec::with_capacity(self.pager.page_size());
         let mut page_no = self.bucket_of(key);
         loop {
-            self.read_copy(page_no, &mut page)?;
-            let next = walk_bucket(&page, |k, v| {
-                if k == key {
-                    f(v);
+            let next = self.pager.read(self.pid(page_no), |page| {
+                for (_, k, v) in bucket_entries(page) {
+                    if k == key {
+                        f(v);
+                    }
                 }
-            });
+                bucket_next(page)
+            })?;
             if next == NO_PAGE {
                 return Ok(());
             }
@@ -240,30 +218,37 @@ impl HashFile {
     ) -> Result<Option<Vec<u8>>> {
         let mut page_no = self.bucket_of(key);
         loop {
-            let mut bucket = self.pager.read(self.pid(page_no), Bucket::decode)?;
-            if let Some(pos) = bucket
-                .entries
-                .iter()
-                .position(|(k, v)| *k == key && pred(v))
-            {
-                let (_, v) = bucket.entries.remove(pos);
-                self.pager.write(self.pid(page_no), |p| bucket.encode(p))?;
+            let pid = self.pid(page_no);
+            let (found, next) = self.pager.read(pid, |page| {
+                let found = bucket_entries(page)
+                    .find(|(_, k, v)| *k == key && pred(v))
+                    .map(|(at, _, v)| (at, v.to_vec(), bucket_end(page)));
+                (found, bucket_next(page))
+            })?;
+            if let Some((at, value, end)) = found {
+                let gone = entry_size(value.len());
+                self.pager.write(pid, |p| {
+                    p.copy_within(at + gone..end, at);
+                    set_entry_count(p, entry_count(p) - 1);
+                })?;
                 self.len -= 1;
-                return Ok(Some(v));
+                return Ok(Some(value));
             }
-            if bucket.next == NO_PAGE {
+            if next == NO_PAGE {
                 return Ok(None);
             }
-            page_no = bucket.next;
+            page_no = next;
         }
     }
 
     /// Full scan over every bucket and overflow page.
     pub fn scan_all(&self, mut f: impl FnMut(i64, &[u8])) -> Result<()> {
-        let mut page = Vec::with_capacity(self.pager.page_size());
         for page_no in 0..self.page_count() {
-            self.read_copy(page_no, &mut page)?;
-            walk_bucket(&page, &mut f);
+            self.pager.read(self.pid(page_no), |page| {
+                for (_, k, v) in bucket_entries(page) {
+                    f(k, v);
+                }
+            })?;
         }
         Ok(())
     }

@@ -14,7 +14,9 @@
 //! (`C1` each); page I/O is charged by the storage layer underneath.
 //!
 //! Rows stay encoded from the page to the last operator: a selection
-//! screens each leaf row in place and appends survivors to one buffer
+//! screens each leaf row in place — testing only the terms its key range
+//! leaves open ([`Predicate::residual`]), though every scanned row still
+//! counts one screen — and appends survivors to one buffer
 //! ([`EncodedRows`]), a join lays `outer ++ inner` down at the end of its
 //! output buffer and keeps it only if the residual holds, and a projection
 //! copies byte ranges. Screens are counted per operator and charged to
@@ -38,8 +40,8 @@ use procdb_storage::{HeapFile, Result};
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Range-scan a clustered B-tree table; the key range is derived from
-    /// `predicate`'s bounds on the clustering key, remaining terms are
-    /// screened per tuple.
+    /// `predicate`'s bounds on the clustering key, and the terms that
+    /// range does not capture are screened per tuple.
     BTreeSelect {
         /// Table to scan (must be B-tree organized).
         table: String,
@@ -333,12 +335,15 @@ fn run<'c>(plan: &Plan, catalog: &'c Catalog) -> Result<(Cow<'c, Schema>, Encode
             let (lo, hi) = predicate
                 .int_bounds(key_field)
                 .unwrap_or((i64::MIN, i64::MAX));
+            // The range already holds every scanned key; a scanned tuple
+            // is still screened once (`C1`), on the terms left open.
+            let residual = predicate.residual(key_field);
             let schema = t.schema();
             let mut out = EncodedRows::new(schema.tuple_width());
             let mut screens = 0;
             let scanned = t.range_scan_encoded(lo, hi, |row| {
                 screens += 1;
-                if predicate.eval_encoded(schema, row) {
+                if residual.eval_encoded(schema, row) {
                     out.push(row);
                 }
             });

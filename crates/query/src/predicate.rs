@@ -167,6 +167,31 @@ impl Predicate {
             None
         }
     }
+
+    /// The terms a scan bounded by `int_bounds(field)` must still test:
+    /// all of them when there is no such range, else all but the terms on
+    /// `field` that the closed range captures exactly.
+    pub fn residual(&self, field: usize) -> Predicate {
+        if self.int_bounds(field).is_none() {
+            return self.clone();
+        }
+        let in_range = |t: &Term| match (t.op, &t.constant) {
+            (CompOp::Ge | CompOp::Le | CompOp::Eq, Value::Int(_)) => true,
+            // `> MAX` and `< MIN` saturate to a bound that still admits
+            // the constant itself, so the range does not capture them.
+            (CompOp::Gt, Value::Int(c)) => *c < i64::MAX,
+            (CompOp::Lt, Value::Int(c)) => *c > i64::MIN,
+            _ => false,
+        };
+        Predicate {
+            terms: self
+                .terms
+                .iter()
+                .filter(|t| t.field != field || !in_range(t))
+                .cloned()
+                .collect(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -54,34 +54,49 @@ proptest! {
         }
     }
 
-    /// For predicates made of integer range terms on one field,
-    /// `int_bounds` and `eval` agree everywhere.
+    /// The key range from `int_bounds` plus the `residual` terms accept
+    /// exactly the rows the whole predicate accepts, and the residual
+    /// keeps no key term the range captures.
     #[test]
     fn int_bounds_agrees_with_eval(
         terms in proptest::collection::vec(
-            ((-100i64..100), prop_oneof![
+            (0usize..2, prop_oneof![
+                -100i64..100,
+                Just(i64::MIN),
+                Just(i64::MAX),
+            ], prop_oneof![
                 Just(CompOp::Lt), Just(CompOp::Le), Just(CompOp::Eq),
-                Just(CompOp::Ge), Just(CompOp::Gt),
+                Just(CompOp::Ne), Just(CompOp::Ge), Just(CompOp::Gt),
             ]),
-            1..5,
+            0..5,
         ),
-        probes in proptest::collection::vec(-120i64..120, 1..30),
+        probes in proptest::collection::vec(
+            (prop_oneof![-120i64..120, Just(i64::MIN), Just(i64::MAX)], -120i64..120),
+            1..30,
+        ),
     ) {
         let pred = Predicate {
             terms: terms
                 .iter()
-                .map(|(c, op)| Term::new(0, *op, *c))
+                .map(|(f, c, op)| Term::new(*f, *op, *c))
                 .collect(),
         };
-        let Some((lo, hi)) = pred.int_bounds(0) else {
-            return Ok(()); // unbounded forms are out of scope here
-        };
-        for k in probes {
-            let tuple: Tuple = vec![Value::Int(k)];
+        let (lo, hi) = pred.int_bounds(0).unwrap_or((i64::MIN, i64::MAX));
+        let residual = pred.residual(0);
+        if pred.int_bounds(0).is_some() {
+            // Only `> MAX` and `< MIN` stay open on the key field.
+            let extreme = [Value::Int(i64::MIN), Value::Int(i64::MAX)];
+            prop_assert!(residual
+                .terms
+                .iter()
+                .all(|t| t.field == 1 || extreme.contains(&t.constant)));
+        }
+        for (k, g) in probes {
+            let tuple: Tuple = vec![Value::Int(k), Value::Int(g)];
             prop_assert_eq!(
                 pred.eval(&tuple),
-                k >= lo && k <= hi,
-                "k = {}, bounds = [{}, {}]", k, lo, hi
+                k >= lo && k <= hi && residual.eval(&tuple),
+                "k = {}, g = {}, bounds = [{}, {}]", k, g, lo, hi
             );
         }
     }

@@ -2,8 +2,18 @@
 //! fixed-size pages held in memory. Transfers are what the paper prices at
 //! `C2`; the [`Pager`](crate::pager::Pager) decides when a logical access
 //! becomes a counted transfer.
+//!
+//! A page is a shared [`Page`] handle: a read hands over a
+//! handle (a reference-count bump), not a copy of the bytes. Every fresh
+//! page shares one zeroed page until its first write.
+
+use std::sync::Arc;
 
 use crate::error::{Result, StorageError};
+
+/// One page's bytes, shared. A write copies a page that is still shared
+/// (copy on write), so a handle taken earlier keeps its bytes.
+pub type Page = Arc<[u8]>;
 
 /// Identifies one file on the simulated disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,13 +37,14 @@ impl PageId {
 
 struct DiskFile {
     name: String,
-    pages: Vec<Box<[u8]>>,
+    pages: Vec<Page>,
 }
 
 /// An in-memory simulated disk of named files of fixed-size pages.
 pub struct Disk {
     page_size: usize,
     files: Vec<Option<DiskFile>>,
+    zeroed: Page,
 }
 
 impl Disk {
@@ -43,12 +54,8 @@ impl Disk {
         Disk {
             page_size,
             files: Vec::new(),
+            zeroed: vec![0u8; page_size].into(),
         }
-    }
-
-    /// Page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.page_size
     }
 
     /// Create a new empty file and return its id.
@@ -99,23 +106,23 @@ impl Disk {
 
     /// Append a zeroed page to the file, returning its id.
     pub fn allocate_page(&mut self, file: FileId) -> Result<PageId> {
-        let page_size = self.page_size;
+        let zeroed = self.zeroed.clone();
         let f = self.file_mut(file)?;
         let page_no = f.pages.len() as u32;
-        f.pages.push(vec![0u8; page_size].into_boxed_slice());
+        f.pages.push(zeroed);
         Ok(PageId::new(file, page_no))
     }
 
-    /// Read a page's bytes (a simulated disk transfer).
-    pub fn read_page(&self, pid: PageId) -> Result<&[u8]> {
+    /// Read a page (a simulated disk transfer): its shared handle.
+    pub fn read_page(&self, pid: PageId) -> Result<&Page> {
         self.file(pid.file)?
             .pages
             .get(pid.page_no as usize)
-            .map(|p| &p[..])
             .ok_or(StorageError::UnknownPage(pid))
     }
 
-    /// Overwrite a page's bytes (a simulated disk transfer).
+    /// Overwrite a page's bytes (a simulated disk transfer). The page is
+    /// copied first only if it is still shared.
     pub fn write_page(&mut self, pid: PageId, data: &[u8]) -> Result<()> {
         assert_eq!(data.len(), self.page_size, "page write must be full-size");
         let page = self
@@ -123,7 +130,7 @@ impl Disk {
             .pages
             .get_mut(pid.page_no as usize)
             .ok_or(StorageError::UnknownPage(pid))?;
-        page.copy_from_slice(data);
+        Arc::make_mut(page).copy_from_slice(data);
         Ok(())
     }
 

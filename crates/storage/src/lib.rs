@@ -8,7 +8,8 @@
 //! provides the machinery that makes those quantities *observable* in a
 //! running system rather than assumed:
 //!
-//! * [`disk::Disk`] — an in-memory simulated disk of fixed-size pages;
+//! * [`disk::Disk`] — an in-memory simulated disk of fixed-size pages,
+//!   each a shared [`disk::Page`] handle;
 //! * [`ledger::CostLedger`] — shared counters for page reads/writes,
 //!   predicate screens, delta bookkeeping, and invalidations, priced by
 //!   [`ledger::CostConstants`];
@@ -39,7 +40,7 @@ pub mod ledger;
 pub mod pager;
 pub mod slotted;
 
-pub use disk::{Disk, FileId, PageId};
+pub use disk::{Disk, FileId, Page, PageId};
 pub use error::{Result, StorageError};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultStatus, TransferKind};
 pub use heap::{HeapFile, Rid, RidIndex};
