@@ -61,13 +61,7 @@ impl AggregateView {
     /// Both `group_field` and any summed field must be `Int` fields of the
     /// pipeline's output tuple; grouping on a byte field panics at fold
     /// time (fixed-width byte keys have no aggregate semantics here).
-    pub fn new(
-        pager: Arc<Pager>,
-        name: &str,
-        def: ViewDef,
-        group_field: usize,
-        agg: AggFn,
-    ) -> AggregateView {
+    pub fn new(pager: Arc<Pager>, def: ViewDef, group_field: usize, agg: AggFn) -> AggregateView {
         AggregateView {
             def,
             group_field,
@@ -77,7 +71,7 @@ impl AggregateView {
                 ("count", FieldType::Int),
                 ("sum", FieldType::Int),
             ]),
-            heap: HeapFile::create(pager, name),
+            heap: HeapFile::create(pager),
             groups: HashMap::new(),
         }
     }
@@ -251,13 +245,8 @@ mod tests {
     fn initial_groups_and_sums() {
         let pg = pager();
         let cat = setup(&pg);
-        let mut agg = AggregateView::new(
-            pg,
-            "headcount",
-            headcount_def(0, 39),
-            1,
-            AggFn::CountAndSum { field: 2 },
-        );
+        let mut agg =
+            AggregateView::new(pg, headcount_def(0, 39), 1, AggFn::CountAndSum { field: 2 });
         agg.recompute_full(&cat).unwrap();
         assert_eq!(agg.group_count(), 4);
         let g0 = agg.get(0).unwrap();
@@ -271,7 +260,6 @@ mod tests {
         let mut cat = setup(&pg);
         let mut agg = AggregateView::new(
             pg.clone(),
-            "hc",
             headcount_def(0, 39),
             1,
             AggFn::CountAndSum { field: 2 },
@@ -282,7 +270,6 @@ mod tests {
             agg.apply_delta(&d, &cat).unwrap();
             let mut fresh = AggregateView::new(
                 pg.clone(),
-                "fresh",
                 headcount_def(0, 39),
                 1,
                 AggFn::CountAndSum { field: 2 },
@@ -301,7 +288,7 @@ mod tests {
         let pg = pager();
         let mut cat = setup(&pg);
         // Window with exactly one tuple per group 0..3 (skeys 0..3).
-        let mut agg = AggregateView::new(pg, "hc", headcount_def(0, 3), 1, AggFn::Count);
+        let mut agg = AggregateView::new(pg, headcount_def(0, 3), 1, AggFn::Count);
         agg.recompute_full(&cat).unwrap();
         assert_eq!(agg.group_count(), 4);
         let d = modify(&mut cat, 2, 50); // dept 2's only member leaves
@@ -345,7 +332,7 @@ mod tests {
             }],
         };
         // Combined tuple: (skey, dept, salary, dept_id, floor) — group on floor.
-        let mut agg = AggregateView::new(pg, "perfloor", def, 4, AggFn::Count);
+        let mut agg = AggregateView::new(pg, def, 4, AggFn::Count);
         agg.recompute_full(&cat).unwrap();
         assert_eq!(agg.group_count(), 2);
         assert_eq!(agg.get(0).unwrap().count, 20);
@@ -359,7 +346,7 @@ mod tests {
     fn maintenance_touches_only_changed_group_pages() {
         let pg = pager();
         let mut cat = setup(&pg);
-        let mut agg = AggregateView::new(pg.clone(), "hc", headcount_def(0, 39), 1, AggFn::Count);
+        let mut agg = AggregateView::new(pg.clone(), headcount_def(0, 39), 1, AggFn::Count);
         agg.recompute_full(&cat).unwrap();
         let d = modify(&mut cat, 5, 50); // one group changes
         let s0 = pg.ledger().snapshot();

@@ -33,7 +33,7 @@
 //!
 //! let def = ViewDef { base: "EMP".into(),
 //!                     selection: Predicate::int_range(0, 0, 9), joins: vec![] };
-//! let mut view = MaterializedView::new(pager, "v", def, &cat);
+//! let mut view = MaterializedView::new(pager, def, &cat);
 //! view.recompute_full(&cat).unwrap();
 //! assert_eq!(view.len(), 10);
 //!

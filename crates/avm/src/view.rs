@@ -161,8 +161,8 @@ pub struct MaterializedView<S = RandomState> {
 
 impl MaterializedView {
     /// Create an empty materialized view.
-    pub fn new(pager: Arc<Pager>, name: &str, def: ViewDef, catalog: &Catalog) -> MaterializedView {
-        MaterializedView::with_hasher(pager, name, def, catalog, RandomState::new())
+    pub fn new(pager: Arc<Pager>, def: ViewDef, catalog: &Catalog) -> MaterializedView {
+        MaterializedView::with_hasher(pager, def, catalog, RandomState::new())
     }
 }
 
@@ -170,7 +170,6 @@ impl<S: BuildHasher> MaterializedView<S> {
     /// [`MaterializedView::new`] fingerprinting tuples with `fingerprint`.
     pub fn with_hasher(
         pager: Arc<Pager>,
-        name: &str,
         def: ViewDef,
         catalog: &Catalog,
         fingerprint: S,
@@ -179,7 +178,7 @@ impl<S: BuildHasher> MaterializedView<S> {
         MaterializedView {
             def,
             schema,
-            heap: HeapFile::create(pager, name),
+            heap: HeapFile::create(pager),
             by_fingerprint: RidIndex::new(),
             fingerprint,
         }
@@ -495,7 +494,7 @@ mod tests {
     fn selection_view_initial_compute() {
         let p = pager();
         let cat = setup(&p);
-        let mut v = MaterializedView::new(p, "v1", p1_def(), &cat);
+        let mut v = MaterializedView::new(p, p1_def(), &cat);
         v.recompute_full(&cat).unwrap();
         assert_eq!(v.len(), 10);
     }
@@ -504,7 +503,7 @@ mod tests {
     fn selection_view_tracks_modifications() {
         let p = pager();
         let mut cat = setup(&p);
-        let mut v = MaterializedView::new(p, "v1", p1_def(), &cat);
+        let mut v = MaterializedView::new(p, p1_def(), &cat);
         v.recompute_full(&cat).unwrap();
 
         // Move a tuple out of the view's range.
@@ -530,12 +529,12 @@ mod tests {
     fn delta_maintenance_equals_recompute() {
         let p = pager();
         let mut cat = setup(&p);
-        let mut v = MaterializedView::new(p.clone(), "v2", p2_def(), &cat);
+        let mut v = MaterializedView::new(p.clone(), p2_def(), &cat);
         v.recompute_full(&cat).unwrap();
         for (old_k, new_k) in [(15, 3), (3, 16), (12, 13), (19, 45), (45, 18)] {
             let d = modify(&mut cat, old_k, new_k);
             v.apply_delta(&d, &cat).unwrap();
-            let mut fresh = MaterializedView::new(p.clone(), "fresh", p2_def(), &cat);
+            let mut fresh = MaterializedView::new(p.clone(), p2_def(), &cat);
             fresh.recompute_full(&cat).unwrap();
             assert_eq!(
                 v.contents_normalized().unwrap(),
@@ -549,7 +548,7 @@ mod tests {
     fn join_view_respects_residual() {
         let p = pager();
         let cat = setup(&p);
-        let mut v = MaterializedView::new(p, "v2", p2_def(), &cat);
+        let mut v = MaterializedView::new(p, p2_def(), &cat);
         v.recompute_full(&cat).unwrap();
         // skey 10..=19, join a=b, keep tag=0 (b even): a ∈ {0,2,4} → 6 rows.
         assert_eq!(v.len(), 6);
@@ -563,7 +562,7 @@ mod tests {
     fn maintenance_charges_screens_and_deltas() {
         let p = pager();
         let mut cat = setup(&p);
-        let mut v = MaterializedView::new(p.clone(), "v1", p1_def(), &cat);
+        let mut v = MaterializedView::new(p.clone(), p1_def(), &cat);
         v.recompute_full(&cat).unwrap();
         let d = modify(&mut cat, 15, 99);
         let before = p.ledger().snapshot();
@@ -578,7 +577,7 @@ mod tests {
     fn inner_delta_tracks_r2_changes() {
         let p = pager();
         let mut cat = setup(&p);
-        let mut v = MaterializedView::new(p.clone(), "v2", p2_def(), &cat);
+        let mut v = MaterializedView::new(p.clone(), p2_def(), &cat);
         v.recompute_full(&cat).unwrap();
         assert_eq!(v.steps_on("R2"), vec![0]);
         assert!(v.steps_on("R1").is_empty());
@@ -593,7 +592,7 @@ mod tests {
             Delta::from_modifications([(old, new)])
         };
         v.apply_inner_delta(0, &old, &cat).unwrap();
-        let mut fresh = MaterializedView::new(p.clone(), "fresh", p2_def(), &cat);
+        let mut fresh = MaterializedView::new(p.clone(), p2_def(), &cat);
         fresh.recompute_full(&cat).unwrap();
         assert_eq!(
             v.contents_normalized().unwrap(),
@@ -610,7 +609,7 @@ mod tests {
             Delta::from_modifications([(old, new)])
         };
         v.apply_inner_delta(0, &back, &cat).unwrap();
-        let mut fresh2 = MaterializedView::new(p.clone(), "fresh2", p2_def(), &cat);
+        let mut fresh2 = MaterializedView::new(p.clone(), p2_def(), &cat);
         fresh2.recompute_full(&cat).unwrap();
         assert_eq!(
             v.contents_normalized().unwrap(),
@@ -622,7 +621,7 @@ mod tests {
     fn failed_delete_write_leaves_tuple_removable() {
         let p = pager();
         let cat = setup(&p);
-        let mut v = MaterializedView::new(p.clone(), "v1", p1_def(), &cat);
+        let mut v = MaterializedView::new(p.clone(), p1_def(), &cat);
         v.recompute_full(&cat).unwrap();
         let victim = vec![Value::Int(15), Value::Int(0)];
         let d = Delta {
@@ -651,7 +650,7 @@ mod tests {
             r1.insert(&vec![Value::Int(12), Value::Int(9)]).unwrap();
             r1.insert(&vec![Value::Int(12), Value::Int(9)]).unwrap();
         }
-        let mut v = MaterializedView::new(p, "v1", p1_def(), &cat);
+        let mut v = MaterializedView::new(p, p1_def(), &cat);
         v.recompute_full(&cat).unwrap();
         assert_eq!(v.len(), 12);
         // Delete one of the duplicates.

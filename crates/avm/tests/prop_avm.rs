@@ -82,7 +82,7 @@ proptest! {
         let pg = pager();
         let mut cat = setup(&pg);
         let d = def(lo, hi, with_join);
-        let mut view = MaterializedView::new(pg.clone(), "v", d.clone(), &cat);
+        let mut view = MaterializedView::new(pg.clone(), d.clone(), &cat);
         view.recompute_full(&cat).unwrap();
         for (victim, new_key) in moves {
             let r1 = cat.get_mut("R1").unwrap();
@@ -92,7 +92,7 @@ proptest! {
             r1.insert(&new).unwrap();
             view.apply_delta(&Delta::from_modifications([(old, new)]), &cat).unwrap();
         }
-        let mut fresh = MaterializedView::new(pg, "fresh", d, &cat);
+        let mut fresh = MaterializedView::new(pg, d, &cat);
         fresh.recompute_full(&cat).unwrap();
         prop_assert_eq!(
             view.contents_normalized().unwrap(),
@@ -124,7 +124,7 @@ proptest! {
         let pg = pager();
         let mut cat = setup(&pg);
         // Group by the 'a' field (index 1), count per group.
-        let mut agg = AggregateView::new(pg.clone(), "agg", def(lo, hi, false), 1, AggFn::Count);
+        let mut agg = AggregateView::new(pg.clone(), def(lo, hi, false), 1, AggFn::Count);
         agg.recompute_full(&cat).unwrap();
         for (victim, new_key) in moves {
             let r1 = cat.get_mut("R1").unwrap();
@@ -134,7 +134,7 @@ proptest! {
             r1.insert(&new).unwrap();
             agg.apply_delta(&Delta::from_modifications([(old, new)]), &cat).unwrap();
         }
-        let mut fresh = AggregateView::new(pg, "fresh", def(lo, hi, false), 1, AggFn::Count);
+        let mut fresh = AggregateView::new(pg, def(lo, hi, false), 1, AggFn::Count);
         fresh.recompute_full(&cat).unwrap();
         prop_assert_eq!(agg.read_all().unwrap(), fresh.read_all().unwrap());
         // Group counts always sum to the window population.
@@ -153,7 +153,7 @@ proptest! {
     ) {
         let pg = pager();
         let cat = setup(&pg);
-        let mut view = MaterializedView::new(pg.clone(), "v", def(0, 9, true), &cat);
+        let mut view = MaterializedView::new(pg.clone(), def(0, 9, true), &cat);
         view.recompute_full(&cat).unwrap();
         let s0 = pg.ledger().snapshot();
         let old = vec![Value::Int(key), Value::Int(key % 6)];
@@ -171,7 +171,7 @@ fn check_delta_inverse_is_identity(window: (i64, i64), key: i64, new_key: i64) -
     let (lo, hi) = (x.min(y), x.max(y));
     let pg = pager();
     let cat = setup(&pg);
-    let mut view = MaterializedView::new(pg, "v", def(lo, hi, true), &cat);
+    let mut view = MaterializedView::new(pg, def(lo, hi, true), &cat);
     view.recompute_full(&cat).unwrap();
     let before = view.contents_normalized().unwrap();
     // A real R1 tuple (the pipeline only consults R2, so the base

@@ -158,7 +158,7 @@ fn view_matches_multiset_model() {
     for seed in 0..4 {
         let pg = pager();
         let cat = catalog(&pg);
-        let view = MaterializedView::with_hasher(pg.clone(), "v", def(), &cat, RandomState::new());
+        let view = MaterializedView::with_hasher(pg.clone(), def(), &cat, RandomState::new());
         run(seed, view, &cat, &pg, false);
     }
 }
@@ -169,7 +169,7 @@ fn view_matches_model_when_every_fingerprint_collides() {
         let pg = pager();
         let cat = catalog(&pg);
         let view =
-            MaterializedView::with_hasher(pg.clone(), "v", def(), &cat, SameFingerprint::default());
+            MaterializedView::with_hasher(pg.clone(), def(), &cat, SameFingerprint::default());
         run(seed, view, &cat, &pg, true);
     }
 }

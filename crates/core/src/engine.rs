@@ -307,7 +307,7 @@ impl Engine {
                 let mut caches = Vec::with_capacity(self.procs.len());
                 for p in &self.procs {
                     caches.push(CacheEntry {
-                        heap: HeapFile::create(self.pager.clone(), &format!("cache-{}", p.name)),
+                        heap: HeapFile::create(self.pager.clone()),
                         bounds: self.selection_bounds(&p.view),
                     });
                 }
@@ -325,12 +325,8 @@ impl Engine {
                 let mut views = Vec::with_capacity(self.procs.len());
                 let mut bounds = Vec::with_capacity(self.procs.len());
                 for p in &self.procs {
-                    let mut v = MaterializedView::new(
-                        self.pager.clone(),
-                        &format!("avm-{}", p.name),
-                        p.view.clone(),
-                        &self.catalog,
-                    );
+                    let mut v =
+                        MaterializedView::new(self.pager.clone(), p.view.clone(), &self.catalog);
                     v.recompute_full(&self.catalog)?;
                     bounds.push(self.selection_bounds(&p.view));
                     views.push(v);

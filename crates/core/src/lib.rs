@@ -28,7 +28,6 @@
 pub mod advisor;
 pub mod ddl;
 pub mod engine;
-pub mod mixed;
 pub mod procedure;
 pub mod replication;
 pub mod rete_planner;
@@ -37,8 +36,7 @@ pub mod stats;
 pub use advisor::{recommend, Recommendation};
 pub use ddl::{parse_define_view, DdlError, DefineView};
 pub use engine::{Engine, EngineOptions, RecoveryOutcome, RecoveryReport};
-pub use mixed::MixedEngine;
 pub use procedure::{ProcId, ProcedureDef, StrategyKind};
-pub use replication::{DeltaAck, DeltaObserver, DeltaOp, ShippedDelta};
+pub use replication::{DeltaObserver, DeltaOp, ShippedDelta};
 pub use rete_planner::{choose_spec, maintenance_cost, UpdateFrequencies};
 pub use stats::{decide_assignments, decide_one, DecisionInput, WorkloadObserver};

@@ -11,9 +11,10 @@
 //!
 //! Ops are stamped with a log-sequence number (LSN) by the shard's delta
 //! log; an engine remembers the last LSN it applied
-//! ([`Engine::applied_lsn`]) so a rejoining replica can catch up by
-//! replaying the log tail — or, when the log has been truncated past its
-//! position (or its last apply was ambiguous), fall back to the
+//! ([`Engine::applied_lsn`]), and a follower — notified of a ship,
+//! promoted, or rejoining — moves only by applying the log's entries
+//! past that LSN. When the log has been truncated past its position (or
+//! its last apply was ambiguous) it falls back to the
 //! conservative path: [`Engine::install_r1_snapshot`] from the current
 //! primary plus full derived-state invalidation, the same marks a crash
 //! leaves (Łopuszański-style: a cache whose update feed has gaps must be
@@ -77,11 +78,11 @@ impl DeltaOp {
     }
 }
 
-/// One delta as shipped to a follower: the op plus the (epoch, LSN)
-/// stamp under which the primary committed it.
+/// One entry of a shard's delta log: the op plus the (epoch, LSN) stamp
+/// under which the primary committed it.
 ///
 /// The epoch is the replica group's promotion counter. A follower
-/// remembers the highest epoch it has seen and refuses deliveries
+/// remembers the highest epoch it has seen and refuses notifications
 /// stamped with an older one — the ship came from a primary that has
 /// since been fenced, and applying it would let a dual-primary window
 /// commit divergent state.
@@ -96,7 +97,7 @@ pub struct ShippedDelta {
 }
 
 impl ShippedDelta {
-    /// Stamp an op for shipping.
+    /// Stamp an op for the log.
     pub fn new(epoch: u64, lsn: u64, op: DeltaOp) -> ShippedDelta {
         ShippedDelta { epoch, lsn, op }
     }
@@ -121,22 +122,6 @@ pub trait DeltaObserver: Send + Sync {
 
     /// `shard`'s replica group moved to `epoch` (a promotion happened).
     fn on_epoch_bump(&self, shard: usize, epoch: u64);
-}
-
-/// A follower's acknowledgement of one applied [`ShippedDelta`].
-///
-/// The ack echoes the epoch the follower applied under; a primary that
-/// collects an ack stamped with a *newer* epoch than its own learns it
-/// has been superseded and must fence itself instead of counting the
-/// write as replicated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaAck {
-    /// Highest group epoch the acking follower has observed.
-    pub epoch: u64,
-    /// LSN the follower applied through.
-    pub lsn: u64,
-    /// Replica index of the acking follower.
-    pub replica: usize,
 }
 
 #[cfg(test)]

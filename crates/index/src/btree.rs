@@ -186,8 +186,8 @@ pub struct BTreeFile {
 
 impl BTreeFile {
     /// Create an empty tree in a fresh file.
-    pub fn create(pager: Arc<Pager>, name: &str) -> Result<BTreeFile> {
-        let file = pager.create_file(name);
+    pub fn create(pager: Arc<Pager>) -> Result<BTreeFile> {
+        let file = pager.create_file();
         let root_pid = pager.allocate_page(file)?;
         pager.write(root_pid, |p| init_leaf(p, 0, NO_PAGE))?;
         Ok(BTreeFile {
@@ -539,7 +539,7 @@ mod tests {
 
     #[test]
     fn insert_and_point_lookup() {
-        let mut t = BTreeFile::create(pager(512), "t").unwrap();
+        let mut t = BTreeFile::create(pager(512)).unwrap();
         t.insert(5, b"five").unwrap();
         t.insert(3, b"three").unwrap();
         t.insert(8, b"eight").unwrap();
@@ -551,7 +551,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_kept_in_insert_order() {
-        let mut t = BTreeFile::create(pager(512), "t").unwrap();
+        let mut t = BTreeFile::create(pager(512)).unwrap();
         t.insert(7, b"a").unwrap();
         t.insert(7, b"b").unwrap();
         t.insert(7, b"c").unwrap();
@@ -563,7 +563,7 @@ mod tests {
 
     #[test]
     fn range_scan_ordered() {
-        let mut t = BTreeFile::create(pager(256), "t").unwrap();
+        let mut t = BTreeFile::create(pager(256)).unwrap();
         for k in [9i64, 1, 7, 3, 5, 2, 8, 4, 6, 0] {
             t.insert(k, &k.to_le_bytes()).unwrap();
         }
@@ -589,7 +589,7 @@ mod tests {
 
     #[test]
     fn empty_tree_scans_root_leaf_only() {
-        let t = BTreeFile::create(pager(256), "t").unwrap();
+        let t = BTreeFile::create(pager(256)).unwrap();
         let before = t.pager().ledger().snapshot();
         let mut n = 0;
         t.scan_all(|_, _, _| n += 1).unwrap();
@@ -601,7 +601,7 @@ mod tests {
 
     #[test]
     fn duplicates_straddling_leaf_splits_scan_in_order() {
-        let mut t = BTreeFile::create(pager(256), "t").unwrap();
+        let mut t = BTreeFile::create(pager(256)).unwrap();
         // Four 40-byte entries fit a 256-byte leaf: the run of 30
         // duplicates spans several leaves, with neighbours on each side.
         t.insert(4, &[0xAA; 40]).unwrap();
@@ -626,7 +626,7 @@ mod tests {
 
     #[test]
     fn scan_reaching_a_non_leaf_page_is_corrupt() {
-        let mut t = BTreeFile::create(pager(256), "t").unwrap();
+        let mut t = BTreeFile::create(pager(256)).unwrap();
         for i in 0..200i64 {
             t.insert(i, &[0u8; 40]).unwrap();
         }
@@ -650,8 +650,8 @@ mod tests {
     #[test]
     fn probe_inside_scan_callback_does_not_deadlock() {
         let pager = pager(256);
-        let mut t = BTreeFile::create(pager.clone(), "t").unwrap();
-        let mut h = crate::HashFile::create(pager, "h", 2).unwrap();
+        let mut t = BTreeFile::create(pager.clone()).unwrap();
+        let mut h = crate::HashFile::create(pager, 2).unwrap();
         for i in 0..50i64 {
             t.insert(i, &[(i % 4) as u8; 40]).unwrap();
         }
@@ -672,7 +672,7 @@ mod tests {
 
     #[test]
     fn grows_and_splits_many_levels() {
-        let mut t = BTreeFile::create(pager(256), "t").unwrap();
+        let mut t = BTreeFile::create(pager(256)).unwrap();
         let n = 2000i64;
         for i in 0..n {
             // Shuffled-ish order.
@@ -695,7 +695,7 @@ mod tests {
 
     #[test]
     fn delete_removes_one_duplicate() {
-        let mut t = BTreeFile::create(pager(512), "t").unwrap();
+        let mut t = BTreeFile::create(pager(512)).unwrap();
         let s1 = t.insert(4, b"x").unwrap();
         let _s2 = t.insert(4, b"y").unwrap();
         assert_eq!(t.delete(4, s1).unwrap(), Some(b"x".to_vec()));
@@ -707,7 +707,7 @@ mod tests {
 
     #[test]
     fn delete_where_predicate() {
-        let mut t = BTreeFile::create(pager(512), "t").unwrap();
+        let mut t = BTreeFile::create(pager(512)).unwrap();
         t.insert(2, b"keep").unwrap();
         t.insert(2, b"drop").unwrap();
         let got = t.delete_where(2, |v| v == b"drop").unwrap();
@@ -718,7 +718,7 @@ mod tests {
 
     #[test]
     fn update_value_in_place() {
-        let mut t = BTreeFile::create(pager(512), "t").unwrap();
+        let mut t = BTreeFile::create(pager(512)).unwrap();
         let s = t.insert(1, b"aaaa").unwrap();
         assert!(t.update_value(1, s, b"bbbb").unwrap());
         assert_eq!(t.get_all(1).unwrap(), vec![b"bbbb".to_vec()]);
@@ -728,7 +728,7 @@ mod tests {
 
     #[test]
     fn descent_charges_height_reads() {
-        let mut t = BTreeFile::create(pager(256), "t").unwrap();
+        let mut t = BTreeFile::create(pager(256)).unwrap();
         for i in 0..2000i64 {
             t.insert(i, &[0u8; 40]).unwrap();
         }
@@ -748,7 +748,7 @@ mod tests {
 
     #[test]
     fn deep_tree_survives_interleaved_ops() {
-        let mut t = BTreeFile::create(pager(256), "t").unwrap();
+        let mut t = BTreeFile::create(pager(256)).unwrap();
         let mut seqs = Vec::new();
         for i in 0..500i64 {
             seqs.push((i % 50, t.insert(i % 50, &[i as u8; 30]).unwrap()));
@@ -763,7 +763,7 @@ mod tests {
 
     #[test]
     fn oversized_value_rejected() {
-        let mut t = BTreeFile::create(pager(256), "t").unwrap();
+        let mut t = BTreeFile::create(pager(256)).unwrap();
         assert!(t.insert(1, &[0u8; 400]).is_err());
     }
 }

@@ -79,9 +79,9 @@ pub struct HashFile {
 impl HashFile {
     /// Create a hash file with `buckets` bucket chains. Size buckets so the
     /// expected tuples per bucket fit one page for single-read probes.
-    pub fn create(pager: Arc<Pager>, name: &str, buckets: usize) -> Result<HashFile> {
+    pub fn create(pager: Arc<Pager>, buckets: usize) -> Result<HashFile> {
         assert!(buckets > 0, "need at least one bucket");
-        let file = pager.create_file(name);
+        let file = pager.create_file();
         let mut directory = Vec::with_capacity(buckets);
         for _ in 0..buckets {
             let pid = pager.allocate_page(file)?;
@@ -98,15 +98,10 @@ impl HashFile {
 
     /// Convenience: size the directory for `expected` tuples of
     /// `value_len`-byte values, aiming at one page per bucket.
-    pub fn create_sized(
-        pager: Arc<Pager>,
-        name: &str,
-        expected: usize,
-        value_len: usize,
-    ) -> Result<HashFile> {
+    pub fn create_sized(pager: Arc<Pager>, expected: usize, value_len: usize) -> Result<HashFile> {
         let per_page = ((pager.page_size() - BUCKET_HDR) / entry_size(value_len)).max(1);
         let buckets = expected.div_ceil(per_page).max(1);
-        HashFile::create(pager, name, buckets)
+        HashFile::create(pager, buckets)
     }
 
     /// Number of live entries.
@@ -269,7 +264,7 @@ mod tests {
 
     #[test]
     fn insert_probe_roundtrip() {
-        let mut h = HashFile::create(pager(512), "h", 8).unwrap();
+        let mut h = HashFile::create(pager(512), 8).unwrap();
         h.insert(10, b"ten").unwrap();
         h.insert(20, b"twenty").unwrap();
         h.insert(10, b"TEN").unwrap();
@@ -285,7 +280,7 @@ mod tests {
     #[test]
     fn overflow_chains_work() {
         // One bucket forces everything into a chain.
-        let mut h = HashFile::create(pager(256), "h", 1).unwrap();
+        let mut h = HashFile::create(pager(256), 1).unwrap();
         for i in 0..40i64 {
             h.insert(i, &[i as u8; 30]).unwrap();
         }
@@ -302,7 +297,7 @@ mod tests {
 
     #[test]
     fn delete_where_removes_one() {
-        let mut h = HashFile::create(pager(512), "h", 4).unwrap();
+        let mut h = HashFile::create(pager(512), 4).unwrap();
         h.insert(5, b"a").unwrap();
         h.insert(5, b"b").unwrap();
         assert_eq!(
@@ -317,7 +312,7 @@ mod tests {
     #[test]
     fn well_sized_file_probes_one_page() {
         let pager = pager(512);
-        let mut h = HashFile::create_sized(pager.clone(), "h", 200, 30).unwrap();
+        let mut h = HashFile::create_sized(pager.clone(), 200, 30).unwrap();
         for i in 0..200i64 {
             h.insert(i, &[1u8; 30]).unwrap();
         }
@@ -336,7 +331,7 @@ mod tests {
 
     #[test]
     fn scan_all_sees_everything() {
-        let mut h = HashFile::create(pager(256), "h", 4).unwrap();
+        let mut h = HashFile::create(pager(256), 4).unwrap();
         for i in 0..30i64 {
             h.insert(i, &i.to_le_bytes()).unwrap();
         }
@@ -348,14 +343,14 @@ mod tests {
 
     #[test]
     fn oversized_value_rejected() {
-        let mut h = HashFile::create(pager(256), "h", 2).unwrap();
+        let mut h = HashFile::create(pager(256), 2).unwrap();
         assert!(h.insert(1, &[0u8; 300]).is_err());
     }
 
     #[test]
     fn create_sized_scales_buckets() {
-        let h1 = HashFile::create_sized(pager(512), "a", 10, 30).unwrap();
-        let h2 = HashFile::create_sized(pager(512), "b", 1000, 30).unwrap();
+        let h1 = HashFile::create_sized(pager(512), 10, 30).unwrap();
+        let h2 = HashFile::create_sized(pager(512), 1000, 30).unwrap();
         assert!(h2.bucket_count() > h1.bucket_count());
     }
 }

@@ -40,7 +40,7 @@ proptest! {
     /// checked at the end.
     #[test]
     fn btree_matches_model(ops in proptest::collection::vec(op(), 1..120)) {
-        let mut tree = BTreeFile::create(pager(), "t").unwrap();
+        let mut tree = BTreeFile::create(pager()).unwrap();
         let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
         for o in ops {
             match o {
@@ -101,7 +101,7 @@ proptest! {
         ),
         buckets in 1usize..16,
     ) {
-        let mut file = HashFile::create(pager(), "h", buckets).unwrap();
+        let mut file = HashFile::create(pager(), buckets).unwrap();
         let mut model: HashMap<i64, Vec<u8>> = HashMap::new();
         for (kind, k, v) in ops {
             match kind {

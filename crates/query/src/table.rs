@@ -54,18 +54,17 @@ impl Table {
         let storage = match org {
             Organization::BTree { key_field } => {
                 assert!(key_field < schema.arity(), "key field out of range");
-                Storage::BTree(BTreeFile::create(pager, name)?)
+                Storage::BTree(BTreeFile::create(pager)?)
             }
             Organization::Hash { key_field } => {
                 assert!(key_field < schema.arity(), "key field out of range");
                 Storage::Hash(HashFile::create_sized(
                     pager,
-                    name,
                     expected_rows.max(1),
                     schema.tuple_width(),
                 )?)
             }
-            Organization::Heap => Storage::Heap(HeapFile::create(pager, name)),
+            Organization::Heap => Storage::Heap(HeapFile::create(pager)),
         };
         Ok(Table {
             name: name.to_string(),

@@ -39,8 +39,8 @@ fn value(tag: u64) -> Vec<u8> {
 /// Run the seeded sequence; returns the ledger totals after a final flush.
 fn run_sequence(mode: AccountingMode) -> CostSnapshot {
     let pager = pager(mode);
-    let mut tree = BTreeFile::create(pager.clone(), "t").unwrap();
-    let mut hash = HashFile::create(pager.clone(), "h", 3).unwrap();
+    let mut tree = BTreeFile::create(pager.clone()).unwrap();
+    let mut hash = HashFile::create(pager.clone(), 3).unwrap();
     let mut model: BTreeMap<(i64, u64), Vec<u8>> = BTreeMap::new();
     let mut hash_model: HashMap<i64, Vec<Vec<u8>>> = HashMap::new();
     let rng = &mut 0x5EED;

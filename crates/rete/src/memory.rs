@@ -42,8 +42,8 @@ pub struct MemoryStore<S = RandomState> {
 
 impl MemoryStore {
     /// Create an empty memory whose tuples will be probed by `probe_field`.
-    pub fn new(pager: Arc<Pager>, name: &str, schema: Schema, probe_field: usize) -> MemoryStore {
-        MemoryStore::with_hasher(pager, name, schema, probe_field, RandomState::new())
+    pub fn new(pager: Arc<Pager>, schema: Schema, probe_field: usize) -> MemoryStore {
+        MemoryStore::with_hasher(pager, schema, probe_field, RandomState::new())
     }
 }
 
@@ -51,7 +51,6 @@ impl<S: BuildHasher> MemoryStore<S> {
     /// [`MemoryStore::new`] fingerprinting tuples with `fingerprint`.
     pub fn with_hasher(
         pager: Arc<Pager>,
-        name: &str,
         schema: Schema,
         probe_field: usize,
         fingerprint: S,
@@ -59,7 +58,7 @@ impl<S: BuildHasher> MemoryStore<S> {
         assert!(probe_field < schema.arity(), "probe field out of range");
         MemoryStore {
             schema,
-            heap: HeapFile::create(pager, name),
+            heap: HeapFile::create(pager),
             probe_field,
             by_key: RidIndex::new(),
             fingerprint,
@@ -204,7 +203,7 @@ mod tests {
 
     #[test]
     fn insert_probe_remove() {
-        let mut m = MemoryStore::new(pager(), "m", schema(), 0);
+        let mut m = MemoryStore::new(pager(), schema(), 0);
         m.insert(&t(1, 10)).unwrap();
         m.insert(&t(1, 11)).unwrap();
         m.insert(&t(2, 20)).unwrap();
@@ -219,7 +218,7 @@ mod tests {
 
     #[test]
     fn duplicate_tuples_counted_as_multiset() {
-        let mut m = MemoryStore::new(pager(), "m", schema(), 0);
+        let mut m = MemoryStore::new(pager(), schema(), 0);
         m.insert(&t(5, 5)).unwrap();
         m.insert(&t(5, 5)).unwrap();
         assert_eq!(m.probe(5).unwrap().len(), 2);
@@ -232,7 +231,7 @@ mod tests {
     #[test]
     fn failed_delete_write_leaves_tuple_removable() {
         let p = pager();
-        let mut m = MemoryStore::new(p.clone(), "m", schema(), 0);
+        let mut m = MemoryStore::new(p.clone(), schema(), 0);
         m.insert(&t(1, 10)).unwrap();
         // Evict the page so the delete's write must fault it in, then fail
         // that transfer.
@@ -248,7 +247,7 @@ mod tests {
 
     #[test]
     fn probe_by_other_field_falls_back_to_scan() {
-        let mut m = MemoryStore::new(pager(), "m", schema(), 0);
+        let mut m = MemoryStore::new(pager(), schema(), 0);
         m.insert(&t(1, 7)).unwrap();
         m.insert(&t(2, 7)).unwrap();
         m.insert(&t(3, 8)).unwrap();
@@ -259,7 +258,7 @@ mod tests {
     #[test]
     fn probe_misses_cost_nothing() {
         let p = pager();
-        let mut m = MemoryStore::new(p.clone(), "m", schema(), 0);
+        let mut m = MemoryStore::new(p.clone(), schema(), 0);
         m.insert(&t(1, 1)).unwrap();
         let before = p.ledger().snapshot();
         assert!(m.probe(99).unwrap().is_empty());
@@ -269,7 +268,7 @@ mod tests {
     #[test]
     fn refresh_is_read_modify_write() {
         let p = pager();
-        let mut m = MemoryStore::new(p.clone(), "m", schema(), 0);
+        let mut m = MemoryStore::new(p.clone(), schema(), 0);
         m.insert(&t(1, 1)).unwrap();
         let before = p.ledger().snapshot();
         m.insert(&t(2, 2)).unwrap();

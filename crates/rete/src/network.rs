@@ -197,12 +197,7 @@ impl Rete {
                 dispatch_field,
             } => {
                 let mem_id = self.nodes.len();
-                let store = MemoryStore::new(
-                    self.pager.clone(),
-                    &format!("rete-mem-{mem_id}"),
-                    schema.clone(),
-                    *probe_field,
-                );
+                let store = MemoryStore::new(self.pager.clone(), schema.clone(), *probe_field);
                 self.nodes.push(Node::Memory {
                     store: Box::new(store),
                     source: MemSource::Select {
@@ -241,12 +236,7 @@ impl Rete {
                     .schema()
                     .concat(self.memory_store(right_id).schema());
                 let out_id = self.nodes.len();
-                let store = MemoryStore::new(
-                    self.pager.clone(),
-                    &format!("rete-mem-{out_id}"),
-                    combined,
-                    *probe_field,
-                );
+                let store = MemoryStore::new(self.pager.clone(), combined, *probe_field);
                 let and_id = out_id + 1;
                 self.nodes.push(Node::Memory {
                     store: Box::new(store),

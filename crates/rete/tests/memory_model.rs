@@ -150,7 +150,7 @@ fn run<S: BuildHasher>(seed: u64, mut store: MemoryStore<S>, pager: &Pager, coll
 fn memory_store_matches_multiset_model() {
     for seed in 0..4 {
         let pg = pager();
-        let store = MemoryStore::with_hasher(pg.clone(), "m", schema(), 0, RandomState::new());
+        let store = MemoryStore::with_hasher(pg.clone(), schema(), 0, RandomState::new());
         run(seed, store, &pg, false);
     }
 }
@@ -159,8 +159,7 @@ fn memory_store_matches_multiset_model() {
 fn memory_store_matches_model_when_every_fingerprint_collides() {
     for seed in 0..4 {
         let pg = pager();
-        let store =
-            MemoryStore::with_hasher(pg.clone(), "m", schema(), 0, SameFingerprint::default());
+        let store = MemoryStore::with_hasher(pg.clone(), schema(), 0, SameFingerprint::default());
         run(seed, store, &pg, true);
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! Where [`procdb_storage::FaultPlan`] breaks the storage substrate,
 //! a [`ChaosPlan`] breaks the *network* the replica groups pretend to
-//! have: each delta shipped from a primary to a follower can be
-//! delayed (a slow link), dropped (a dead link — the follower is
-//! declared down at an exact op boundary and must resync), duplicated
-//! (a retransmit the follower must suppress), or held for reordering
-//! (delivered behind its successor through the follower's in-order
-//! inbox). Supervisor heartbeats can be delayed too, widening the
+//! have: each ship — a notification that the shard log holds a new op —
+//! from a primary to a follower can be delayed (a slow link), dropped
+//! (a dead link — the follower is declared down at an exact op boundary
+//! and must resync), duplicated (a retransmit, whose advance finds
+//! nothing left to apply), or held (withheld this time; the next
+//! notification or a promotion advances the follower past the op).
+//! Supervisor heartbeats can be delayed too, widening the
 //! window in which a dead primary keeps its role — the window epoch
 //! fencing exists to contain. A `fence` probability springs exactly
 //! that trap on demand: the primary observes the promotion only after
@@ -43,11 +44,11 @@ pub struct ChaosPlan {
     /// Probability a ship is dropped outright (the follower is marked
     /// down at an exact op boundary and must catch up by resync).
     pub drop_prob: f64,
-    /// Probability a ship is delivered twice (the duplicate must be
-    /// suppressed by the follower's LSN guard).
+    /// Probability a ship is notified twice (the repeat finds the
+    /// follower already at the op's LSN and applies nothing).
     pub dup_prob: f64,
-    /// Probability a ship is held and delivered behind its successor
-    /// (the follower's in-order inbox re-sequences it).
+    /// Probability a ship's notification is withheld (a later
+    /// notification advances the follower past the op).
     pub reorder_prob: f64,
     /// Probability one supervisor heartbeat is delayed (that slot's
     /// liveness check is skipped for the tick).
@@ -146,14 +147,14 @@ impl ChaosPlan {
 /// What chaos decided for one shipped delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShipFate {
-    /// Sleep this long before delivering.
+    /// Sleep this long before notifying.
     pub delay: Option<Duration>,
-    /// Do not deliver at all; the follower link is dead.
+    /// Do not notify at all; the follower link is dead.
     pub drop: bool,
-    /// Deliver the ship twice.
+    /// Notify the follower twice.
     pub duplicate: bool,
-    /// Park the ship in the follower's inbox without draining — it is
-    /// delivered (in order) by a later drain.
+    /// Do not notify the follower this time; a later notification (or
+    /// a promotion) advances it past the op.
     pub hold: bool,
 }
 
@@ -174,9 +175,9 @@ pub struct ChaosStatus {
     pub delayed: u64,
     /// Ships dropped (follower marked down).
     pub dropped: u64,
-    /// Ships delivered twice.
+    /// Ships notified twice.
     pub duplicated: u64,
-    /// Ships held for out-of-order delivery.
+    /// Ships whose notification was withheld.
     pub reordered: u64,
     /// Supervisor heartbeats delayed.
     pub heartbeats_delayed: u64,

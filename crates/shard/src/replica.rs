@@ -1,21 +1,22 @@
 //! Replica groups: the per-shard building blocks of replication.
 //!
 //! Each shard of a replicated [`ShardedEngine`] is a group of `R`
-//! engines — one **primary** plus followers — kept in lockstep by
-//! shipping every routed base mutation to each live follower as a
-//! [`DeltaOp`] (see [`procdb_core::replication`]). The group's
-//! [`DeltaLog`] stamps every shipped op with a log-sequence number; a
-//! rejoining replica catches up by replaying the tail past its last
-//! applied LSN, or — when the log has been truncated past its position,
-//! or its last apply was ambiguous — by a conservative full resync from
-//! the current primary's slice.
+//! engines — one **primary** plus followers — kept in lockstep by one
+//! stream of [`DeltaOp`]s (see [`procdb_core::replication`]). The
+//! group's [`DeltaLog`] stamps every committed op with a log-sequence
+//! number, and a follower only ever moves by applying the log's entries
+//! from its own applied LSN upwards: a ship is a notification of the new
+//! head, a promotion and a resync advance the same way. When the log
+//! has been truncated past a replica's position, or its last apply was
+//! ambiguous, it takes the conservative full resync from the current
+//! primary's slice instead.
 //!
 //! [`ShardedEngine`]: crate::ShardedEngine
 //! [`DeltaOp`]: procdb_core::DeltaOp
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 use procdb_core::{DeltaOp, Engine, ShippedDelta};
@@ -40,15 +41,10 @@ pub(crate) struct Replica {
     /// mid-apply): log replay could double-apply, so resync must take
     /// the conservative snapshot path.
     pub needs_full_resync: AtomicBool,
-    /// Highest group epoch this replica has seen on a delivery. A ship
-    /// stamped with an older epoch came from a fenced primary and is
-    /// refused at the door.
+    /// Highest group epoch this replica has seen on a notification. A
+    /// ship stamped with an older epoch came from a fenced primary and
+    /// is refused at the door.
     pub last_epoch: AtomicU64,
-    /// Chaos reorder buffer: deliveries held out of order (delayed,
-    /// duplicated, swapped) park here and are drained strictly in LSN
-    /// order, like a TCP reassembly queue. Empty when no chaos plan is
-    /// installed.
-    pub inbox: Mutex<Vec<ShippedDelta>>,
 }
 
 impl Replica {
@@ -60,7 +56,6 @@ impl Replica {
             applied: AtomicU64::new(0),
             needs_full_resync: AtomicBool::new(false),
             last_epoch: AtomicU64::new(0),
-            inbox: Mutex::new(Vec::new()),
         }
     }
 
@@ -88,7 +83,7 @@ impl Replica {
         self.needs_full_resync.store(true, Ordering::Relaxed);
     }
 
-    /// Record a delivery's epoch stamp. Returns `false` when the stamp
+    /// Record a notification's epoch stamp. Returns `false` when the stamp
     /// is *older* than an epoch this replica has already seen — the
     /// ship came from a fenced ex-primary and must be refused.
     pub fn note_epoch(&self, epoch: u64) -> bool {
@@ -97,22 +92,24 @@ impl Replica {
 }
 
 /// Advance an epoch watermark; `false` means `epoch` is stale (older
-/// than one already observed) and the delivery carrying it must be
+/// than one already observed) and the notification carrying it must be
 /// refused.
 pub(crate) fn note_epoch_watermark(last: &AtomicU64, epoch: u64) -> bool {
     let prev = last.fetch_max(epoch, Ordering::Relaxed);
     epoch >= prev
 }
 
-/// A bounded in-memory delta log: `(lsn, op)` pairs, LSNs dense from 1.
+/// A bounded in-memory delta log: `(epoch, lsn, op)` entries, LSNs
+/// dense from 1, each behind an `Arc` so a follower's apply borrows the
+/// op the primary committed instead of copying it.
 ///
 /// The cap models log truncation: once more than `cap` ops are retained
-/// the oldest are discarded, and a replica whose last applied LSN falls
-/// before the retained window can no longer catch up by replay —
-/// [`DeltaLog::tail_after`] reports the gap and the caller falls back to
-/// a full resync.
+/// the oldest are discarded, and a replica whose next LSN falls before
+/// the retained window can no longer catch up by replay —
+/// [`DeltaLog::entry`] answers `None` and the caller falls back to a
+/// full resync.
 pub(crate) struct DeltaLog {
-    entries: VecDeque<ShippedDelta>,
+    entries: VecDeque<Arc<ShippedDelta>>,
     next_lsn: u64,
     cap: usize,
 }
@@ -131,15 +128,14 @@ impl DeltaLog {
     }
 
     /// Stamp and retain one op under the committing primary's epoch;
-    /// returns its LSN.
-    pub fn append(&mut self, op: DeltaOp, epoch: u64) -> u64 {
+    /// returns the stamped entry.
+    pub fn append(&mut self, op: DeltaOp, epoch: u64) -> Arc<ShippedDelta> {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        self.entries.push_back(ShippedDelta::new(epoch, lsn, op));
-        while self.entries.len() > self.cap {
-            self.entries.pop_front();
-        }
-        lsn
+        let entry = Arc::new(ShippedDelta::new(epoch, lsn, op));
+        self.entries.push_back(Arc::clone(&entry));
+        self.truncate();
+        entry
     }
 
     /// Highest LSN stamped so far (0 = empty log).
@@ -150,29 +146,22 @@ impl DeltaLog {
     /// Change the retention cap (truncating immediately if lower).
     pub fn set_cap(&mut self, cap: usize) {
         self.cap = cap.max(1);
+        self.truncate();
+    }
+
+    fn truncate(&mut self) {
         while self.entries.len() > self.cap {
             self.entries.pop_front();
         }
     }
 
-    /// Every retained op with `lsn > after`, oldest first — or `None`
-    /// when the log has been truncated past `after` (the gap means
-    /// replay cannot reconstruct the stream; full resync required).
-    pub fn tail_after(&self, after: u64) -> Option<Vec<ShippedDelta>> {
-        if after >= self.last_lsn() {
-            return Some(Vec::new());
-        }
-        let oldest_retained = self.entries.front().map(|d| d.lsn)?;
-        if after + 1 < oldest_retained {
-            return None; // truncated: ops (after, oldest_retained) are gone
-        }
-        Some(
-            self.entries
-                .iter()
-                .filter(|d| d.lsn > after)
-                .cloned()
-                .collect(),
-        )
+    /// The entry stamped `lsn` — or `None` when it is not retained:
+    /// truncated away (replay cannot reconstruct the stream; full
+    /// resync required), or not stamped yet.
+    pub fn entry(&self, lsn: u64) -> Option<Arc<ShippedDelta>> {
+        let first = self.next_lsn - self.entries.len() as u64;
+        let i = lsn.checked_sub(first)?;
+        self.entries.get(usize::try_from(i).ok()?).cloned()
     }
 }
 
@@ -233,19 +222,22 @@ mod tests {
         let mut log = DeltaLog::new(8);
         assert_eq!(log.last_lsn(), 0);
         for i in 0..5 {
-            assert_eq!(log.append(DeltaOp::Delete(vec![i]), 1), (i + 1) as u64);
+            assert_eq!(log.append(DeltaOp::Delete(vec![i]), 1).lsn, (i + 1) as u64);
         }
-        let tail = log.tail_after(2).expect("retained");
+        // A replica at LSN 2 replays entries 3..=5, in order.
+        let tail: Vec<_> = (3..=5)
+            .map(|lsn| log.entry(lsn).expect("retained"))
+            .collect();
         assert_eq!(
             tail.iter().map(|d| d.lsn).collect::<Vec<_>>(),
             vec![3, 4, 5]
         );
         assert!(tail.iter().all(|d| d.epoch == 1), "epoch stamps retained");
-        assert!(log.tail_after(5).expect("caught up").is_empty());
-        assert!(log
-            .tail_after(9)
-            .expect("ahead of head is vacuous")
-            .is_empty());
+        assert_eq!(tail[0].op, DeltaOp::Delete(vec![2]));
+        // Nothing past the head: a caught-up replica has nothing to read.
+        assert!(log.entry(6).is_none());
+        assert!(log.entry(9).is_none());
+        assert!(log.entry(0).is_none(), "LSNs start at 1");
     }
 
     #[test]
@@ -255,12 +247,12 @@ mod tests {
             log.append(DeltaOp::Delete(vec![i]), 1);
         }
         // Retained: LSNs 8..=10. A replica at LSN 7 can still replay...
-        assert_eq!(log.tail_after(7).expect("contiguous").len(), 3);
+        assert!((8..=10).all(|lsn| log.entry(lsn).is_some()), "contiguous");
         // ...but one at LSN 4 cannot: ops 5..=7 are gone.
-        assert!(log.tail_after(4).is_none(), "gap must force full resync");
+        assert!(log.entry(5).is_none(), "gap must force full resync");
         log.set_cap(1);
-        assert!(log.tail_after(8).is_none(), "cap shrink truncates");
-        assert_eq!(log.tail_after(9).expect("head retained").len(), 1);
+        assert!(log.entry(9).is_none(), "cap shrink truncates");
+        assert_eq!(log.entry(10).expect("head retained").lsn, 10);
     }
 
     #[test]

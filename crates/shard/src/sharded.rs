@@ -18,11 +18,13 @@
 //!   selection can pass, so the merged multiset is exactly the serial
 //!   engine's answer.
 //! * **Updates** route to the shard owning the victim key; the shard's
-//!   primary applies the mutation first, then the same routed
-//!   [`DeltaOp`] ships synchronously to each live follower (each
-//!   follower runs its *own* strategy maintenance — AVM/Rete followers
-//!   keep their own view state, CI followers their own i-locks — so
-//!   failover preserves each strategy's §3 recovery class). A re-key
+//!   primary applies the mutation first and stamps the routed
+//!   [`DeltaOp`] into the shard's delta log, then synchronously notifies
+//!   each live follower, which applies the log from its own LSN up to
+//!   the new entry (each follower runs its *own* strategy maintenance —
+//!   AVM/Rete followers keep their own view state, CI followers their
+//!   own i-locks — so failover preserves each strategy's §3 recovery
+//!   class). A re-key
 //!   whose new key falls in another shard's range becomes a
 //!   *cross-shard move*: delete-take on the source group, rewrite the
 //!   key, insert on the destination group — never holding two shard
@@ -38,6 +40,8 @@
 //! the head) becomes primary, the scatter-gather paths re-point, and
 //! the in-flight operation retries on the new primary — so with
 //! `replicas ≥ 2` a primary failure costs latency, not availability.
+//! The promoted follower first applies whatever log entries it has not
+//! (a withheld notification), so no committed op is lost to the swap.
 //! Promotion is triggered synchronously by the failing access/update
 //! path, immediately by [`ShardedEngine::crash`], by an operator
 //! [`ShardedEngine::promote`], or by the optional background
@@ -45,11 +49,13 @@
 //! ex-primary is marked suspect: it may have applied half an operation,
 //! so its position in the delta stream is ambiguous.
 //!
-//! A rejoining replica ([`ShardedEngine::resync`], also run by
-//! [`ShardedEngine::recover`]) first recovers its engine, then catches
-//! up by replaying the shard's delta log past its last applied LSN;
-//! when the log has been truncated past its position — or its stream
-//! position is ambiguous — it falls back to the conservative path: a
+//! Notification, promotion and resync move a replica the same way: one
+//! `advance` applies the shard log's entries past the replica's applied
+//! LSN under its engine write lock. A rejoining replica
+//! ([`ShardedEngine::resync`], also run by [`ShardedEngine::recover`])
+//! first recovers its engine, then advances to the log head; when the
+//! log has been truncated past its position — or its stream position is
+//! ambiguous — it falls back to the conservative path: a
 //! full `R1` snapshot install from the current primary plus whole
 //! derived-state invalidation, which each strategy then repairs on
 //! first access exactly as post-crash recovery does.
@@ -69,9 +75,9 @@
 //! moving past it mid-commit rejects the write with the typed
 //! [`StorageError::Fenced`] error and demotes itself into resync — so a
 //! dual-primary window can never commit divergent state. An installed
-//! [`ChaosPlan`] perturbs the shipping path (delays, drops, duplicates,
-//! reorders through each follower's in-order inbox) and the supervisor
-//! heartbeat, and can spring the fencing trap on demand.
+//! [`ChaosPlan`] perturbs the shipping path (delayed, dropped, repeated
+//! and withheld notifications) and the supervisor heartbeat, and can
+//! spring the fencing trap on demand.
 //!
 //! The access path is guarded by a per-shard **circuit breaker**
 //! ([`BreakerState`]): consecutive failures trip it open, shedding
@@ -90,12 +96,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use procdb_core::{
-    DeltaAck, DeltaObserver, DeltaOp, Engine, RecoveryOutcome, RecoveryReport, ShippedDelta,
-    StrategyKind,
+    DeltaObserver, DeltaOp, Engine, RecoveryOutcome, RecoveryReport, ShippedDelta, StrategyKind,
 };
 use procdb_obs::{Counter, Gauge, Histogram};
 use procdb_query::{RowBatch, Tuple, Value};
-use procdb_storage::{CostConstants, Result, StorageError};
+use procdb_storage::{CostConstants, CostSnapshot, Result, StorageError};
 
 use crate::chaos::{ChaosInjector, ChaosPlan, ChaosStatus, ShipFate};
 use crate::pool::WorkerPool;
@@ -353,13 +358,19 @@ impl ShardSlot {
     }
 
     fn has_live_follower(&self, of: usize) -> bool {
-        self.replicas.iter().any(|r| r.idx != of && r.is_alive())
+        self.freshest_follower(of).is_some()
+    }
+
+    /// The live replica other than `of` with the highest applied LSN.
+    fn freshest_follower(&self, of: usize) -> Option<&Replica> {
+        let live = self.replicas.iter().filter(|r| r.idx != of && r.is_alive());
+        live.max_by_key(|r| r.applied_lsn()).map(|r| &**r)
     }
 
     /// Notify the delta-stream tap (if any) of one committed op.
-    fn notify_delta(&self, epoch: u64, lsn: u64, op: &DeltaOp) {
+    fn notify_delta(&self, d: &ShippedDelta) {
         if let Some(obs) = self.observer.read().as_ref() {
-            obs.on_delta(self.id, epoch, lsn, op);
+            obs.on_delta(self.id, d.epoch, d.lsn, &d.op);
         }
     }
 
@@ -384,11 +395,7 @@ fn failover(slot: &ShardSlot, from: usize) -> Option<usize> {
     if cur != from {
         return Some(cur); // someone already promoted past `from`
     }
-    let best = slot
-        .replicas
-        .iter()
-        .filter(|r| r.idx != from && r.is_alive())
-        .max_by_key(|r| r.applied_lsn())?;
+    let best = slot.freshest_follower(from)?;
     if promote_cas(slot, from, best.idx) {
         slot.replicas[from].mark_down();
         Some(best.idx)
@@ -399,11 +406,18 @@ fn failover(slot: &ShardSlot, from: usize) -> Option<usize> {
 
 /// The single serialization point for promotions: swing the primary
 /// pointer `from -> to` by compare-exchange and, only on the winning
-/// swap, bump the group epoch (fencing `from`) and seed the new
-/// primary's epoch watermark. Concurrent promoters — a supervisor tick,
-/// a failing access path, an operator `promote` — race on the CAS, so
-/// one promotion bumps the epoch exactly once no matter how many
-/// callers observed the same failure.
+/// swap, bump the group epoch (fencing `from`), seed the new primary's
+/// epoch watermark and advance it to the log head. Concurrent promoters
+/// — a supervisor tick, a failing access path, an operator `promote` —
+/// race on the CAS, so one promotion bumps the epoch exactly once no
+/// matter how many callers observed the same failure.
+///
+/// The advance matters: a live follower can trail the head (a chaos
+/// hold withheld its notification), and a primary is never notified, so
+/// without it that op would never reach the new primary — an acked
+/// write lost, or a cross-shard move applied on one side only. A log
+/// truncated past the follower cannot be replayed; it then serves what
+/// it has, as it did before it was promoted.
 fn promote_cas(slot: &ShardSlot, from: usize, to: usize) -> bool {
     if slot
         .primary
@@ -413,160 +427,81 @@ fn promote_cas(slot: &ShardSlot, from: usize, to: usize) -> bool {
         return false;
     }
     let epoch = slot.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-    slot.replicas[to].note_epoch(epoch);
-    catch_up(slot, &slot.replicas[to]);
+    let rep = &slot.replicas[to];
+    rep.note_epoch(epoch);
+    let head = slot.log.lock().last_lsn();
+    advance(slot, rep, head);
     slot.failovers.inc();
     slot.notify_epoch(epoch);
     true
 }
 
-/// Replay the log tail a just-promoted primary has not applied. A live
-/// follower can trail the log head — a chaos-held ship waits in its
-/// inbox for the next delivery to drain it — and a primary gets no
-/// deliveries, so without this replay the held op would never reach
-/// it: an acked write lost, or a cross-shard move applied on one side
-/// only. Every committed op is in the log, which makes the inbox
-/// redundant here.
-fn catch_up(slot: &ShardSlot, rep: &Replica) {
-    rep.inbox.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    let from = rep.engine.read().applied_lsn();
-    // A tail truncated past `from` cannot be replayed; the replica
-    // serves what it has, as it did before it was promoted.
-    let Some(tail) = slot.log.lock().tail_after(from) else {
-        return;
-    };
-    let mut eng = rep.engine.write();
-    for d in &tail {
-        // As in resync: a maintenance fault leaves the base effect
-        // durable and the derived state dirty-marked; dying mid-apply
-        // makes the position ambiguous.
-        if eng.apply_delta_op(&d.op).is_err() && eng.is_crashed() {
-            rep.mark_suspect();
-            break;
-        }
-        eng.note_applied_lsn(d.lsn);
-    }
-    rep.applied.store(eng.applied_lsn(), Ordering::Relaxed);
+/// Stamp `op`, just applied on the primary `prim` (whose engine guard
+/// the caller holds), into the shard log under `epoch` and note its LSN
+/// as the primary's position.
+fn commit(
+    slot: &ShardSlot,
+    prim: &Replica,
+    eng: &mut Engine,
+    op: DeltaOp,
+    epoch: u64,
+) -> Arc<ShippedDelta> {
+    let delta = slot.log.lock().append(op, epoch);
+    eng.note_applied_lsn(delta.lsn);
+    prim.applied.store(delta.lsn, Ordering::Relaxed);
+    delta
 }
 
-/// Apply one in-order delta on a follower's engine (the caller has
-/// already established that `delta.lsn` is the follower's next LSN).
-fn apply_one(slot: &ShardSlot, rep: &Replica, delta: &ShippedDelta, c: &CostConstants) -> f64 {
+/// How one [`advance`] ended.
+enum Advance {
+    /// The replica stands at (or past) the target LSN; `applied` log
+    /// entries were applied on the way, charging `spent` on its ledger.
+    CaughtUp { applied: usize, spent: CostSnapshot },
+    /// The log no longer holds the replica's next entry: only a
+    /// snapshot install can bring it back.
+    Truncated,
+    /// The engine crashed mid-apply. Its base effect may have landed
+    /// without the LSN being noted, so the replica is marked suspect.
+    Died,
+}
+
+/// The one way a replica's state moves forward: apply the shard log's
+/// entries `applied + 1 ..= to_lsn` in order. The applied LSN is read
+/// under the replica's engine write lock, so two advances that race on
+/// one replica (a fan-out and a promotion) serialize and the loser
+/// finds nothing left to do. A maintenance fault that leaves the engine
+/// running keeps the position exact — the base effect is durable and
+/// the derived state dirty-marked — so the advance goes on. Lock order:
+/// replica engine, then log.
+fn advance(slot: &ShardSlot, rep: &Replica, to_lsn: u64) -> Advance {
     let mut eng = rep.engine.write();
     let before = eng.ledger().snapshot();
-    let res = eng.apply_delta_op(&delta.op);
-    let ms = eng.ledger().snapshot().since(&before).priced(c);
-    match res {
-        Err(_) if eng.is_crashed() => {
-            drop(eng);
-            rep.mark_suspect();
-            slot.replica_drops.inc();
-        }
-        _ => {
-            eng.note_applied_lsn(delta.lsn);
-            rep.applied.store(delta.lsn, Ordering::Relaxed);
-            slot.replica_applied.inc();
-        }
-    }
-    ms
-}
-
-/// Deliver one epoch-stamped delta to a follower, enforcing the two
-/// follower-side guards:
-///
-/// * **epoch watermark** — a ship stamped older than an epoch the
-///   follower has already seen came from a fenced ex-primary and is
-///   refused at the door;
-/// * **LSN order** — a duplicate (`lsn` at or below the applied head)
-///   is suppressed; a ship ahead of the next expected LSN parks in the
-///   inbox until the gap fills (TCP-style reassembly).
-///
-/// With `park` set the ship is only queued (the chaos *reorder* fate):
-/// a later delivery drains it in order. Returns the priced follower
-/// maintenance cost.
-fn deliver(
-    slot: &ShardSlot,
-    rep: &Replica,
-    delta: &ShippedDelta,
-    c: &CostConstants,
-    park: bool,
-) -> f64 {
-    deliver_acked_inner(slot, rep, delta, c, park).0
-}
-
-/// [`deliver`], returning the follower's epoch-stamped [`DeltaAck`]
-/// (`None` when the ship was refused, parked, or the follower died).
-fn deliver_acked(
-    slot: &ShardSlot,
-    rep: &Replica,
-    delta: &ShippedDelta,
-    c: &CostConstants,
-) -> (f64, Option<DeltaAck>) {
-    deliver_acked_inner(slot, rep, delta, c, false)
-}
-
-fn deliver_acked_inner(
-    slot: &ShardSlot,
-    rep: &Replica,
-    delta: &ShippedDelta,
-    c: &CostConstants,
-    park: bool,
-) -> (f64, Option<DeltaAck>) {
-    if !rep.note_epoch(delta.epoch) {
-        return (0.0, None); // stale-epoch ship from a fenced primary
-    }
-    let next = rep.applied_lsn() + 1;
-    if !park
-        && delta.lsn == next
-        && rep
-            .inbox
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_empty()
-    {
-        // Hot path: in order with nothing parked — apply directly,
-        // no clone, no queue.
-        let ms = apply_one(slot, rep, delta, c);
-        return (ms, ack_of(rep));
-    }
-    if delta.lsn < next {
-        return (0.0, ack_of(rep)); // duplicate of an applied op
-    }
-    {
-        let mut inbox = rep.inbox.lock().unwrap_or_else(|e| e.into_inner());
-        if !inbox.iter().any(|d| d.lsn == delta.lsn) {
-            inbox.push(delta.clone());
-        }
-    }
-    if park {
-        return (0.0, None); // held: a later delivery drains it
-    }
-    // Drain the contiguous prefix the inbox can now supply.
-    let mut ms = 0.0;
-    loop {
-        let next = rep.applied_lsn() + 1;
-        let d = {
-            let mut inbox = rep.inbox.lock().unwrap_or_else(|e| e.into_inner());
-            match inbox.iter().position(|d| d.lsn == next) {
-                Some(i) => inbox.remove(i),
-                None => break,
-            }
+    let mut applied = 0;
+    for lsn in eng.applied_lsn() + 1..=to_lsn {
+        let Some(d) = slot.log.lock().entry(lsn) else {
+            return Advance::Truncated;
         };
-        ms += apply_one(slot, rep, &d, c);
-        if !rep.is_alive() {
-            break; // crashed mid-apply; already marked suspect
+        if eng.apply_delta_op(&d.op).is_err() && eng.is_crashed() {
+            rep.mark_suspect();
+            return Advance::Died;
         }
+        eng.note_applied_lsn(lsn);
+        rep.applied.store(lsn, Ordering::Relaxed);
+        applied += 1;
     }
-    (ms, rep.is_alive().then(|| ack_of(rep)).flatten())
+    Advance::CaughtUp {
+        applied,
+        spent: eng.ledger().snapshot().since(&before),
+    }
 }
 
-/// A follower's current ack: its epoch watermark and applied LSN.
-fn ack_of(rep: &Replica) -> Option<DeltaAck> {
-    Some(DeltaAck {
-        epoch: rep.last_epoch.load(Ordering::Relaxed),
-        lsn: rep.applied_lsn(),
-        replica: rep.idx,
-    })
+/// Notify follower `rep` that the log holds every entry through `lsn`,
+/// committed under `epoch`. A notification stamped older than an epoch
+/// the follower has already seen came from a fenced ex-primary and is
+/// refused (`None`); any other advances the follower, so a repeated or
+/// overtaken notification is a no-op.
+fn notify(slot: &ShardSlot, rep: &Replica, epoch: u64, lsn: u64) -> Option<Advance> {
+    rep.note_epoch(epoch).then(|| advance(slot, rep, lsn))
 }
 
 /// Serve one access on one replica: shared path first, escalating to
@@ -1149,26 +1084,28 @@ impl ShardedEngine {
         Ok((RowBatch::merge(partials), total_ms))
     }
 
-    /// Ship `delta` (already applied on the primary and committed to
-    /// the log) to every live follower of `slot`, each ship running the
-    /// installed chaos plan's gauntlet: a *dropped* ship kills the link
-    /// — the follower is marked down at an exact op boundary (its LSN
-    /// stays replayable by resync, so an acked write is never lost to a
-    /// later promotion: down followers are not promotion candidates); a
-    /// *delayed* ship sleeps; a *held* ship parks in the follower's
-    /// inbox and is delivered in LSN order by a later drain; a
-    /// *duplicated* ship is delivered twice and suppressed by the
-    /// follower's LSN guard. A follower whose apply fails *crashed* is
-    /// dropped from the group and marked suspect; a follower whose
-    /// maintenance merely faulted keeps serving — its base effect is
-    /// durable and its derived state is dirty-marked, self-healing on
-    /// first access exactly like a standalone engine.
+    /// Notify every live follower of `slot` that the log now holds the
+    /// op stamped `(epoch, lsn)` (already applied on the primary), each
+    /// notification running the installed chaos plan's gauntlet: a
+    /// *dropped* ship kills the link — the follower is marked down at an
+    /// exact op boundary (its LSN stays replayable by resync, so an
+    /// acked write is never lost to a later promotion: down followers
+    /// are not promotion candidates); a *delayed* ship sleeps; a *held*
+    /// ship is not notified this time, and a later notification (or a
+    /// promotion) advances the follower past it; a *duplicated* ship is
+    /// notified twice, and the second advance finds nothing to apply. A
+    /// follower whose apply *crashed* leaves the group suspect; one
+    /// whose maintenance merely faulted keeps serving — its base effect
+    /// is durable and its derived state is dirty-marked, self-healing on
+    /// first access exactly like a standalone engine. A follower that
+    /// fell behind the log's retention window resyncs from the primary's
+    /// snapshot on the spot.
     ///
-    /// Acks echo each follower's epoch watermark; one stamped newer
-    /// than the ship means this primary was superseded between its
-    /// commit point and the ship (the op is in the shared log, so the
-    /// promoted follower replays it — but the fencing is counted).
-    fn fan_out(&self, slot: &ShardSlot, delta: &ShippedDelta, c: &CostConstants) -> f64 {
+    /// A follower whose epoch watermark has moved past the ship's
+    /// epoch means this primary was superseded between its commit point
+    /// and the ship (the op is in the shared log, so the promoted
+    /// follower has it — but the fencing is counted).
+    fn fan_out(&self, slot: &ShardSlot, epoch: u64, lsn: u64, c: &CostConstants) -> f64 {
         let chaos = self.current_chaos();
         let pidx = slot.primary_idx();
         let mut ms = 0.0;
@@ -1191,19 +1128,34 @@ impl ShardedEngine {
                 std::thread::sleep(d);
             }
             if fate.hold {
-                ms += deliver(slot, rep, delta, c, true);
                 continue;
             }
-            let (m, ack) = deliver_acked(slot, rep, delta, c);
-            ms += m;
-            if let Some(ack) = ack {
-                if ack.epoch > delta.epoch {
+            // A duplicated ship is notified twice; the repeat finds the
+            // follower already at `lsn`.
+            for resend in 0..=usize::from(fate.duplicate) {
+                let Some(outcome) = notify(slot, rep, epoch, lsn) else {
+                    break; // stale epoch: refused at the door
+                };
+                if resend == 0 && rep.last_epoch.load(Ordering::Relaxed) > epoch {
                     slot.fenced.inc();
                 }
-            }
-            if fate.duplicate && rep.is_alive() {
-                // Retransmit: the follower's LSN guard suppresses it.
-                ms += deliver(slot, rep, delta, c, false);
+                match outcome {
+                    Advance::CaughtUp { applied, spent } => {
+                        slot.replica_applied.add(applied as u64);
+                        ms += spent.priced(c);
+                    }
+                    Advance::Truncated => {
+                        // A failed resync leaves the follower down,
+                        // visible in stats: conservative by construction.
+                        if self.resync_replica(slot, rep).is_err() {
+                            rep.mark_down();
+                        }
+                    }
+                    Advance::Died => {
+                        slot.replica_drops.inc();
+                        break;
+                    }
+                }
             }
         }
         ms
@@ -1245,7 +1197,7 @@ impl ShardedEngine {
         }
         let mut total_ms = 0.0;
         let mut attempts = 0;
-        let (n, lsn, epoch, maint_err) = loop {
+        let (n, delta, maint_err) = loop {
             attempts += 1;
             let pidx = slot.primary_idx();
             let epoch0 = slot.epoch();
@@ -1254,68 +1206,51 @@ impl ShardedEngine {
             let before = eng.ledger().snapshot();
             let res = eng.apply_delta_op(&op);
             total_ms += eng.ledger().snapshot().since(&before).priced(c);
-            match res {
-                Ok(n) => {
-                    // Commit-point fence: if a concurrent promotion moved
-                    // the epoch (or the primary pointer) while we were
-                    // applying, our apply is an unstamped orphan — the
-                    // group never logged it. Self-demote into the
-                    // conservative resync path (which discards it) and
-                    // surface the typed fence instead of acking a write
-                    // the new primary will never have.
-                    if slot.epoch() != epoch0 || slot.primary_idx() != pidx {
-                        drop(eng);
-                        prim.mark_suspect();
-                        slot.fenced.inc();
-                        return Err(StorageError::Fenced {
-                            shard,
-                            epoch: epoch0,
-                        });
+            let res = match res {
+                Err(e) if eng.is_crashed() => {
+                    drop(eng);
+                    // Died mid-apply: its base effect may have landed
+                    // without the LSN being noted — ambiguous position,
+                    // whoever ends up promoting past it.
+                    prim.mark_suspect();
+                    if attempts <= slot.replicas.len() && failover(slot, pidx).is_some() {
+                        continue; // retry the op on the promoted follower
                     }
-                    let lsn = slot.log.lock().append(op.clone(), epoch0);
-                    eng.note_applied_lsn(lsn);
-                    prim.applied.store(lsn, Ordering::Relaxed);
-                    break (n, lsn, epoch0, None);
+                    return Err(e);
                 }
-                Err(e) => {
-                    if eng.is_crashed() {
-                        drop(eng);
-                        // Died mid-apply: its base effect may have landed
-                        // without the LSN being noted — ambiguous position,
-                        // whoever ends up promoting past it.
-                        prim.mark_suspect();
-                        if attempts <= slot.replicas.len() && failover(slot, pidx).is_some() {
-                            continue; // retry the op on the promoted follower
-                        }
-                        return Err(e);
-                    }
-                    if slot.epoch() != epoch0 || slot.primary_idx() != pidx {
-                        // Superseded mid-fault: do not stamp the log
-                        // under a stale epoch.
-                        drop(eng);
-                        prim.mark_suspect();
-                        slot.fenced.inc();
-                        return Err(StorageError::Fenced {
-                            shard,
-                            epoch: epoch0,
-                        });
-                    }
-                    // Maintenance fault on a live primary: the uncharged
-                    // base effect is durable and the dirty marks are set,
-                    // so the delta still ships before the error surfaces.
-                    let lsn = slot.log.lock().append(op.clone(), epoch0);
-                    eng.note_applied_lsn(lsn);
-                    prim.applied.store(lsn, Ordering::Relaxed);
-                    break (0, lsn, epoch0, Some(e));
-                }
+                res => res,
+            };
+            // Commit-point fence: if a concurrent promotion moved the
+            // epoch (or the primary pointer) while we were applying, our
+            // apply is an unstamped orphan — the group never logged it.
+            // Self-demote into the conservative resync path (which
+            // discards it) and surface the typed fence instead of acking
+            // a write the new primary will never have, or stamping the
+            // log under a stale epoch.
+            if slot.epoch() != epoch0 || slot.primary_idx() != pidx {
+                drop(eng);
+                prim.mark_suspect();
+                slot.fenced.inc();
+                return Err(StorageError::Fenced {
+                    shard,
+                    epoch: epoch0,
+                });
             }
+            // A maintenance fault on a live primary leaves the uncharged
+            // base effect durable and the dirty marks set, so the delta
+            // still ships before the error surfaces.
+            let delta = commit(slot, prim, &mut eng, op, epoch0);
+            break match res {
+                Ok(n) => (n, delta, None),
+                Err(e) => (0, delta, Some(e)),
+            };
         };
         slot.updates.inc();
         // Commit point: the op is applied and log-stamped. Tap the
         // stream before fan-out so a front cache is invalidated before
         // any client can observe this write's acknowledgement.
-        slot.notify_delta(epoch, lsn, &op);
-        total_ms += self.fan_out(slot, &ShippedDelta::new(epoch, lsn, op), c);
+        slot.notify_delta(&delta);
+        total_ms += self.fan_out(slot, delta.epoch, delta.lsn, c);
         match maint_err {
             Some(e) => Err(e),
             None => Ok((n, total_ms)),
@@ -1367,18 +1302,12 @@ impl ShardedEngine {
                     // No fence trap here: the delete-take is half of a
                     // cross-shard move, and rejecting it after the take
                     // (or fencing the other half) could strand the row.
-                    let epoch = slot.epoch();
-                    let lsn = slot
-                        .log
-                        .lock()
-                        .append(DeltaOp::Delete(keys.to_vec()), epoch);
-                    eng.note_applied_lsn(lsn);
-                    prim.applied.store(lsn, Ordering::Relaxed);
+                    let op = DeltaOp::Delete(keys.to_vec());
+                    let delta = commit(slot, prim, &mut eng, op, slot.epoch());
                     drop(eng);
                     slot.updates.inc();
-                    let delta = ShippedDelta::new(epoch, lsn, DeltaOp::Delete(keys.to_vec()));
-                    slot.notify_delta(epoch, lsn, &delta.op);
-                    total_ms += self.fan_out(slot, &delta, c);
+                    slot.notify_delta(&delta);
+                    total_ms += self.fan_out(slot, delta.epoch, delta.lsn, c);
                     return (taken, total_ms, res);
                 }
             }
@@ -1506,18 +1435,18 @@ impl ShardedEngine {
         Ok((modified, total_ms))
     }
 
+    /// The shards a command names: one, or every shard with `None`.
+    fn covered(&self, shard: Option<usize>) -> Range<usize> {
+        shard.map_or(0..self.slots.len(), |s| s..s + 1)
+    }
+
     /// Crash one shard's **primary** (or every shard's, with `None`).
     /// When the group has a live follower, the freshest one is promoted
     /// immediately — the supervised-failover path for an operator-
     /// injected crash — and the service keeps answering; the crashed
     /// ex-primary rejoins on [`ShardedEngine::recover`].
     pub fn crash(&self, shard: Option<usize>) {
-        let ids: Vec<usize> = match shard {
-            Some(s) => vec![s],
-            None => (0..self.slots.len()).collect(),
-        };
-        for s in ids {
-            let slot = &self.slots[s];
+        for slot in &self.slots[self.covered(shard)] {
             // Serialize with in-flight commits: a promotion between a
             // commit's log stamp and its fan-out would leave the new
             // primary refusing (as stale) a ship the log already holds.
@@ -1545,12 +1474,7 @@ impl ShardedEngine {
         let slot = &self.slots[shard];
         let _m = slot.mutation.lock();
         let pidx = slot.primary_idx();
-        let Some(best) = slot
-            .replicas
-            .iter()
-            .filter(|r| r.idx != pidx && r.is_alive())
-            .max_by_key(|r| r.applied_lsn())
-        else {
+        let Some(best) = slot.freshest_follower(pidx) else {
             return Err(format!("shard {shard} has no live follower to promote"));
         };
         let old_crashed = slot.replicas[pidx].engine.read().is_crashed();
@@ -1575,11 +1499,7 @@ impl ShardedEngine {
     /// one outcome per covered shard — the primary's when it actually
     /// recovered, else the first replica that did, else `NotCrashed`.
     pub fn recover(&self, shard: Option<usize>) -> Vec<(usize, RecoveryOutcome)> {
-        let ids: Vec<usize> = match shard {
-            Some(s) => vec![s],
-            None => (0..self.slots.len()).collect(),
-        };
-        ids.into_iter()
+        self.covered(shard)
             .map(|s| (s, self.recover_group(s)))
             .collect()
     }
@@ -1628,13 +1548,8 @@ impl ShardedEngine {
     /// truncated past its position or its stream position is ambiguous.
     /// Returns one report per replica resynced.
     pub fn resync(&self, shard: Option<usize>) -> Result<Vec<ResyncReport>> {
-        let ids: Vec<usize> = match shard {
-            Some(s) => vec![s],
-            None => (0..self.slots.len()).collect(),
-        };
         let mut reports = Vec::new();
-        for s in ids {
-            let slot = &self.slots[s];
+        for slot in &self.slots[self.covered(shard)] {
             let _m = slot.mutation.lock();
             let pidx = slot.primary_idx();
             let target = slot.log.lock().last_lsn();
@@ -1658,56 +1573,41 @@ impl ShardedEngine {
 
     /// Catch one replica up to the shard's log head. Caller holds the
     /// shard's mutation lock and has already recovered the engine.
-    fn resync_replica(&self, slot: &ShardSlot, rep: &Arc<Replica>) -> Result<ResyncReport> {
+    fn resync_replica(&self, slot: &ShardSlot, rep: &Replica) -> Result<ResyncReport> {
         let target = slot.log.lock().last_lsn();
-        // Parked chaos deliveries are superseded by the log replay below
-        // (everything parked is logged), and a fenced replica rejoining
-        // the group must adopt the current epoch.
-        rep.inbox.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        let mut replayed = 0usize;
-        let mut full = rep.needs_full_resync.load(Ordering::Relaxed);
-        if !full {
-            let from = rep.engine.read().applied_lsn();
-            match slot.log.lock().tail_after(from) {
-                Some(tail) => {
-                    let mut eng = rep.engine.write();
-                    for d in &tail {
-                        let res = eng.apply_delta_op(&d.op);
-                        if res.is_err() && eng.is_crashed() {
-                            // Died mid-replay: position ambiguous again.
-                            let _ = eng.recover();
-                            full = true;
-                            break;
-                        }
-                        // A plain maintenance fault leaves the base effect
-                        // durable and the derived state dirty-marked —
-                        // the replay position is still exact.
-                        eng.note_applied_lsn(d.lsn);
-                        replayed += 1;
-                    }
-                }
-                None => full = true, // truncated past this replica
-            }
-        }
-        if full {
-            let snapshot = self.scan_r1_of(&slot.replicas[slot.primary_idx()].engine.read())?;
-            let mut eng = rep.engine.write();
-            eng.install_r1_snapshot(&snapshot.decode())?;
-            eng.note_applied_lsn(target);
-            slot.resync_full.inc();
+        let replayed = if rep.needs_full_resync.load(Ordering::Relaxed) {
+            None
         } else {
-            slot.resync_replayed.add(replayed as u64);
+            match advance(slot, rep, target) {
+                Advance::CaughtUp { applied, .. } => Some(applied),
+                Advance::Truncated => None,
+                Advance::Died => {
+                    let _ = rep.engine.write().recover();
+                    None
+                }
+            }
+        };
+        match replayed {
+            Some(n) => slot.resync_replayed.add(n as u64),
+            None => {
+                let snapshot = self.scan_r1_of(&slot.replicas[slot.primary_idx()].engine.read())?;
+                let mut eng = rep.engine.write();
+                eng.install_r1_snapshot(&snapshot.decode())?;
+                eng.note_applied_lsn(target);
+                slot.resync_full.inc();
+            }
         }
         rep.applied
             .store(rep.engine.read().applied_lsn(), Ordering::Relaxed);
         rep.needs_full_resync.store(false, Ordering::Relaxed);
+        // A fenced replica rejoining the group adopts the current epoch.
         rep.note_epoch(slot.epoch());
         rep.alive.store(true, Ordering::Relaxed);
         Ok(ResyncReport {
             shard: slot.id,
             replica: rep.idx,
-            replayed,
-            full_rebuild: full,
+            replayed: replayed.unwrap_or(0),
+            full_rebuild: replayed.is_none(),
         })
     }
 
@@ -1848,7 +1748,36 @@ mod tests {
     use procdb_avm::ViewDef;
     use procdb_core::{EngineOptions, ProcedureDef};
     use procdb_query::{Catalog, FieldType, Organization, Predicate, Schema, Table};
-    use procdb_storage::{Pager, PagerConfig};
+    use procdb_storage::{AccountingMode, Pager, PagerConfig};
+
+    /// An engine over `R1(k)` loaded with keys `0..rows`, one procedure
+    /// per `(lo, hi)` key window. Physical accounting, so a base write is
+    /// flushed before the update returns and survives a crash.
+    fn engine(kind: StrategyKind, rows: i64, windows: &[(i64, i64)]) -> Result<Engine> {
+        let mode = AccountingMode::Physical;
+        let pager = Pager::new(PagerConfig {
+            mode,
+            ..PagerConfig::default()
+        });
+        let schema = Schema::new(vec![("k", FieldType::Int)]);
+        let org = Organization::BTree { key_field: 0 };
+        let mut r1 = Table::create(pager.clone(), "R1", schema, org, 0)?;
+        for k in 0..rows {
+            r1.insert(&vec![Value::Int(k)])?;
+        }
+        let mut cat = Catalog::new();
+        cat.add(r1);
+        let procs = (0..).zip(windows).map(|(i, &(lo, hi))| {
+            let selection = Predicate::int_range(0, lo, hi);
+            let view = ViewDef {
+                base: "R1".into(),
+                selection,
+                joins: vec![],
+            };
+            ProcedureDef::new(i, format!("p{i}"), view)
+        });
+        Engine::new(pager, cat, procs.collect(), kind, EngineOptions::default())
+    }
 
     /// One shard, one replica, cache-and-invalidate over `R1(k)` with one
     /// selection: its cache starts invalid, so the first access must
@@ -1856,25 +1785,94 @@ mod tests {
     fn invalid_ci_engine() -> ShardedEngine {
         let router = Router::split(1, 0..8, &[]);
         ShardedEngine::new(router, |_| {
-            let pager = Pager::new(PagerConfig::default());
-            let schema = Schema::new(vec![("k", FieldType::Int)]);
-            let org = Organization::BTree { key_field: 0 };
-            let mut r1 = Table::create(pager.clone(), "R1", schema, org, 0)?;
-            for k in 0..8 {
-                r1.insert(&vec![Value::Int(k)])?;
-            }
-            let mut cat = Catalog::new();
-            cat.add(r1);
-            let view = ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 2, 5),
-                joins: vec![],
-            };
-            let procs = vec![ProcedureDef::new(0, "p".to_string(), view)];
-            let opts = EngineOptions::default();
-            Engine::new(pager, cat, procs, StrategyKind::CacheInvalidate, opts)
+            engine(StrategyKind::CacheInvalidate, 8, &[(2, 5)])
         })
         .unwrap()
+    }
+
+    /// A chaos hold withholds a notification; a promotion must still
+    /// bring the new primary to the log head. Every ship is held here,
+    /// so the promoted follower has applied nothing when the primary
+    /// crashes. Then a duplicated notification applies nothing twice,
+    /// and a stale-epoch one applies nothing at all.
+    #[test]
+    fn promotion_advances_past_withheld_notifications() {
+        const WINDOWS: [(i64, i64); 3] = [(0, 9), (8, 30), (20, 60)];
+        let c = CostConstants::default();
+        for kind in StrategyKind::ALL {
+            let build = || engine(kind, 32, &WINDOWS);
+            let router = Router::split(1, 0..32, &[]);
+            let sharded = ShardedEngine::new_replicated(router, 3, |_, _| build()).unwrap();
+            let mut oracle = build().unwrap();
+            let slot = &sharded.slots[0];
+            let mut run = |plan: ChaosPlan, pairs: &[(i64, i64)]| {
+                sharded.install_chaos(plan);
+                for &pair in pairs {
+                    oracle.apply_update(&[pair]).unwrap();
+                    sharded.apply_update(&[pair], &c).unwrap();
+                }
+                for i in 0..WINDOWS.len() {
+                    let want = oracle.access(i).unwrap().normalized();
+                    assert_eq!(
+                        sharded.access(i, &c).unwrap().0.normalized(),
+                        want,
+                        "{kind}"
+                    );
+                }
+            };
+            let lsns = || {
+                slot.replicas
+                    .iter()
+                    .map(|r| r.applied_lsn())
+                    .collect::<Vec<_>>()
+            };
+
+            let held = [(1, 40), (9, 3), (12, 50), (40, 2), (25, 7)];
+            run(ChaosPlan::new(1).reorders(1.0), &held);
+            assert_eq!(lsns(), [5, 0, 0], "{kind}: every notification withheld");
+            sharded.crash(Some(0)); // the access below reads the promoted follower
+            let p = sharded.primary_of(0);
+            assert!(p != 0 && lsns()[p] == 5, "{kind}: promoted at {:?}", lsns());
+            run(ChaosPlan::new(1), &[]);
+
+            sharded.recover(Some(0));
+            assert_eq!(lsns(), [5, 5, 5], "{kind}: healed");
+            let applied = slot.replica_applied.get();
+            let duplicated = [(3, 70), (70, 4), (30, 31)];
+            run(ChaosPlan::new(1).duplicates(1.0), &duplicated);
+            let followers = slot.replicas.len() as u64 - 1;
+            let once = duplicated.len() as u64 * followers;
+            assert_eq!(slot.replica_applied.get() - applied, once, "{kind}");
+
+            // One more withheld op leaves both followers one entry behind.
+            run(ChaosPlan::new(1).reorders(1.0), &[(31, 5)]);
+            let f = &slot.replicas[if p == 1 { 2 } else { 1 }];
+            let epoch = slot.epoch();
+            assert!(
+                notify(slot, f, epoch - 1, 9).is_none(),
+                "{kind}: stale epoch"
+            );
+            assert_eq!(f.applied_lsn(), 8, "{kind}: a stale epoch applied");
+            let caught_up = notify(slot, f, epoch, 9);
+            assert!(matches!(
+                caught_up,
+                Some(Advance::CaughtUp { applied: 1, .. })
+            ));
+            let r1 = |rep: &Replica| sharded.scan_r1_of(&rep.engine.read()).unwrap();
+            assert_eq!(r1(f).normalized(), r1(&slot.replicas[p]).normalized());
+
+            // Withheld past the log's retention: the next notification
+            // finds the follower's entry gone and installs the snapshot.
+            sharded.set_delta_log_cap(2);
+            run(
+                ChaosPlan::new(1).reorders(1.0),
+                &[(5, 80), (80, 6), (6, 81)],
+            );
+            let full = slot.resync_full.get();
+            run(ChaosPlan::new(1), &[(81, 9)]);
+            assert_eq!(slot.resync_full.get() - full, 2, "{kind}: both followers");
+            assert_eq!(lsns(), [13, 13, 13], "{kind}: live at the head");
+        }
     }
 
     #[test]

@@ -36,11 +36,10 @@ impl PageId {
 }
 
 struct DiskFile {
-    name: String,
     pages: Vec<Page>,
 }
 
-/// An in-memory simulated disk of named files of fixed-size pages.
+/// An in-memory simulated disk of files of fixed-size pages.
 pub struct Disk {
     page_size: usize,
     files: Vec<Option<DiskFile>>,
@@ -59,12 +58,9 @@ impl Disk {
     }
 
     /// Create a new empty file and return its id.
-    pub fn create_file(&mut self, name: &str) -> FileId {
+    pub fn create_file(&mut self) -> FileId {
         let id = FileId(self.files.len() as u32);
-        self.files.push(Some(DiskFile {
-            name: name.to_string(),
-            pages: Vec::new(),
-        }));
+        self.files.push(Some(DiskFile { pages: Vec::new() }));
         id
     }
 
@@ -92,11 +88,6 @@ impl Disk {
             .get_mut(file.0 as usize)
             .and_then(|f| f.as_mut())
             .ok_or(StorageError::UnknownFile(file))
-    }
-
-    /// The file's human-readable name.
-    pub fn file_name(&self, file: FileId) -> Result<&str> {
-        Ok(&self.file(file)?.name)
     }
 
     /// Number of allocated pages in the file.
@@ -133,15 +124,6 @@ impl Disk {
         Arc::make_mut(page).copy_from_slice(data);
         Ok(())
     }
-
-    /// All live file ids.
-    pub fn files(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.files
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.is_some())
-            .map(|(i, _)| FileId(i as u32))
-    }
 }
 
 #[cfg(test)]
@@ -151,8 +133,7 @@ mod tests {
     #[test]
     fn create_allocate_read_write() {
         let mut d = Disk::new(256);
-        let f = d.create_file("r1");
-        assert_eq!(d.file_name(f).unwrap(), "r1");
+        let f = d.create_file();
         assert_eq!(d.page_count(f).unwrap(), 0);
         let p0 = d.allocate_page(f).unwrap();
         let p1 = d.allocate_page(f).unwrap();
@@ -170,7 +151,7 @@ mod tests {
     #[test]
     fn unknown_ids_error() {
         let mut d = Disk::new(256);
-        let f = d.create_file("x");
+        let f = d.create_file();
         assert!(matches!(
             d.read_page(PageId::new(f, 9)),
             Err(StorageError::UnknownPage(_))
@@ -184,31 +165,21 @@ mod tests {
     #[test]
     fn drop_file_frees_and_errors_after() {
         let mut d = Disk::new(256);
-        let f = d.create_file("t");
+        let f = d.create_file();
         let p = d.allocate_page(f).unwrap();
         d.drop_file(f).unwrap();
         assert!(d.read_page(p).is_err());
         assert!(d.drop_file(f).is_err());
         // Ids are not reused.
-        let g = d.create_file("u");
+        let g = d.create_file();
         assert_ne!(f, g);
-    }
-
-    #[test]
-    fn files_iterator_skips_dropped() {
-        let mut d = Disk::new(128);
-        let a = d.create_file("a");
-        let b = d.create_file("b");
-        d.drop_file(a).unwrap();
-        let live: Vec<_> = d.files().collect();
-        assert_eq!(live, vec![b]);
     }
 
     #[test]
     #[should_panic]
     fn short_page_write_panics() {
         let mut d = Disk::new(256);
-        let f = d.create_file("z");
+        let f = d.create_file();
         let p = d.allocate_page(f).unwrap();
         d.write_page(p, &[0u8; 10]).unwrap();
     }

@@ -131,8 +131,8 @@ pub struct HeapFile {
 
 impl HeapFile {
     /// Create a fresh, empty heap file.
-    pub fn create(pager: Arc<Pager>, name: &str) -> HeapFile {
-        let file = pager.create_file(name);
+    pub fn create(pager: Arc<Pager>) -> HeapFile {
+        let file = pager.create_file();
         HeapFile {
             pager,
             file,
@@ -426,7 +426,7 @@ mod tests {
 
     #[test]
     fn insert_get_roundtrip() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         let a = h.insert(b"alpha").unwrap();
         let b = h.insert(b"beta").unwrap();
         assert_eq!(h.get(a).unwrap(), b"alpha");
@@ -436,7 +436,7 @@ mod tests {
 
     #[test]
     fn records_spill_to_new_pages() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         for i in 0..50u32 {
             h.insert(&i.to_le_bytes().repeat(8)).unwrap(); // 32-byte records
         }
@@ -448,7 +448,7 @@ mod tests {
 
     #[test]
     fn delete_frees_space_for_reuse() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         let rids: Vec<Rid> = (0..6).map(|_| h.insert(&[1u8; 30]).unwrap()).collect();
         let pages_before = h.page_count();
         for r in &rids {
@@ -463,7 +463,7 @@ mod tests {
 
     #[test]
     fn update_in_place_same_size() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         let rid = h.insert(b"12345").unwrap();
         h.update_in_place(rid, b"67890").unwrap();
         assert_eq!(h.get(rid).unwrap(), b"67890");
@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn unknown_rids_error() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         let rid = h.insert(b"x").unwrap();
         h.delete(rid).unwrap();
         assert!(matches!(h.get(rid), Err(StorageError::UnknownRecord(_))));
@@ -482,7 +482,7 @@ mod tests {
 
     #[test]
     fn scan_charges_one_read_per_page() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         for _ in 0..20 {
             h.insert(&[0u8; 50]).unwrap();
         }
@@ -497,7 +497,7 @@ mod tests {
 
     #[test]
     fn clear_keeps_pages_resets_records() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         for _ in 0..20 {
             h.insert(&[0u8; 50]).unwrap();
         }
@@ -523,7 +523,7 @@ mod tests {
             buffer_capacity: 2,
             mode: AccountingMode::Physical,
         });
-        let mut h = HeapFile::create(pg.clone(), "t");
+        let mut h = HeapFile::create(pg.clone());
         let big: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 60]).collect();
         h.rewrite(&big).unwrap();
         assert!(h.page_count() > 1);
@@ -544,7 +544,7 @@ mod tests {
 
     #[test]
     fn rewrite_replaces_contents_and_charges_rmw() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         for _ in 0..20 {
             h.insert(&[1u8; 50]).unwrap();
         }
@@ -570,7 +570,7 @@ mod tests {
 
     #[test]
     fn rewrite_empty_clears() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         h.insert(&[9u8; 30]).unwrap();
         h.rewrite::<&[u8]>(&[]).unwrap();
         assert!(h.is_empty());
@@ -579,7 +579,7 @@ mod tests {
 
     #[test]
     fn oversized_record_rejected() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         assert!(matches!(
             h.insert(&[0u8; 4096]),
             Err(StorageError::RecordTooLarge { .. })
@@ -588,7 +588,7 @@ mod tests {
 
     #[test]
     fn delete_if_eq_compares_inside_one_write() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         let rid = h.insert(b"aaaa").unwrap();
         let before = h.pager().ledger().snapshot();
         assert!(!h.delete_if_eq(rid, b"bbbb").unwrap(), "other bytes stay");
@@ -626,7 +626,7 @@ mod tests {
 
     #[test]
     fn rid_stability_across_other_deletes() {
-        let mut h = HeapFile::create(pager(), "t");
+        let mut h = HeapFile::create(pager());
         let a = h.insert(b"aaaa").unwrap();
         let b = h.insert(b"bbbb").unwrap();
         let c = h.insert(b"cccc").unwrap();

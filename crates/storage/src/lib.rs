@@ -22,7 +22,7 @@
 //! use procdb_storage::{HeapFile, Pager};
 //!
 //! let pager = Pager::new_default();
-//! let mut emp = HeapFile::create(pager.clone(), "EMP");
+//! let mut emp = HeapFile::create(pager.clone());
 //! let rid = emp.insert(b"susan|28|accounting").unwrap();
 //! assert_eq!(emp.get(rid).unwrap(), b"susan|28|accounting");
 //! // Every page touch was counted:

@@ -182,8 +182,8 @@ impl Pager {
     }
 
     /// Create a new file.
-    pub fn create_file(&self, name: &str) -> FileId {
-        self.state.lock().disk.create_file(name)
+    pub fn create_file(&self) -> FileId {
+        self.state.lock().disk.create_file()
     }
 
     /// Drop a file: its frames are discarded, its pages freed.
@@ -469,7 +469,7 @@ mod tests {
     #[test]
     fn logical_mode_charges_every_access() {
         let pager = small_pager(AccountingMode::Logical, 8);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let p = pager.allocate_page(f).unwrap();
         pager.read(p, |_| ()).unwrap();
         pager.read(p, |_| ()).unwrap(); // buffer hit, still charged
@@ -482,7 +482,7 @@ mod tests {
     #[test]
     fn physical_mode_charges_misses_only() {
         let pager = small_pager(AccountingMode::Physical, 8);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let p = pager.allocate_page(f).unwrap();
         pager.read(p, |_| ()).unwrap(); // miss
         pager.read(p, |_| ()).unwrap(); // hit
@@ -497,7 +497,7 @@ mod tests {
     #[test]
     fn physical_mode_eviction_writes_dirty_pages() {
         let pager = small_pager(AccountingMode::Physical, 2);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let pids: Vec<_> = (0..4).map(|_| pager.allocate_page(f).unwrap()).collect();
         for &p in &pids {
             pager.write(p, |d| d[0] = 9).unwrap();
@@ -516,7 +516,7 @@ mod tests {
     #[test]
     fn charging_can_be_suspended() {
         let pager = small_pager(AccountingMode::Logical, 8);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let p = pager.allocate_page(f).unwrap();
         pager.set_charging(false);
         pager.write(p, |d| d[0] = 3).unwrap();
@@ -530,7 +530,7 @@ mod tests {
     #[test]
     fn data_roundtrip_through_buffer() {
         let pager = small_pager(AccountingMode::Logical, 4);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let p = pager.allocate_page(f).unwrap();
         pager
             .write(p, |d| d[..5].copy_from_slice(b"abcde"))
@@ -542,7 +542,7 @@ mod tests {
     #[test]
     fn drop_file_discards_frames() {
         let pager = small_pager(AccountingMode::Logical, 4);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let p = pager.allocate_page(f).unwrap();
         pager.write(p, |d| d[0] = 1).unwrap();
         pager.drop_file(f).unwrap();
@@ -552,7 +552,7 @@ mod tests {
     #[test]
     fn buffer_stats_track_hits_and_faults() {
         let pager = small_pager(AccountingMode::Physical, 8);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let p = pager.allocate_page(f).unwrap();
         assert_eq!(pager.buffer_stats(), (0, 0));
         pager.read(p, |_| ()).unwrap(); // fault
@@ -572,7 +572,7 @@ mod tests {
         let writes0 = reg.counter("procdb_pager_writes_total", &[]).get();
         let flushes0 = reg.counter("procdb_pager_flushes_total", &[]).get();
         let pager = small_pager(AccountingMode::Logical, 8);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let p = pager.allocate_page(f).unwrap();
         pager.write(p, |d| d[0] = 1).unwrap();
         pager.read(p, |_| ()).unwrap();
@@ -587,7 +587,7 @@ mod tests {
     #[test]
     fn injected_read_failure_surfaces_as_io_error() {
         let pager = small_pager(AccountingMode::Physical, 8);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let p = pager.allocate_page(f).unwrap();
         pager.install_faults(crate::fault::FaultPlan::new(3).fail_window(1, 2));
         assert!(matches!(
@@ -601,7 +601,7 @@ mod tests {
     #[test]
     fn uncharged_transfers_are_immune_by_default() {
         let pager = small_pager(AccountingMode::Physical, 8);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let p = pager.allocate_page(f).unwrap();
         pager.install_faults(crate::fault::FaultPlan::new(3).fail_window(1, u64::MAX));
         pager.set_charging(false);
@@ -617,7 +617,7 @@ mod tests {
         // injected failure during eviction write-back must surface as an
         // error, and the pager must keep serving afterwards.
         let pager = small_pager(AccountingMode::Physical, 2);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let pids: Vec<_> = (0..4).map(|_| pager.allocate_page(f).unwrap()).collect();
         pager.write(pids[0], |d| d[0] = 1).unwrap();
         pager.write(pids[1], |d| d[0] = 2).unwrap();
@@ -637,7 +637,7 @@ mod tests {
     #[test]
     fn torn_write_leaves_partial_page_on_disk() {
         let pager = small_pager(AccountingMode::Physical, 8);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let p = pager.allocate_page(f).unwrap();
         pager.write(p, |d| d.fill(0xAA)).unwrap();
         pager.flush().unwrap();
@@ -658,7 +658,7 @@ mod tests {
     #[test]
     fn kill_point_fails_all_transfers_until_recovery() {
         let pager = small_pager(AccountingMode::Physical, 8);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         let p = pager.allocate_page(f).unwrap();
         pager.write(p, |d| d[0] = 1).unwrap();
         pager.flush().unwrap();
@@ -681,7 +681,7 @@ mod tests {
     #[test]
     fn pages_are_shared_and_copied_on_write() {
         let pager = small_pager(AccountingMode::Physical, 8);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         // Both fresh pages share the disk's one zeroed page.
         let p = pager.allocate_page(f).unwrap();
         let q = pager.allocate_page(f).unwrap();
@@ -706,7 +706,7 @@ mod tests {
     #[test]
     fn page_count_tracks_allocation() {
         let pager = small_pager(AccountingMode::Logical, 4);
-        let f = pager.create_file("t");
+        let f = pager.create_file();
         assert_eq!(pager.page_count(f).unwrap(), 0);
         pager.allocate_page(f).unwrap();
         pager.allocate_page(f).unwrap();

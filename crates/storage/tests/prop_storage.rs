@@ -101,7 +101,7 @@ proptest! {
             buffer_capacity: 64,
             mode: procdb_storage::AccountingMode::Logical,
         });
-        let mut heap = HeapFile::create(pager, "h");
+        let mut heap = HeapFile::create(pager);
         heap.rewrite(&first).unwrap();
         heap.rewrite(&second).unwrap();
         let mut scanned: Vec<Vec<u8>> = heap
@@ -125,7 +125,7 @@ fn check_heap_matches_model(ops: Vec<Option<Vec<u8>>>, seed: u64) -> TestCaseRes
         buffer_capacity: 64,
         mode: procdb_storage::AccountingMode::Logical,
     });
-    let mut heap = HeapFile::create(pager, "h");
+    let mut heap = HeapFile::create(pager);
     let mut live: Vec<(procdb_storage::Rid, Vec<u8>)> = Vec::new();
     let mut rng = seed;
     for op in ops {

@@ -51,13 +51,7 @@ fn main() {
         selection: Predicate::always(),
         joins: vec![],
     };
-    let mut dash = AggregateView::new(
-        pager.clone(),
-        "payroll-dashboard",
-        def,
-        1,
-        AggFn::CountAndSum { field: 2 },
-    );
+    let mut dash = AggregateView::new(pager.clone(), def, 1, AggFn::CountAndSum { field: 2 });
     pager.set_charging(false);
     dash.recompute_full(&catalog).unwrap();
     pager.set_charging(true);

@@ -95,7 +95,7 @@ fn row(i: i64) -> Tuple {
 #[test]
 fn indexes_add_far_fewer_blocks_than_tuples() {
     // Rete memory: N tuples, N distinct probe keys.
-    let mut memory = MemoryStore::new(pager(), "mem", schema(), 0);
+    let mut memory = MemoryStore::new(pager(), schema(), 0);
     let before = live_blocks();
     for i in 0..N {
         memory.insert(&row(i)).unwrap();
@@ -127,7 +127,7 @@ fn indexes_add_far_fewer_blocks_than_tuples() {
         selection: Predicate::always(),
         joins: vec![],
     };
-    let mut view = MaterializedView::new(pg, "v", def, &cat);
+    let mut view = MaterializedView::new(pg, def, &cat);
     let before = live_blocks();
     view.recompute_full(&cat).unwrap();
     let grown = live_blocks() - before;

@@ -23,202 +23,29 @@
 //!   ex-primary as a follower at the new epoch; it never resurrects it
 //!   as primary and never panics, even racing fenced writes.
 
+mod common;
+
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use procdb::avm::{JoinStep, ViewDef};
-use procdb::core::{Engine, EngineOptions, ProcedureDef, StrategyKind};
-use procdb::query::{
-    Catalog, CompOp, FieldType, Organization, Predicate, Schema, Table, Term, Value,
+use common::{
+    assert_groups_consistent, assert_matches_oracle, build_engine, build_replicated, join, next,
+    selection, KEY_SPACE, R1_ROWS,
 };
-use procdb::shard::{ChaosPlan, ReplicaRole, Router, ShardedEngine};
-use procdb::storage::{AccountingMode, CostConstants, Pager, PagerConfig, StorageError};
-
-const R1_ROWS: i64 = 120;
-const R2_ROWS: i64 = 20;
-const KEY_SPACE: i64 = 240;
+use procdb::core::{ProcedureDef, StrategyKind};
+use procdb::shard::{ChaosPlan, ShardedEngine};
+use procdb::storage::{CostConstants, StorageError};
 
 /// Bound on fenced-write retries per update: each fence fires at most
 /// once per live follower (firing downs the then-primary), so a bound
 /// far above the replica count means "stuck" and fails loudly.
 const MAX_FENCE_RETRIES: usize = 64;
 
-/// One splitmix64 step; deterministic schedule choices per seed.
-fn next(rng: &mut u64) -> u64 {
-    let out = procdb_obs::splitmix64(*rng);
-    *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    out
-}
-
 /// The procedures every engine registers: a selection and a join.
 fn procs() -> Vec<ProcedureDef> {
-    vec![
-        ProcedureDef::new(
-            0,
-            "p1".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 10, 79),
-                joins: vec![],
-            },
-        ),
-        ProcedureDef::new(
-            1,
-            "p2".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 0, 149),
-                joins: vec![JoinStep {
-                    inner: "R2".into(),
-                    outer_key_field: 1,
-                    residual: Predicate {
-                        terms: vec![Term::new(4, CompOp::Eq, 0i64)],
-                    },
-                }],
-            },
-        ),
-    ]
-}
-
-/// `R1(skey, a)` holding exactly `keys` plus the replicated inner
-/// `R2(b, c, f2sel)` — the same fixture as the replica-failover fuzz,
-/// so every replica of a group is built identically.
-fn build_engine(kind: StrategyKind, keys: &[i64], shard: Option<u32>) -> Engine {
-    let pager = Pager::new(PagerConfig {
-        page_size: 512,
-        buffer_capacity: 4096,
-        mode: AccountingMode::Physical,
-    });
-    pager.set_charging(false);
-    let r1s = Schema::new(vec![("skey", FieldType::Int), ("a", FieldType::Int)]);
-    let r2s = Schema::new(vec![
-        ("b", FieldType::Int),
-        ("c", FieldType::Int),
-        ("f2sel", FieldType::Int),
-    ]);
-    let mut r1 = Table::create(
-        pager.clone(),
-        "R1",
-        r1s,
-        Organization::BTree { key_field: 0 },
-        0,
-    )
-    .unwrap();
-    let mut r2 = Table::create(
-        pager.clone(),
-        "R2",
-        r2s,
-        Organization::Hash { key_field: 0 },
-        R2_ROWS as usize,
-    )
-    .unwrap();
-    for &k in keys {
-        r1.insert(&vec![Value::Int(k), Value::Int(k % R2_ROWS)])
-            .unwrap();
-    }
-    for j in 0..R2_ROWS {
-        r2.insert(&vec![Value::Int(j), Value::Int(j % 10), Value::Int(j % 3)])
-            .unwrap();
-    }
-    let mut cat = Catalog::new();
-    cat.add(r1);
-    cat.add(r2);
-    pager.ledger().reset();
-    pager.set_charging(true);
-    Engine::new(
-        Arc::clone(&pager),
-        cat,
-        procs(),
-        kind,
-        EngineOptions {
-            shard,
-            ..EngineOptions::default()
-        },
-    )
-    .unwrap()
-}
-
-/// Range-place `R1` the way the engine does — over the loaded keys and
-/// the procedures' key windows — and load each group its slice.
-fn build_replicated(kind: StrategyKind, shards: usize, replicas: usize) -> ShardedEngine {
-    let keys: Vec<i64> = (0..R1_ROWS).collect();
-    let procs = procs();
-    let router = Router::split_for(
-        shards,
-        keys.iter().copied(),
-        procs.iter().map(|p| &p.view.selection),
-        0,
-    );
-    ShardedEngine::new_replicated(router.clone(), replicas, |sid, _rid| {
-        let slice: Vec<i64> = keys
-            .iter()
-            .copied()
-            .filter(|&k| router.shard_of(k) == sid)
-            .collect();
-        Ok::<Engine, String>(build_engine(kind, &slice, Some(sid as u32)))
-    })
-    .unwrap()
-}
-
-fn assert_matches_oracle(
-    oracle: &mut Engine,
-    sharded: &ShardedEngine,
-    c: &CostConstants,
-    ctx: &str,
-) {
-    for i in 0..2 {
-        let expect = oracle.access(i).unwrap();
-        let (got, _ms) = sharded.access(i, c).unwrap();
-        assert_eq!(
-            got.normalized(),
-            expect.normalized(),
-            "{ctx}: chaos-injected access diverged on proc {i}"
-        );
-    }
-}
-
-/// Every live replica of every group answers exactly like a fresh
-/// rebuild of its slice and like its primary (the replica-failover
-/// invariant, re-checked after a chaos run heals).
-fn assert_groups_consistent(sharded: &ShardedEngine, ctx: &str) {
-    for st in sharded.shard_stats() {
-        let s = st.shard;
-        let primary = st.primary_replica;
-        for rs in &st.replica_status {
-            assert_ne!(
-                rs.role,
-                ReplicaRole::Down,
-                "{ctx}: shard {s} replica {} still down after resync",
-                rs.replica
-            );
-            for i in 0..2 {
-                let (norm_got, norm_here) = sharded.with_replica_engine_mut(s, rs.replica, |e| {
-                    let got = e.access(i).unwrap();
-                    let expect = e.expected_rows(i).unwrap();
-                    (got.normalized(), expect.normalized())
-                });
-                assert_eq!(
-                    norm_got, norm_here,
-                    "{ctx}: shard {s} replica {} proc {i} diverged from its own fresh recompute",
-                    rs.replica
-                );
-                let norm_primary = sharded
-                    .with_replica_engine_mut(s, primary, |e| {
-                        e.expected_rows(i).map(|r| r.normalized())
-                    })
-                    .unwrap();
-                assert_eq!(
-                    norm_here, norm_primary,
-                    "{ctx}: shard {s} replica {} proc {i} holds different base data \
-                     than the primary after the chaos run healed",
-                    rs.replica
-                );
-            }
-        }
-    }
+    vec![selection(0, "p1", 10, 79), join(1, "p2")]
 }
 
 /// Apply one re-keying update through the cluster, retrying the typed
@@ -253,8 +80,8 @@ fn apply_with_fence_retry(
 fn run_chaos_schedule(kind: StrategyKind, shards: usize, replicas: usize, schedule_seed: u64) {
     let c = CostConstants::default();
     let keys: Vec<i64> = (0..R1_ROWS).collect();
-    let mut oracle = build_engine(kind, &keys, None);
-    let sharded = build_replicated(kind, shards, replicas);
+    let mut oracle = build_engine(kind, &keys, None, &procs());
+    let sharded = build_replicated(kind, shards, replicas, &procs());
     // A third of the runs shrink the delta log so chaos-induced lag
     // (dropped ships) pushes resync onto the conservative full-rebuild
     // path, not just tail replay.
@@ -385,7 +212,7 @@ proptest! {
 /// the same instant — whoever wins, the epoch moves by one.
 #[test]
 fn concurrent_promote_and_supervisor_tick_bump_the_epoch_exactly_once() {
-    let sharded = build_replicated(StrategyKind::CacheInvalidate, 1, 3);
+    let sharded = build_replicated(StrategyKind::CacheInvalidate, 1, 3, &procs());
     sharded.warm_up().unwrap();
     let pidx = sharded.primary_of(0);
     let epoch0 = sharded.epoch_of(0);
@@ -452,7 +279,7 @@ fn concurrent_promote_and_supervisor_tick_bump_the_epoch_exactly_once() {
 #[test]
 fn resync_mid_failover_rejoins_the_fenced_ex_primary_as_follower() {
     let c = CostConstants::default();
-    let sharded = build_replicated(StrategyKind::UpdateCacheRvm, 1, 3);
+    let sharded = build_replicated(StrategyKind::UpdateCacheRvm, 1, 3, &procs());
     sharded.warm_up().unwrap();
     let epoch0 = sharded.epoch_of(0);
     let old_primary = sharded.primary_of(0);
@@ -511,7 +338,7 @@ fn resync_mid_failover_rejoins_the_fenced_ex_primary_as_follower() {
 #[test]
 fn a_fence_without_a_live_follower_cannot_fire() {
     let c = CostConstants::default();
-    let sharded = build_replicated(StrategyKind::CacheInvalidate, 1, 2);
+    let sharded = build_replicated(StrategyKind::CacheInvalidate, 1, 2, &procs());
     sharded.warm_up().unwrap();
     sharded.install_chaos(ChaosPlan::new(23).fences(1.0));
     // First write: fenced (the lone follower is promoted, the
@@ -534,7 +361,7 @@ fn a_fence_without_a_live_follower_cannot_fire() {
 #[test]
 fn resync_racing_fenced_writes_never_panics() {
     let c = CostConstants::default();
-    let sharded = build_replicated(StrategyKind::CacheInvalidate, 1, 3);
+    let sharded = build_replicated(StrategyKind::CacheInvalidate, 1, 3, &procs());
     sharded.warm_up().unwrap();
     sharded.install_chaos(
         ChaosPlan::new(47)

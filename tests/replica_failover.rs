@@ -22,223 +22,35 @@
 //!
 //! The per-shard slices come from the engine's own range placement.
 
-use std::sync::Arc;
+mod common;
 
 use proptest::prelude::*;
 
-use procdb::avm::{JoinStep, ViewDef};
-use procdb::core::{Engine, EngineOptions, ProcedureDef, StrategyKind};
-use procdb::query::{
-    Catalog, CompOp, FieldType, Organization, Predicate, Schema, Table, Term, Value,
+use common::{
+    assert_groups_consistent, assert_matches_oracle, build_engine, build_replicated, join, next,
+    selection, KEY_SPACE, R1_ROWS,
 };
-use procdb::shard::{ReplicaRole, Router, ShardedEngine};
-use procdb::storage::{AccountingMode, CostConstants, FaultPlan, Pager, PagerConfig};
-
-const R1_ROWS: i64 = 120;
-const R2_ROWS: i64 = 20;
-const KEY_SPACE: i64 = 240;
-
-/// One splitmix64 step; deterministic schedule choices per seed.
-fn next(rng: &mut u64) -> u64 {
-    let out = procdb_obs::splitmix64(*rng);
-    *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    out
-}
+use procdb::core::{ProcedureDef, StrategyKind};
+use procdb::query::Value;
+use procdb::storage::{CostConstants, FaultPlan};
 
 /// The procedures every engine registers: `p1` and `p2` cross the
 /// split, `p3` fits in one shard (shard 0 when `S = 2`).
 fn procs() -> Vec<ProcedureDef> {
     vec![
-        ProcedureDef::new(
-            0,
-            "p1".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 10, 79),
-                joins: vec![],
-            },
-        ),
-        ProcedureDef::new(
-            1,
-            "p2".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 0, 149),
-                joins: vec![JoinStep {
-                    inner: "R2".into(),
-                    outer_key_field: 1,
-                    residual: Predicate {
-                        terms: vec![Term::new(4, CompOp::Eq, 0i64)],
-                    },
-                }],
-            },
-        ),
-        ProcedureDef::new(
-            2,
-            "p3".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 30, 49),
-                joins: vec![],
-            },
-        ),
+        selection(0, "p1", 10, 79),
+        join(1, "p2"),
+        selection(2, "p3", 30, 49),
     ]
 }
 
 const N_PROCS: usize = 3;
 
-/// `R1(skey, a)` holding exactly `keys` plus the replicated inner
-/// `R2(b, c, f2sel)` — the same fixture as the shard-equivalence fuzz,
-/// so every replica of a group is built identically.
-fn build_engine(kind: StrategyKind, keys: &[i64], shard: Option<u32>) -> Engine {
-    let pager = Pager::new(PagerConfig {
-        page_size: 512,
-        buffer_capacity: 4096,
-        mode: AccountingMode::Physical,
-    });
-    pager.set_charging(false);
-    let r1s = Schema::new(vec![("skey", FieldType::Int), ("a", FieldType::Int)]);
-    let r2s = Schema::new(vec![
-        ("b", FieldType::Int),
-        ("c", FieldType::Int),
-        ("f2sel", FieldType::Int),
-    ]);
-    let mut r1 = Table::create(
-        pager.clone(),
-        "R1",
-        r1s,
-        Organization::BTree { key_field: 0 },
-        0,
-    )
-    .unwrap();
-    let mut r2 = Table::create(
-        pager.clone(),
-        "R2",
-        r2s,
-        Organization::Hash { key_field: 0 },
-        R2_ROWS as usize,
-    )
-    .unwrap();
-    for &k in keys {
-        r1.insert(&vec![Value::Int(k), Value::Int(k % R2_ROWS)])
-            .unwrap();
-    }
-    for j in 0..R2_ROWS {
-        r2.insert(&vec![Value::Int(j), Value::Int(j % 10), Value::Int(j % 3)])
-            .unwrap();
-    }
-    let mut cat = Catalog::new();
-    cat.add(r1);
-    cat.add(r2);
-    pager.ledger().reset();
-    pager.set_charging(true);
-    Engine::new(
-        Arc::clone(&pager),
-        cat,
-        procs(),
-        kind,
-        EngineOptions {
-            shard,
-            ..EngineOptions::default()
-        },
-    )
-    .unwrap()
-}
-
-/// Range-place `R1` the way the engine does — over the loaded keys and
-/// the procedures' key windows — and load each group its slice.
-fn build_replicated(kind: StrategyKind, shards: usize, replicas: usize) -> ShardedEngine {
-    let keys: Vec<i64> = (0..R1_ROWS).collect();
-    let procs = procs();
-    let router = Router::split_for(
-        shards,
-        keys.iter().copied(),
-        procs.iter().map(|p| &p.view.selection),
-        0,
-    );
-    ShardedEngine::new_replicated(router.clone(), replicas, |sid, _rid| {
-        let slice: Vec<i64> = keys
-            .iter()
-            .copied()
-            .filter(|&k| router.shard_of(k) == sid)
-            .collect();
-        Ok::<Engine, String>(build_engine(kind, &slice, Some(sid as u32)))
-    })
-    .unwrap()
-}
-
-fn assert_matches_oracle(
-    oracle: &mut Engine,
-    sharded: &ShardedEngine,
-    c: &CostConstants,
-    ctx: &str,
-) {
-    for i in 0..N_PROCS {
-        let expect = oracle.access(i).unwrap();
-        let (got, _ms) = sharded.access(i, c).unwrap();
-        assert_eq!(
-            got.normalized(),
-            expect.normalized(),
-            "{ctx}: replicated access diverged on proc {i}"
-        );
-    }
-}
-
-/// Every live replica of every group must answer exactly like a freshly
-/// rebuilt engine over the same base slice: a replica's `access` output
-/// equals its own uncharged fresh recompute (`expected_rows`), which in
-/// turn equals the primary's — so resync really restored the data, not
-/// just the liveness bit.
-fn assert_groups_consistent(sharded: &ShardedEngine, ctx: &str) {
-    for st in sharded.shard_stats() {
-        let s = st.shard;
-        let primary = st.primary_replica;
-        for rs in &st.replica_status {
-            assert_ne!(
-                rs.role,
-                ReplicaRole::Down,
-                "{ctx}: shard {s} replica {} still down after resync",
-                rs.replica
-            );
-            for i in 0..N_PROCS {
-                let (got, expect_here, norm_got, norm_here) =
-                    sharded.with_replica_engine_mut(s, rs.replica, |e| {
-                        let got = e.access(i).unwrap();
-                        let expect = e.expected_rows(i).unwrap();
-                        (
-                            got.normalized().len(),
-                            expect.normalized().len(),
-                            got.normalized(),
-                            expect.normalized(),
-                        )
-                    });
-                assert_eq!(
-                    norm_got, norm_here,
-                    "{ctx}: shard {s} replica {} proc {i} access ({got} rows) diverged \
-                     from its own fresh recompute ({expect_here} rows)",
-                    rs.replica
-                );
-                let norm_primary = sharded
-                    .with_replica_engine_mut(s, primary, |e| {
-                        e.expected_rows(i).map(|r| r.normalized())
-                    })
-                    .unwrap();
-                assert_eq!(
-                    norm_here, norm_primary,
-                    "{ctx}: shard {s} replica {} proc {i} holds different base data \
-                     than the primary after resync",
-                    rs.replica
-                );
-            }
-        }
-    }
-}
-
 fn run_schedule(kind: StrategyKind, shards: usize, replicas: usize, schedule_seed: u64) {
     let c = CostConstants::default();
     let keys: Vec<i64> = (0..R1_ROWS).collect();
-    let mut oracle = build_engine(kind, &keys, None);
-    let sharded = build_replicated(kind, shards, replicas);
+    let mut oracle = build_engine(kind, &keys, None, &procs());
+    let sharded = build_replicated(kind, shards, replicas, &procs());
     // A third of the runs shrink the delta log so that resync-by-replay
     // outruns retention and the conservative full rebuild gets fuzzed
     // too, not just the happy tail-replay path.
@@ -356,8 +168,8 @@ fn whole_cluster_primary_crash_is_invisible_with_followers() {
     let c = CostConstants::default();
     let keys: Vec<i64> = (0..R1_ROWS).collect();
     for kind in StrategyKind::ALL {
-        let mut oracle = build_engine(kind, &keys, None);
-        let sharded = build_replicated(kind, 2, 2);
+        let mut oracle = build_engine(kind, &keys, None, &procs());
+        let sharded = build_replicated(kind, 2, 2, &procs());
         oracle.warm_up().unwrap();
         sharded.warm_up().unwrap();
         sharded.apply_update(&[(5, 200)], &c).unwrap();
@@ -396,7 +208,7 @@ fn whole_cluster_primary_crash_is_invisible_with_followers() {
 #[test]
 fn truncated_log_forces_full_rebuild_resync() {
     let c = CostConstants::default();
-    let sharded = build_replicated(StrategyKind::CacheInvalidate, 2, 2);
+    let sharded = build_replicated(StrategyKind::CacheInvalidate, 2, 2, &procs());
     sharded.warm_up().unwrap();
     sharded.set_delta_log_cap(2);
     // Take shard 0's replica 0 down via a primary crash (the follower
@@ -438,7 +250,7 @@ fn kill_point_mid_cross_shard_move_leaves_row_on_exactly_one_shard() {
     let shards = 2;
     for kind in StrategyKind::ALL {
         let c = CostConstants::default();
-        let sharded = build_replicated(kind, shards, 1);
+        let sharded = build_replicated(kind, shards, 1, &procs());
         sharded.warm_up().unwrap();
         // Pick a victim and a new key on *different* shards.
         let router = sharded.router();
@@ -515,8 +327,8 @@ fn a_crashed_shard_outside_the_window_does_not_fail_the_access() {
     let c = CostConstants::default();
     let keys: Vec<i64> = (0..R1_ROWS).collect();
     for kind in StrategyKind::ALL {
-        let mut oracle = build_engine(kind, &keys, None);
-        let sharded = build_replicated(kind, 2, 1);
+        let mut oracle = build_engine(kind, &keys, None, &procs());
+        let sharded = build_replicated(kind, 2, 1, &procs());
         oracle.warm_up().unwrap();
         sharded.warm_up().unwrap();
         assert_eq!(sharded.router().shards_for(30, 49), 0..1, "p3 is shard 0's");

@@ -15,29 +15,18 @@
 //! pinned separately, on the text a session renders for `access`: the
 //! serial engine's order over one shard, byte order over several.
 
-use std::sync::{Arc, Mutex};
+mod common;
+
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use procdb::avm::{JoinStep, ViewDef};
+use common::{build_engine, join, next, router, selection, KEY_SPACE, R1_ROWS};
 use procdb::core::{Engine, EngineOptions, ProcedureDef, StrategyKind};
-use procdb::query::{
-    Catalog, CompOp, FieldType, Organization, Predicate, Schema, Table, Term, Tuple, Value,
-};
-use procdb::shard::{Router, ShardedEngine};
+use procdb::query::{Catalog, FieldType, Organization, Schema, Table, Tuple, Value};
+use procdb::shard::ShardedEngine;
 use procdb::storage::{AccountingMode, CostConstants, Pager, PagerConfig};
 use procdb_server::{execute, parse, Outcome, Session};
-
-const R1_ROWS: i64 = 120;
-const R2_ROWS: i64 = 20;
-const KEY_SPACE: i64 = 240;
-
-/// One splitmix64 step; deterministic schedule choices per seed.
-fn next(rng: &mut u64) -> u64 {
-    let out = procdb_obs::splitmix64(*rng);
-    *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    out
-}
 
 /// The key window of `p3`: the placement keeps it inside one shard for
 /// every shard count the fuzz draws.
@@ -49,39 +38,9 @@ const P3_WINDOW: (i64, i64) = (30, 49);
 /// merge across shards; `p3` is a selection that one shard answers.
 fn procs() -> Vec<ProcedureDef> {
     vec![
-        ProcedureDef::new(
-            0,
-            "p1".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 10, 79),
-                joins: vec![],
-            },
-        ),
-        ProcedureDef::new(
-            1,
-            "p2".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, 0, 149),
-                joins: vec![JoinStep {
-                    inner: "R2".into(),
-                    outer_key_field: 1,
-                    residual: Predicate {
-                        terms: vec![Term::new(4, CompOp::Eq, 0i64)],
-                    },
-                }],
-            },
-        ),
-        ProcedureDef::new(
-            2,
-            "p3".to_string(),
-            ViewDef {
-                base: "R1".into(),
-                selection: Predicate::int_range(0, P3_WINDOW.0, P3_WINDOW.1),
-                joins: vec![],
-            },
-        ),
+        selection(0, "p1", 10, 79),
+        join(1, "p2"),
+        selection(2, "p3", P3_WINDOW.0, P3_WINDOW.1),
     ]
 }
 
@@ -92,89 +51,19 @@ const N_PROCS: usize = 3;
 /// accesses or one would count the other's.
 static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
 
-/// The placement the engine runs: split over the loaded keys and the
-/// procedures' key windows.
-fn router(shards: usize, keys: &[i64]) -> Router {
-    let procs = procs();
-    Router::split_for(
-        shards,
-        keys.iter().copied(),
-        procs.iter().map(|p| &p.view.selection),
-        0,
-    )
-}
-
-/// `R1(skey, a)` holding exactly `keys` (the full relation or one
-/// shard's slice) and the replicated inner `R2(b, c, f2sel)`. Crash
-/// simulation needs physical accounting, mirroring the chaos harness.
-fn build_engine(kind: StrategyKind, keys: &[i64], shard: Option<u32>) -> Engine {
-    let pager = Pager::new(PagerConfig {
-        page_size: 512,
-        buffer_capacity: 4096,
-        mode: AccountingMode::Physical,
-    });
-    pager.set_charging(false);
-    let r1s = Schema::new(vec![("skey", FieldType::Int), ("a", FieldType::Int)]);
-    let r2s = Schema::new(vec![
-        ("b", FieldType::Int),
-        ("c", FieldType::Int),
-        ("f2sel", FieldType::Int),
-    ]);
-    let mut r1 = Table::create(
-        pager.clone(),
-        "R1",
-        r1s,
-        Organization::BTree { key_field: 0 },
-        0,
-    )
-    .unwrap();
-    let mut r2 = Table::create(
-        pager.clone(),
-        "R2",
-        r2s,
-        Organization::Hash { key_field: 0 },
-        R2_ROWS as usize,
-    )
-    .unwrap();
-    for &k in keys {
-        r1.insert(&vec![Value::Int(k), Value::Int(k % R2_ROWS)])
-            .unwrap();
-    }
-    for j in 0..R2_ROWS {
-        r2.insert(&vec![Value::Int(j), Value::Int(j % 10), Value::Int(j % 3)])
-            .unwrap();
-    }
-    let mut cat = Catalog::new();
-    cat.add(r1);
-    cat.add(r2);
-    pager.ledger().reset();
-    pager.set_charging(true);
-    Engine::new(
-        Arc::clone(&pager),
-        cat,
-        procs(),
-        kind,
-        EngineOptions {
-            shard,
-            ..EngineOptions::default()
-        },
-    )
-    .unwrap()
-}
-
 fn run_schedule(kind: StrategyKind, shards: usize, schedule_seed: u64) {
     let _serial = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let c = CostConstants::default();
     let keys: Vec<i64> = (0..R1_ROWS).collect();
-    let mut oracle = build_engine(kind, &keys, None);
-    let placement = router(shards, &keys);
+    let mut oracle = build_engine(kind, &keys, None, &procs());
+    let placement = router(shards, &keys, &procs());
     let sharded = ShardedEngine::new(placement.clone(), |sid| {
         let slice: Vec<i64> = keys
             .iter()
             .copied()
             .filter(|&k| placement.shard_of(k) == sid)
             .collect();
-        Ok::<Engine, String>(build_engine(kind, &slice, Some(sid as u32)))
+        Ok::<Engine, String>(build_engine(kind, &slice, Some(sid as u32), &procs()))
     })
     .unwrap();
     oracle.warm_up().unwrap();
