@@ -47,10 +47,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod delta;
 pub mod view;
 
-pub use aggregate::{AggFn, AggregateView, GroupRow};
 pub use delta::Delta;
 pub use view::{JoinStep, MaintStats, MaterializedView, ViewDef};

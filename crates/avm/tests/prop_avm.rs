@@ -112,38 +112,6 @@ proptest! {
         check_delta_inverse_is_identity(window, key, new_key)?;
     }
 
-    /// Aggregate maintenance ≡ aggregate recompute under random streams.
-    #[test]
-    fn aggregate_equals_recompute(
-        window in ((0i64..50), (0i64..50)),
-        moves in proptest::collection::vec(((0i64..50), (0i64..50)), 0..20),
-    ) {
-        use procdb_avm::{AggFn, AggregateView};
-        let (x, y) = window;
-        let (lo, hi) = (x.min(y), x.max(y));
-        let pg = pager();
-        let mut cat = setup(&pg);
-        // Group by the 'a' field (index 1), count per group.
-        let mut agg = AggregateView::new(pg.clone(), def(lo, hi, false), 1, AggFn::Count);
-        agg.recompute_full(&cat).unwrap();
-        for (victim, new_key) in moves {
-            let r1 = cat.get_mut("R1").unwrap();
-            let Some(old) = r1.delete_where(victim, |_| true).unwrap() else { continue };
-            let mut new = old.clone();
-            new[0] = Value::Int(new_key);
-            r1.insert(&new).unwrap();
-            agg.apply_delta(&Delta::from_modifications([(old, new)]), &cat).unwrap();
-        }
-        let mut fresh = AggregateView::new(pg, def(lo, hi, false), 1, AggFn::Count);
-        fresh.recompute_full(&cat).unwrap();
-        prop_assert_eq!(agg.read_all().unwrap(), fresh.read_all().unwrap());
-        // Group counts always sum to the window population.
-        let total: i64 = agg.read_all().unwrap().iter().map(|g| g.count).sum();
-        let mut expect = 0i64;
-        cat.get("R1").unwrap().range_scan(lo, hi, |_| expect += 1).unwrap();
-        prop_assert_eq!(total, expect);
-    }
-
     /// Maintenance work scales with the delta, not the view: an irrelevant
     /// delta (outside the selection window) touches no pages.
     #[test]

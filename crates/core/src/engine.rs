@@ -409,6 +409,22 @@ impl Engine {
         Ok(())
     }
 
+    /// Make an uncharged base-table mutation durable before charged work
+    /// starts: the model prices only the strategy's maintenance, not the
+    /// transaction's own I/O. Under `Physical` accounting the buffer is
+    /// flushed and, between operations, dropped, so the next operation
+    /// pays for its own pages (flush, don't drop, when a warm buffer is
+    /// being studied). Under `Logical` accounting the dirty frames are
+    /// written back, which charges nothing there: a [`Engine::crash`]
+    /// must keep every committed base write.
+    fn flush_base_mutation(&self) -> Result<()> {
+        if self.pager.mode() == AccountingMode::Physical && self.opts.clear_buffer_between_ops {
+            self.pager.clear_buffer()
+        } else {
+            self.pager.flush()
+        }
+    }
+
     /// Commit buffered validity-WAL records (CI only; no-op otherwise).
     /// Called *after* [`end_operation`] so the log never claims a cache
     /// state whose pages are not yet durable.
@@ -843,17 +859,7 @@ impl Engine {
                 .unwrap_or_else(|| panic!("unknown base relation"));
             mutate(r1, &mut delta)?;
         }
-        // Flush the base mutation's dirty pages while still uncharged: the
-        // model prices only the strategy's maintenance work, not the update
-        // transaction's own I/O. (Flush, don't drop, when a warm buffer is
-        // being studied.)
-        if self.pager.mode() == AccountingMode::Physical {
-            if self.opts.clear_buffer_between_ops {
-                self.pager.clear_buffer()?;
-            } else {
-                self.pager.flush()?;
-            }
-        }
+        self.flush_base_mutation()?;
         self.pager.set_charging(was);
         let modified = delta.inserted.len().max(delta.deleted.len());
 
@@ -990,13 +996,7 @@ impl Engine {
                 delta.inserted.push(new);
             }
         }
-        if self.pager.mode() == AccountingMode::Physical {
-            if self.opts.clear_buffer_between_ops {
-                self.pager.clear_buffer()?;
-            } else {
-                self.pager.flush()?;
-            }
-        }
+        self.flush_base_mutation()?;
         self.pager.set_charging(was);
         let modified = delta.inserted.len();
 
@@ -1206,9 +1206,7 @@ impl Engine {
             }
             n
         };
-        if self.pager.mode() == AccountingMode::Physical {
-            self.pager.clear_buffer()?;
-        }
+        self.flush_base_mutation()?;
         self.pager.set_charging(was);
         match &mut self.state {
             StrategyState::Recompute => {}
@@ -1797,6 +1795,28 @@ mod tests {
                     assert_matches_expected(&mut e, i);
                 }
             }
+        }
+    }
+
+    /// A default (`Logical`) pager keeps committed base writes across a
+    /// crash: the update's dirty `R1` pages are written back before
+    /// maintenance, not left in frames that `crash` drops.
+    #[test]
+    fn logical_pager_keeps_base_writes_across_crash() {
+        for kind in StrategyKind::ALL {
+            let pg = Pager::new_default();
+            let cat = catalog(&pg);
+            let mut e =
+                Engine::new(pg, cat, vec![p1(0, 10, 29)], kind, EngineOptions::default()).unwrap();
+            e.apply_update(&[(100, 15), (40, 160)]).unwrap();
+            e.crash();
+            e.recover().into_report().expect("crashed engine recovers");
+            let r1 = e.catalog().get("R1").unwrap();
+            assert_eq!(r1.key_count(15).unwrap(), 2, "{kind}: re-key to 15 lost");
+            assert_eq!(r1.key_count(160).unwrap(), 2, "{kind}: re-key to 160 lost");
+            assert_eq!(r1.key_count(100).unwrap(), 0, "{kind}: 100 came back");
+            assert_eq!(r1.key_count(40).unwrap(), 0, "{kind}: 40 came back");
+            assert_matches_expected(&mut e, 0);
         }
     }
 

@@ -39,4 +39,4 @@ pub use engine::{Engine, EngineOptions, RecoveryOutcome, RecoveryReport};
 pub use procedure::{ProcId, ProcedureDef, StrategyKind};
 pub use replication::{DeltaObserver, DeltaOp, ShippedDelta};
 pub use rete_planner::{choose_spec, maintenance_cost, UpdateFrequencies};
-pub use stats::{decide_assignments, decide_one, DecisionInput, WorkloadObserver};
+pub use stats::{decide_one, DecisionInput, WorkloadObserver};

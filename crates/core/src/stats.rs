@@ -8,8 +8,8 @@
 //! the right answer is *per procedure*.
 //!
 //! [`WorkloadObserver`] tracks per-procedure access counts and
-//! update-conflict counts; [`decide_assignments`] turns the observations
-//! plus the engine's live cost estimates into a strategy per procedure,
+//! update-conflict counts; [`decide_one`] turns one procedure's
+//! observations plus the engine's live cost estimates into a strategy,
 //! using the same cost structure as the paper's formulas, instantiated
 //! with each procedure's own update rate and object size.
 
@@ -138,31 +138,6 @@ pub fn decide_one(input: &DecisionInput, c: &CostConstants) -> StrategyKind {
     best
 }
 
-/// Decide a strategy for every observed procedure. Procedures with no
-/// recorded accesses default to Always Recompute (don't pay to maintain
-/// what nobody reads — the paper's closing advice).
-pub fn decide_assignments(
-    observer: &WorkloadObserver,
-    inputs: &[DecisionInput],
-    c: &CostConstants,
-) -> Vec<StrategyKind> {
-    assert_eq!(observer.len(), inputs.len());
-    inputs
-        .iter()
-        .enumerate()
-        .map(|(i, input)| match observer.conflict_rate(i) {
-            None => StrategyKind::AlwaysRecompute,
-            Some(rate) => decide_one(
-                &DecisionInput {
-                    conflict_rate: rate,
-                    ..*input
-                },
-                c,
-            ),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,33 +207,5 @@ mod tests {
         assert_eq!(o.conflict_rate(0), Some(1.0));
         assert_eq!(o.conflict_rate(1), None, "never accessed");
         assert_eq!(o.conflict_rate(2), None);
-    }
-
-    #[test]
-    fn unaccessed_procedures_default_to_recompute() {
-        let o = WorkloadObserver::new(2);
-        let assignments = decide_assignments(
-            &o,
-            &[input(100.0, 30.0, 0.0), input(100.0, 30.0, 0.0)],
-            &CostConstants::default(),
-        );
-        assert_eq!(assignments, vec![StrategyKind::AlwaysRecompute; 2]);
-    }
-
-    #[test]
-    fn mixed_workload_gets_mixed_assignments() {
-        let mut o = WorkloadObserver::new(2);
-        // Proc 0: read often, never conflicted. Proc 1: hammered.
-        for _ in 0..50 {
-            o.record_access(0);
-        }
-        o.record_access(1);
-        for _ in 0..40 {
-            o.record_update([1]);
-        }
-        let inputs = [input(1000.0, 60.0, 0.0), input(1000.0, 600.0, 0.0)];
-        let got = decide_assignments(&o, &inputs, &CostConstants::default());
-        assert_eq!(got[0], StrategyKind::UpdateCacheAvm);
-        assert_eq!(got[1], StrategyKind::AlwaysRecompute);
     }
 }

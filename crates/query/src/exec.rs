@@ -20,7 +20,9 @@
 //! ([`EncodedRows`]), a join lays `outer ++ inner` down at the end of its
 //! output buffer and keeps it only if the residual holds, and a projection
 //! copies byte ranges. Screens are counted per operator and charged to
-//! the ledger once when the operator ends, failed or not. [`execute`]
+//! the ledger once when the operator ends, failed or not. The selection
+//! is also public on its own, for any table organization
+//! ([`select_encoded`]): Rete builds its α-memories with it. [`execute`]
 //! decodes the rows that qualified, once; [`execute_encoded`] hands them
 //! over as bytes. A procedure's answer travels on as a [`RowBatch`] —
 //! those bytes plus the schema that decodes them — so a caller decodes
@@ -154,7 +156,7 @@ pub struct EncodedRows {
 
 impl EncodedRows {
     /// An empty buffer for rows `width` bytes wide.
-    fn new(width: usize) -> EncodedRows {
+    pub fn new(width: usize) -> EncodedRows {
         EncodedRows::with_capacity(width, 0)
     }
 
@@ -200,8 +202,8 @@ impl EncodedRows {
         self.iter().map(|row| schema.decode(row)).collect()
     }
 
-    /// Append one row.
-    pub(crate) fn push(&mut self, row: &[u8]) {
+    /// Append one row (exactly `width` bytes).
+    pub fn push(&mut self, row: &[u8]) {
         assert_eq!(row.len(), self.width, "row width mismatch");
         self.bytes.extend_from_slice(row);
         self.len += 1;
@@ -321,6 +323,40 @@ fn charge_screens(t: &Table, screens: u64) {
     }
 }
 
+/// `σ_predicate(t)`: the rows of `t` that satisfy `predicate`, encoded,
+/// in storage order, for any organization. A B-tree table range-scans
+/// the predicate's bounds on its key and tests each scanned row in place
+/// only on the terms that range leaves open ([`Predicate::residual`]) —
+/// the [`Plan::BTreeSelect`] operator. A hash or heap table tests every
+/// row in place. Each scanned row is one screen (`C1`), charged to `t`'s
+/// ledger once when the scan ends, failed or not.
+pub fn select_encoded(t: &Table, predicate: &Predicate) -> Result<EncodedRows> {
+    let schema = t.schema();
+    let mut out = EncodedRows::new(schema.tuple_width());
+    let mut screens = 0;
+    let mut screen = |test: &Predicate, row: &[u8]| {
+        screens += 1;
+        if test.eval_encoded(schema, row) {
+            out.push(row);
+        }
+    };
+    let scanned = match t.organization() {
+        Organization::BTree { key_field } => {
+            let (lo, hi) = predicate
+                .int_bounds(key_field)
+                .unwrap_or((i64::MIN, i64::MAX));
+            let residual = predicate.residual(key_field);
+            t.range_scan_encoded(lo, hi, |row| screen(&residual, row))
+        }
+        Organization::Hash { .. } | Organization::Heap => {
+            t.scan_in_place(|row| screen(predicate, row))
+        }
+    };
+    charge_screens(t, screens);
+    scanned?;
+    Ok(out)
+}
+
 /// Run `plan`, returning its output schema and encoded rows.
 fn run<'c>(plan: &Plan, catalog: &'c Catalog) -> Result<(Cow<'c, Schema>, EncodedRows)> {
     match plan {
@@ -329,27 +365,11 @@ fn run<'c>(plan: &Plan, catalog: &'c Catalog) -> Result<(Cow<'c, Schema>, Encode
             predicate,
         } => {
             let t = table(catalog, name);
-            let Organization::BTree { key_field } = t.organization() else {
-                panic!("BTreeSelect on non-btree table {name}");
-            };
-            let (lo, hi) = predicate
-                .int_bounds(key_field)
-                .unwrap_or((i64::MIN, i64::MAX));
-            // The range already holds every scanned key; a scanned tuple
-            // is still screened once (`C1`), on the terms left open.
-            let residual = predicate.residual(key_field);
-            let schema = t.schema();
-            let mut out = EncodedRows::new(schema.tuple_width());
-            let mut screens = 0;
-            let scanned = t.range_scan_encoded(lo, hi, |row| {
-                screens += 1;
-                if residual.eval_encoded(schema, row) {
-                    out.push(row);
-                }
-            });
-            charge_screens(t, screens);
-            scanned?;
-            Ok((Cow::Borrowed(schema), out))
+            assert!(
+                matches!(t.organization(), Organization::BTree { .. }),
+                "BTreeSelect on non-btree table {name}"
+            );
+            Ok((Cow::Borrowed(t.schema()), select_encoded(t, predicate)?))
         }
         Plan::HashJoin {
             outer,

@@ -33,7 +33,7 @@ pub mod predicate;
 pub mod table;
 pub mod value;
 
-pub use exec::{execute, execute_encoded, EncodedRows, Plan, RowBatch};
+pub use exec::{execute, execute_encoded, select_encoded, EncodedRows, Plan, RowBatch};
 pub use predicate::{CompOp, Predicate, Term};
 pub use table::{Catalog, Organization, Table};
 pub use value::{Field, FieldType, Schema, Tuple, Value};

@@ -149,10 +149,16 @@ impl Table {
 
     /// Full scan in storage order.
     pub fn scan(&self, mut f: impl FnMut(Tuple)) -> Result<()> {
+        self.scan_in_place(|bytes| f(self.schema.decode(bytes)))
+    }
+
+    /// [`Table::scan`] without decoding: `f` gets each encoded row in
+    /// place.
+    pub(crate) fn scan_in_place(&self, mut f: impl FnMut(&[u8])) -> Result<()> {
         match &self.storage {
-            Storage::BTree(t) => t.scan_all(|_, _, bytes| f(self.schema.decode(bytes))),
-            Storage::Hash(h) => h.scan_all(|_, bytes| f(self.schema.decode(bytes))),
-            Storage::Heap(h) => h.scan(|_, bytes| f(self.schema.decode(bytes))),
+            Storage::BTree(t) => t.scan_all(|_, _, bytes| f(bytes)),
+            Storage::Hash(h) => h.scan_all(|_, bytes| f(bytes)),
+            Storage::Heap(h) => h.scan(|_, bytes| f(bytes)),
         }
     }
 
@@ -160,11 +166,7 @@ impl Table {
     /// visits them).
     pub fn scan_encoded(&self) -> Result<EncodedRows> {
         let mut out = EncodedRows::with_capacity(self.schema.tuple_width(), self.len() as usize);
-        match &self.storage {
-            Storage::BTree(t) => t.scan_all(|_, _, bytes| out.push(bytes)),
-            Storage::Hash(h) => h.scan_all(|_, bytes| out.push(bytes)),
-            Storage::Heap(h) => h.scan(|_, bytes| out.push(bytes)),
-        }?;
+        self.scan_in_place(|bytes| out.push(bytes))?;
         Ok(out)
     }
 

@@ -180,6 +180,12 @@ impl Schema {
         }
     }
 
+    /// Integer field `i` of the encoded tuple `row`, read in place.
+    /// Panics if field `i` is not `Int`.
+    pub fn int_field(&self, row: &[u8], i: usize) -> i64 {
+        self.field(row, i).as_int()
+    }
+
     /// Canonicalize a tuple: zero-pad every `Bytes` field to its declared
     /// width, so in-memory tuples compare equal to their stored form.
     /// Panics on arity or type mismatch, like [`Schema::encode`].

@@ -19,6 +19,12 @@
 //! therefore costs one extra charged write and never removes the wrong
 //! tuple. Fingerprints are not persisted: a rebuild re-derives them as it
 //! re-inserts.
+//!
+//! Initialization and rebuild insert rows already encoded
+//! ([`MemoryStore::insert_encoded`]) and join on them in place
+//! ([`MemoryStore::probe_encoded`]): the probe key is read from the row's
+//! bytes and no tuple is built. Tokens arrive decoded and take
+//! [`MemoryStore::insert`] / [`MemoryStore::remove`], which encode once.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -103,11 +109,15 @@ impl<S: BuildHasher> MemoryStore<S> {
     /// Insert a tuple (a `+` token landing in this memory). Charges the
     /// page write through the pager.
     pub fn insert(&mut self, tuple: &Tuple) -> Result<()> {
-        let bytes = self.schema.encode(tuple);
-        let rid = self.heap.insert(&bytes)?;
-        let key = tuple[self.probe_field].as_int();
-        self.by_key
-            .push(key, (rid, self.fingerprint.hash_one(&bytes)));
+        self.insert_encoded(&self.schema.encode(tuple))
+    }
+
+    /// [`MemoryStore::insert`] of a row already encoded by this memory's
+    /// schema: the probe key is read in place, no tuple is built.
+    pub fn insert_encoded(&mut self, row: &[u8]) -> Result<()> {
+        let rid = self.heap.insert(row)?;
+        let key = self.schema.int_field(row, self.probe_field);
+        self.by_key.push(key, (rid, self.fingerprint.hash_one(row)));
         Ok(())
     }
 
@@ -133,29 +143,33 @@ impl<S: BuildHasher> MemoryStore<S> {
     /// heap; repeats within an operation are deduplicated under physical
     /// accounting).
     pub fn probe(&self, key: i64) -> Result<Vec<Tuple>> {
-        let rids = self.by_key.get(&key);
-        let mut out = Vec::with_capacity(rids.len());
-        for &(rid, _) in rids {
-            let bytes = self.heap.get(rid)?;
-            out.push(self.schema.decode(&bytes));
-        }
-        Ok(out)
+        self.probe_by_field(self.probe_field, key)
     }
 
     /// Probe by an arbitrary field (scan-based fallback when the memory is
     /// not organized on that field). Reads every page.
     pub fn probe_by_field(&self, field: usize, key: i64) -> Result<Vec<Tuple>> {
-        if field == self.probe_field {
-            return self.probe(key);
-        }
         let mut out = Vec::new();
-        self.heap.scan(|_, bytes| {
-            let t = self.schema.decode(bytes);
-            if t[field].as_int() == key {
-                out.push(t);
-            }
-        })?;
+        self.probe_encoded(field, key, |row| out.push(self.schema.decode(row)))?;
         Ok(out)
+    }
+
+    /// [`MemoryStore::probe_by_field`] without the decode: `f` gets each
+    /// matching row's bytes, in insertion order through the probe index
+    /// when `field` is the probe field, else in heap order. Charged
+    /// identically.
+    pub fn probe_encoded(&self, field: usize, key: i64, mut f: impl FnMut(&[u8])) -> Result<()> {
+        if field == self.probe_field {
+            for &(rid, _) in self.by_key.get(&key) {
+                f(&self.heap.get(rid)?);
+            }
+            return Ok(());
+        }
+        self.heap.scan(|_, row| {
+            if self.schema.int_field(row, field) == key {
+                f(row);
+            }
+        })
     }
 
     /// Full contents (charges one read per page — the `C_read` term when
@@ -168,6 +182,12 @@ impl<S: BuildHasher> MemoryStore<S> {
     /// they sit on the pages, charged identically.
     pub fn scan_encoded(&self) -> Result<EncodedRows> {
         EncodedRows::read_heap(&self.heap, self.schema.tuple_width())
+    }
+
+    /// Every stored row with its rid, in heap order (charged like
+    /// [`MemoryStore::scan_encoded`]): the memory's exact page layout.
+    pub fn rows_with_rids(&self) -> Result<Vec<(Rid, Vec<u8>)>> {
+        self.heap.scan_all()
     }
 
     /// Sorted encoded contents for multiset comparisons in tests.

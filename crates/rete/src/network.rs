@@ -14,11 +14,23 @@
 //! here keeps an interval table per relation: a token is delivered (and
 //! its screen charged at `C1`) only to t-const nodes whose key interval
 //! contains it; unbounded t-consts receive everything.
+//!
+//! **Initialization.** Memories are built from encoded rows, never from
+//! decoded tuples. An α-memory is filled by the compiled selection
+//! ([`procdb_query::select_encoded`]): on a B-tree relation a range scan
+//! of the t-const chain's key bounds, testing only the remaining terms in
+//! place; on a hash or heap relation a scan testing every row in place. A
+//! β-memory is filled by walking its left memory's rows in heap order and
+//! appending each right-memory row under the join key. [`Rete::rebuild`]
+//! (crash recovery, or a failed maintenance pass) clears the memories and
+//! runs the same path, so a rebuilt network holds the same rows at the
+//! same rids as a fresh one, and it is priced like a plan run: the pages
+//! read plus one screen per scanned base row.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use procdb_query::{Catalog, EncodedRows, Predicate, Schema, Tuple};
+use procdb_query::{select_encoded, Catalog, EncodedRows, Predicate, Schema, Tuple};
 use procdb_storage::{Pager, Result};
 
 use crate::memory::MemoryStore;
@@ -290,64 +302,71 @@ impl Rete {
     /// views are added and the base tables are loaded. (The engine
     /// usually wraps this in a non-charging section: it is setup, not
     /// steady-state work.)
+    ///
+    /// Rows stay encoded throughout (see the module docs): α-memories
+    /// take the survivors of [`select_encoded`], β-memories the encoded
+    /// join of their inputs, each in a fixed order, so the pages hold the
+    /// same rows at the same rids however often the network is rebuilt.
     pub fn initialize(&mut self, catalog: &Catalog) -> Result<()> {
         // Node ids are created children-first, so ascending order is a
         // valid topological order.
         for id in 0..self.nodes.len() {
-            let source = match &self.nodes[id] {
-                Node::Memory { source, .. } => match source {
-                    MemSource::Select {
-                        relation,
-                        predicate,
-                    } => Some((Some((relation.clone(), predicate.clone())), None)),
-                    MemSource::Join { and } => Some((None, Some(*and))),
-                },
-                _ => None,
-            };
-            match source {
-                Some((Some((relation, predicate)), None)) => {
+            let rows = match &self.nodes[id] {
+                Node::Memory {
+                    source:
+                        MemSource::Select {
+                            relation,
+                            predicate,
+                        },
+                    ..
+                } => {
                     let table = catalog
-                        .get(&relation)
+                        .get(relation)
                         .unwrap_or_else(|| panic!("unknown relation {relation}"));
-                    let mut rows = Vec::new();
-                    table.scan(|t| {
-                        if predicate.eval(&t) {
-                            rows.push(t);
-                        }
-                    })?;
-                    for row in rows {
-                        self.memory_store_mut(id).insert(&row)?;
-                    }
+                    select_encoded(table, predicate)?
                 }
-                Some((None, Some(and_id))) => {
-                    let (left, right, lf, rf) = match &self.nodes[and_id] {
-                        Node::And {
-                            left,
-                            right,
-                            left_field,
-                            right_field,
-                            ..
-                        } => (*left, *right, *left_field, *right_field),
-                        _ => panic!("expected and node"),
-                    };
-                    let left_rows = self.memory_store(left).scan_all()?;
-                    let mut combined_rows = Vec::new();
-                    for l in &left_rows {
-                        let key = l[lf].as_int();
-                        for r in self.memory_store(right).probe_by_field(rf, key)? {
-                            let mut c = l.clone();
-                            c.extend(r);
-                            combined_rows.push(c);
-                        }
-                    }
-                    for row in combined_rows {
-                        self.memory_store_mut(id).insert(&row)?;
-                    }
-                }
-                _ => {}
+                Node::Memory {
+                    source: MemSource::Join { and },
+                    ..
+                } => self.join_rows(*and)?,
+                _ => continue,
+            };
+            let store = self.memory_store_mut(id);
+            for row in rows.iter() {
+                store.insert_encoded(row)?;
             }
         }
         Ok(())
+    }
+
+    /// The rows and-node `and` produces from its inputs' current
+    /// contents: `left ++ right` per matching pair, left rows in heap
+    /// order, right rows in probe order.
+    fn join_rows(&self, and: NodeId) -> Result<EncodedRows> {
+        let Node::And {
+            left,
+            right,
+            left_field,
+            right_field,
+            ..
+        } = self.nodes[and]
+        else {
+            panic!("node {and} is not an and node");
+        };
+        let (left, right) = (self.memory_store(left), self.memory_store(right));
+        let width = left.schema().tuple_width() + right.schema().tuple_width();
+        let mut out = EncodedRows::new(width);
+        let mut pair = Vec::with_capacity(width);
+        for l in left.scan_encoded()?.iter() {
+            let key = left.schema().int_field(l, left_field);
+            right.probe_encoded(right_field, key, |r| {
+                pair.clear();
+                pair.extend_from_slice(l);
+                pair.extend_from_slice(r);
+                out.push(&pair);
+            })?;
+        }
+        Ok(out)
     }
 
     /// Rebuild every memory from the base catalog: clear all α/β contents
