@@ -105,3 +105,19 @@ define view V (EMP.all) where EMP.eid >= 2
         assert_eq!(rows, &first, "strategy {strat} returned different rows");
     }
 }
+
+/// `examples/demo.pdb` piped through the binary reproduces the checked-in
+/// transcript `tests/golden/demo.out` byte for byte. After an intended
+/// output change, regenerate it from the repository root with
+/// `cargo run -q --release -p procdb-cli < examples/demo.pdb > tests/golden/demo.out`
+/// and explain every changed line.
+#[test]
+fn demo_script_matches_golden_transcript() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let read = |path: &str| {
+        std::fs::read_to_string(format!("{root}/{path}"))
+            .unwrap_or_else(|e| panic!("read {path}: {e}"))
+    };
+    let got = run_script(&read("examples/demo.pdb"));
+    assert_eq!(got, read("tests/golden/demo.out"));
+}

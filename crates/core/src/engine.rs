@@ -13,18 +13,21 @@
 //!   overhead, not the update transaction's own work); everything the
 //!   chosen strategy does about it is charged.
 //!
-//! Between operations the engine clears the buffer pool (when the pager
-//! uses physical accounting), reproducing the model's
-//! distinct-pages-per-operation cost semantics.
+//! Every operation ends with its dirty pages durable, whatever the
+//! accounting mode; between operations the engine also clears the buffer
+//! pool (when the pager uses physical accounting), reproducing the
+//! model's distinct-pages-per-operation cost semantics.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use procdb_avm::{Delta, MaterializedView, ViewDef};
 use procdb_ilock::{ILockManager, ProcId, TableRef, ValidityTable};
-use procdb_query::{execute_encoded, Catalog, EncodedRows, Organization, RowBatch, Schema, Tuple};
+use procdb_query::{
+    execute_encoded, Catalog, EncodedRows, Organization, RowBatch, Schema, Table, Tuple,
+};
 use procdb_rete::{NodeId, Rete, Token};
-use procdb_storage::{AccountingMode, CostConstants, CostLedger, HeapFile, Pager, Result};
+use procdb_storage::{CostConstants, CostLedger, HeapFile, Pager, Result};
 
 use crate::procedure::{ProcedureDef, StrategyKind};
 
@@ -400,29 +403,16 @@ impl Engine {
         &self.pager
     }
 
+    /// An operation boundary: every dirty frame becomes durable, so a
+    /// [`Engine::crash`] keeps every committed write and the CI validity
+    /// log never claims a cache whose pages are lost. The accounting mode
+    /// decides only what the write-back charges ([`Pager::end_operation`]);
+    /// under `Physical` accounting the frames are also dropped between
+    /// operations unless a warm buffer is being studied. An uncharged base
+    /// mutation ends here too, before its charged maintenance starts: the
+    /// model prices only the strategy's work, not the transaction's own.
     fn end_operation(&self) -> Result<()> {
-        if self.pager.mode() == AccountingMode::Physical && self.opts.clear_buffer_between_ops {
-            // Flush + drop frames so the *next* operation pays for its own
-            // distinct pages, as the model assumes.
-            self.pager.clear_buffer()?;
-        }
-        Ok(())
-    }
-
-    /// Make an uncharged base-table mutation durable before charged work
-    /// starts: the model prices only the strategy's maintenance, not the
-    /// transaction's own I/O. Under `Physical` accounting the buffer is
-    /// flushed and, between operations, dropped, so the next operation
-    /// pays for its own pages (flush, don't drop, when a warm buffer is
-    /// being studied). Under `Logical` accounting the dirty frames are
-    /// written back, which charges nothing there: a [`Engine::crash`]
-    /// must keep every committed base write.
-    fn flush_base_mutation(&self) -> Result<()> {
-        if self.pager.mode() == AccountingMode::Physical && self.opts.clear_buffer_between_ops {
-            self.pager.clear_buffer()
-        } else {
-            self.pager.flush()
-        }
+        self.pager.end_operation(self.opts.clear_buffer_between_ops)
     }
 
     /// Commit buffered validity-WAL records (CI only; no-op otherwise).
@@ -859,7 +849,7 @@ impl Engine {
                 .unwrap_or_else(|| panic!("unknown base relation"));
             mutate(r1, &mut delta)?;
         }
-        self.flush_base_mutation()?;
+        self.end_operation()?;
         self.pager.set_charging(was);
         let modified = delta.inserted.len().max(delta.deleted.len());
 
@@ -996,7 +986,7 @@ impl Engine {
                 delta.inserted.push(new);
             }
         }
-        self.flush_base_mutation()?;
+        self.end_operation()?;
         self.pager.set_charging(was);
         let modified = delta.inserted.len();
 
@@ -1177,37 +1167,24 @@ impl Engine {
 
     /// Conservative full resync: replace this engine's entire `R1`
     /// content with an authoritative snapshot (the current primary's
-    /// slice), then distrust **all** derived state — CI validity
-    /// invalidated, AVM views and the Rete network marked dirty — so
-    /// every strategy rebuilds from the fresh base on first access.
+    /// slice, encoded with `R1`'s schema), then distrust **all** derived
+    /// state — CI validity invalidated, AVM views and the Rete network
+    /// marked dirty — so every strategy rebuilds from the fresh base on
+    /// first access.
     ///
-    /// The base rewrite is uncharged (it is resync plumbing, not the
-    /// paper's priced maintenance); the deferred rebuilds it forces are
-    /// charged when they happen, exactly like post-crash recovery work.
-    /// Returns the number of rows installed.
-    pub fn install_r1_snapshot(&mut self, rows: &[Tuple]) -> Result<usize> {
+    /// The snapshot is bulk-loaded into a new file ([`Table::load`]),
+    /// which then replaces `R1` in the catalog; the old file is dropped.
+    /// A failed load leaves the old `R1` and the derived state as they
+    /// were. The base rewrite is uncharged (it is resync plumbing, not
+    /// the paper's priced maintenance); the deferred rebuilds it forces
+    /// are charged when they happen, exactly like post-crash recovery
+    /// work. Returns the number of rows installed.
+    pub fn install_r1_snapshot(&mut self, rows: &EncodedRows) -> Result<usize> {
         let was = self.pager.is_charging();
         self.pager.set_charging(false);
-        let key_field = self.opts.r1_key_field;
-        let installed = {
-            let r1 = self
-                .catalog
-                .get_mut(&self.opts.r1)
-                .unwrap_or_else(|| panic!("unknown base relation"));
-            let existing = r1.scan_all()?;
-            for row in &existing {
-                r1.delete_where(row[key_field].as_int(), |_| true)?;
-            }
-            let mut n = 0;
-            for row in rows {
-                let row = r1.schema().normalize(row);
-                r1.insert(&row)?;
-                n += 1;
-            }
-            n
-        };
-        self.flush_base_mutation()?;
+        let installed = self.replace_r1(rows);
         self.pager.set_charging(was);
+        let installed = installed?;
         match &mut self.state {
             StrategyState::Recompute => {}
             StrategyState::CacheInval { validity, .. } => {
@@ -1226,6 +1203,26 @@ impl Engine {
         Ok(installed)
     }
 
+    /// Load `rows` as the new `R1`, swap it into the catalog, drop the old
+    /// file and make the result durable.
+    fn replace_r1(&mut self, rows: &EncodedRows) -> Result<usize> {
+        let r1 = self
+            .catalog
+            .get(&self.opts.r1)
+            .unwrap_or_else(|| panic!("unknown base relation"));
+        let fresh = Table::load(
+            self.pager.clone(),
+            r1.name(),
+            r1.schema().clone(),
+            r1.organization(),
+            rows,
+        )?;
+        let old = self.catalog.add(fresh).expect("R1 was registered");
+        old.destroy()?;
+        self.end_operation()?;
+        Ok(rows.len())
+    }
+
     /// Fraction of Cache-and-Invalidate caches currently valid (CI only).
     pub fn valid_fraction(&self) -> Option<f64> {
         match &self.state {
@@ -1241,8 +1238,8 @@ impl Engine {
 mod tests {
     use super::*;
     use procdb_avm::JoinStep;
-    use procdb_query::{CompOp, FieldType, Predicate, Table, Term, Value};
-    use procdb_storage::PagerConfig;
+    use procdb_query::{CompOp, FieldType, Predicate, Term, Value};
+    use procdb_storage::{AccountingMode, PagerConfig};
 
     use crate::procedure::ProcedureDef;
 
@@ -1817,6 +1814,79 @@ mod tests {
             assert_eq!(r1.key_count(100).unwrap(), 0, "{kind}: 100 came back");
             assert_eq!(r1.key_count(40).unwrap(), 0, "{kind}: 40 came back");
             assert_matches_expected(&mut e, 0);
+        }
+    }
+
+    /// A Cache-and-Invalidate refill's pages are durable before its
+    /// "valid" record is committed, whatever the accounting mode: after a
+    /// crash the validity log never vouches for a cache the disk lost.
+    /// Covers a default (`Logical`) pager and a warm `Physical` one
+    /// (frames kept between operations).
+    #[test]
+    fn refilled_cache_is_durable_before_its_valid_record() {
+        let pagers = [
+            ("logical", PagerConfig::default(), true),
+            (
+                "physical warm",
+                PagerConfig {
+                    page_size: 512,
+                    buffer_capacity: 4096,
+                    mode: AccountingMode::Physical,
+                },
+                false,
+            ),
+        ];
+        for (label, config, clear) in pagers {
+            for kind in StrategyKind::ALL {
+                let pg = Pager::new(config.clone());
+                let cat = catalog(&pg);
+                let opts = EngineOptions {
+                    clear_buffer_between_ops: clear,
+                    ..EngineOptions::default()
+                };
+                let mut e = Engine::new(pg, cat, vec![p1(0, 10, 29)], kind, opts).unwrap();
+                e.warm_up().unwrap();
+                e.apply_update(&[(100, 15)]).unwrap();
+                e.access(0).unwrap();
+                e.apply_update(&[(15, 20)]).unwrap();
+                e.access(0).unwrap();
+                e.crash();
+                e.recover().into_report().expect("crashed engine recovers");
+                let got = e.access(0).unwrap();
+                let expect = e.expected_rows(0).unwrap();
+                assert_eq!(got.normalized(), expect.normalized(), "{label} {kind}");
+            }
+        }
+    }
+
+    /// Resync's snapshot install swaps in a bulk-loaded `R1` and drops the
+    /// old file: repeating it keeps the pager's page total flat, and every
+    /// strategy then answers like the engine the snapshot came from.
+    #[test]
+    fn repeated_snapshot_install_keeps_pages_flat() {
+        let procs = || vec![p1(0, 10, 29), p2(1, 0, 49), p2_threeway(2, 20, 69)];
+        let mut primary = engine_with(StrategyKind::AlwaysRecompute, procs());
+        primary
+            .apply_update(&[(100, 15), (40, 160), (41, 12), (12, 12)])
+            .unwrap();
+        let snapshot = primary.catalog().get("R1").unwrap().scan_encoded().unwrap();
+        for kind in StrategyKind::ALL {
+            let (pg, mut e) = engine_physical(kind, procs());
+            e.warm_up().unwrap();
+            let mut totals = Vec::new();
+            for _ in 0..4 {
+                assert_eq!(e.install_r1_snapshot(&snapshot).unwrap(), snapshot.len());
+                for i in 0..3 {
+                    let got = e.access(i).unwrap();
+                    let want = primary.access(i).unwrap();
+                    assert_eq!(got.normalized(), want.normalized(), "{kind} proc {i}");
+                }
+                totals.push(pg.total_pages());
+            }
+            assert!(
+                totals.windows(2).all(|w| w[0] == w[1]),
+                "{kind}: {totals:?}"
+            );
         }
     }
 

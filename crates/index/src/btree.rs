@@ -21,6 +21,14 @@
 //! one read to find the entry's offset and one write that shifts the tail
 //! of the leaf and patches the count. A node is decoded only to split a
 //! leaf or to change an internal page.
+//!
+//! A tree built from rows already in hand is bulk-loaded
+//! ([`BTreeFile::load`]): entries arrive sorted by key, each leaf is
+//! packed to capacity inside one page write, and the internal levels are
+//! built bottom-up — the paper's `b = N·S/B` full blocks, one write per
+//! page. Because a loaded leaf is full, the first insert into it splits
+//! it; a tree grown by inserts fills its leaves about two thirds in
+//! random key order and half in ascending order.
 
 use std::sync::Arc;
 
@@ -94,6 +102,11 @@ fn write_entry(w: &mut Writer<'_>, ek: EntryKey, value: &[u8]) {
     w.i64(ek.seq as i64);
     w.u16(value.len() as u16);
     w.bytes(value);
+}
+
+/// The largest tuple a leaf of `page_size` bytes accepts.
+fn max_value(page_size: usize) -> usize {
+    page_size - LEAF_HDR - ENTRY_HDR - 64
 }
 
 /// Make `page` a leaf header with `count` entries and sibling `next`.
@@ -210,6 +223,113 @@ impl BTreeFile {
         self.len == 0
     }
 
+    /// Bulk-load a tree into a fresh file from `entries`, which must come
+    /// sorted by key; duplicates keep their input order (sequence numbers
+    /// are assigned in it). Each leaf is packed to capacity — the paper's
+    /// `b = N·S/B` full blocks — and filled inside one page write, with
+    /// its sibling link set; the internal levels are then built bottom-up,
+    /// one write per page. Nothing is staged: no page exists outside the
+    /// pager. On error the new file is dropped.
+    pub fn load<'a>(
+        pager: Arc<Pager>,
+        entries: impl IntoIterator<Item = (i64, &'a [u8])>,
+    ) -> Result<BTreeFile> {
+        let file = pager.create_file();
+        let mut tree = BTreeFile {
+            pager,
+            file,
+            root: 0,
+            next_seq: 0,
+            len: 0,
+            height: 1,
+        };
+        match tree.load_levels(&mut entries.into_iter().peekable()) {
+            Ok(()) => Ok(tree),
+            Err(e) => {
+                let _ = tree.pager.drop_file(file);
+                Err(e)
+            }
+        }
+    }
+
+    fn load_levels<'a>(
+        &mut self,
+        entries: &mut std::iter::Peekable<impl Iterator<Item = (i64, &'a [u8])>>,
+    ) -> Result<()> {
+        let page_size = self.pager.page_size();
+        let max_value = max_value(page_size);
+        // (first key, page) of every node of the level being built.
+        let mut level: Vec<(EntryKey, u32)> = Vec::new();
+        let (mut seq, mut last) = (0u64, i64::MIN);
+        loop {
+            let page_no = self.pager.allocate_page(self.file)?.page_no;
+            // The file is ours alone, so each leaf links to the next page
+            // before that page is allocated.
+            if level.last().is_some_and(|&(_, prev)| prev + 1 != page_no) {
+                return Err(StorageError::Corrupt(
+                    "bulk load: leaf pages not consecutive",
+                ));
+            }
+            let first = EntryKey {
+                key: entries.peek().map_or(0, |&(k, _)| k),
+                seq,
+            };
+            let more = self.pager.write(self.pid(page_no), |p| {
+                let (mut end, mut count) = (LEAF_HDR, 0u16);
+                while let Some(&(key, value)) = entries.peek() {
+                    if value.len() > max_value {
+                        return Err(StorageError::RecordTooLarge {
+                            requested: value.len(),
+                            max: max_value,
+                        });
+                    }
+                    if end + ENTRY_HDR + value.len() > page_size {
+                        break;
+                    }
+                    assert!(key >= last, "bulk-load entries must be sorted by key");
+                    write_entry(
+                        &mut Writer::new(&mut p[end..]),
+                        EntryKey { key, seq },
+                        value,
+                    );
+                    end += ENTRY_HDR + value.len();
+                    count += 1;
+                    last = key;
+                    seq += 1;
+                    entries.next();
+                }
+                let more = entries.peek().is_some();
+                init_leaf(p, count, if more { page_no + 1 } else { NO_PAGE });
+                Ok(more)
+            })??;
+            level.push((first, page_no));
+            if !more {
+                break;
+            }
+        }
+        self.len = seq;
+        self.next_seq = seq;
+        // Internal levels, bottom-up: children spread evenly over the
+        // fewest nodes that hold them.
+        let fan_out = (page_size - INTERNAL_HDR) / INTERNAL_ENTRY + 1;
+        while level.len() > 1 {
+            let nodes = level.len().div_ceil(fan_out);
+            let mut parents = Vec::with_capacity(nodes);
+            for j in 0..nodes {
+                let group = &level[j * level.len() / nodes..(j + 1) * level.len() / nodes];
+                let node = Internal {
+                    keys: group[1..].iter().map(|&(k, _)| k).collect(),
+                    children: group.iter().map(|&(_, c)| c).collect(),
+                };
+                parents.push((group[0].0, self.allocate(|p| node.encode(p))?));
+            }
+            level = parents;
+            self.height += 1;
+        }
+        self.root = level[0].1;
+        Ok(())
+    }
+
     /// Levels from root to leaf inclusive — the paper's `H1` is the page
     /// reads of one descent, i.e. exactly this value.
     pub fn height(&self) -> u32 {
@@ -226,6 +346,11 @@ impl BTreeFile {
         &self.pager
     }
 
+    /// The file holding the tree's pages.
+    pub fn file_id(&self) -> procdb_storage::FileId {
+        self.file
+    }
+
     fn pid(&self, page_no: u32) -> PageId {
         PageId::new(self.file, page_no)
     }
@@ -239,7 +364,7 @@ impl BTreeFile {
 
     /// Insert a tuple under `key`; returns the uniquifying sequence number.
     pub fn insert(&mut self, key: i64, value: &[u8]) -> Result<u64> {
-        let max_value = self.pager.page_size() - LEAF_HDR - ENTRY_HDR - 64;
+        let max_value = max_value(self.pager.page_size());
         if value.len() > max_value {
             return Err(StorageError::RecordTooLarge {
                 requested: value.len(),
@@ -526,6 +651,8 @@ impl BTreeFile {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use procdb_storage::{AccountingMode, PagerConfig};
 
@@ -765,5 +892,146 @@ mod tests {
     fn oversized_value_rejected() {
         let mut t = BTreeFile::create(pager(256)).unwrap();
         assert!(t.insert(1, &[0u8; 400]).is_err());
+    }
+
+    /// splitmix64: a seeded value below `n`.
+    fn below(state: &mut u64, n: u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+
+    /// 22-byte values, so an entry is 40 bytes and a 256-byte leaf holds
+    /// six.
+    const LOAD_VALUE: usize = 22;
+    const PER_LEAF: usize = (256 - LEAF_HDR) / (ENTRY_HDR + LOAD_VALUE);
+
+    /// `n` seeded entries over about `n / 3` distinct keys, stably sorted
+    /// by key; each value records the entry's position before the sort.
+    fn sorted_entries(seed: u64, n: usize) -> Vec<(i64, Vec<u8>)> {
+        let mut rng = seed;
+        let mut out: Vec<(i64, Vec<u8>)> = (0..n)
+            .map(|i| {
+                let key = below(&mut rng, (n as u64 / 3).max(1)) as i64 - 5;
+                let mut v = (i as u64).to_le_bytes().to_vec();
+                v.resize(LOAD_VALUE, i as u8);
+                (key, v)
+            })
+            .collect();
+        out.sort_by_key(|&(k, _)| k);
+        out
+    }
+
+    fn load(pager: Arc<Pager>, entries: &[(i64, Vec<u8>)]) -> BTreeFile {
+        BTreeFile::load(pager, entries.iter().map(|(k, v)| (*k, v.as_slice()))).unwrap()
+    }
+
+    /// Entry counts of the leaves, left to right along the sibling chain.
+    fn leaf_counts(t: &BTreeFile) -> Vec<usize> {
+        let mut counts = Vec::new();
+        let mut page_no = t.find_leaf(EntryKey::min(i64::MIN)).unwrap();
+        loop {
+            let (count, next) = t
+                .pager
+                .read(t.pid(page_no), |p| (leaf_count(p) as usize, leaf_next(p)))
+                .unwrap();
+            counts.push(count);
+            if next == NO_PAGE {
+                return counts;
+            }
+            page_no = next;
+        }
+    }
+
+    #[test]
+    fn load_packs_leaves_and_keeps_input_order() {
+        for (seed, n) in [
+            (1, 0),
+            (2, 1),
+            (3, PER_LEAF),
+            (4, PER_LEAF + 1),
+            (5, 100),
+            (6, 1200),
+        ] {
+            let entries = sorted_entries(seed, n);
+            let pager = pager(256);
+            let t = load(pager.clone(), &entries);
+            t.check_invariants().unwrap();
+            assert_eq!(t.len(), n as u64);
+            let mut got = Vec::new();
+            t.scan_all(|k, seq, v| got.push((k, seq, v.to_vec())))
+                .unwrap();
+            let want: Vec<_> = (0..)
+                .zip(&entries)
+                .map(|(s, (k, v))| (*k, s, v.clone()))
+                .collect();
+            assert_eq!(got, want, "n = {n}");
+            // Every leaf but the last is full: ⌈n / per leaf⌉ leaves.
+            let counts = leaf_counts(&t);
+            assert_eq!(counts.len(), n.div_ceil(PER_LEAF).max(1), "n = {n}");
+            assert!(counts[..counts.len() - 1].iter().all(|&c| c == PER_LEAF));
+            // One charged write (read–modify–write in Logical) per page.
+            let charged = pager.ledger().snapshot();
+            assert_eq!(charged.page_writes, t.page_count() as u64, "n = {n}");
+            if n == 1200 {
+                assert!(t.height() >= 3, "height {}", t.height());
+            }
+        }
+    }
+
+    /// After a load the tree takes inserts (splitting full leaves),
+    /// deletes and in-place updates like an insert-built one: a seeded
+    /// sequence agrees with a `BTreeMap` model.
+    #[test]
+    fn loaded_tree_agrees_with_model_under_mutation() {
+        for seed in 1..=4u64 {
+            let entries = sorted_entries(seed, 300);
+            let mut t = load(pager(256), &entries);
+            let mut model: BTreeMap<(i64, u64), Vec<u8>> =
+                (0..).zip(entries).map(|(s, (k, v))| ((k, s), v)).collect();
+            let rng = &mut (seed * 77);
+            for step in 0..600u64 {
+                match below(rng, 3) {
+                    0 => {
+                        let key = below(rng, 120) as i64 - 10;
+                        let v = vec![step as u8; LOAD_VALUE];
+                        let seq = t.insert(key, &v).unwrap();
+                        assert!(model.insert((key, seq), v).is_none(), "seq reused");
+                    }
+                    1 if !model.is_empty() => {
+                        let nth = below(rng, model.len() as u64) as usize;
+                        let (&(k, s), _) = model.iter().nth(nth).unwrap();
+                        assert_eq!(t.delete(k, s).unwrap(), model.remove(&(k, s)));
+                    }
+                    _ if !model.is_empty() => {
+                        let nth = below(rng, model.len() as u64) as usize;
+                        let (&(k, s), _) = model.iter().nth(nth).unwrap();
+                        let v = vec![!(step as u8); LOAD_VALUE];
+                        assert!(t.update_value(k, s, &v).unwrap());
+                        model.insert((k, s), v);
+                    }
+                    _ => {}
+                }
+            }
+            t.check_invariants().unwrap();
+            let mut got = Vec::new();
+            t.scan_all(|k, s, v| got.push(((k, s), v.to_vec())))
+                .unwrap();
+            assert_eq!(got, model.into_iter().collect::<Vec<_>>(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn load_rejects_oversized_value_and_drops_its_file() {
+        let pager = pager(256);
+        let big = [0u8; 400];
+        let entries = [(1, &b"ok"[..]), (2, &big[..])];
+        assert!(matches!(
+            BTreeFile::load(pager.clone(), entries),
+            Err(StorageError::RecordTooLarge { .. })
+        ));
+        assert_eq!(pager.total_pages(), 0, "the half-built file is gone");
     }
 }

@@ -129,6 +129,11 @@ impl HashFile {
         &self.pager
     }
 
+    /// The file holding the buckets and their overflow pages.
+    pub fn file_id(&self) -> FileId {
+        self.file
+    }
+
     fn bucket_of(&self, key: i64) -> u32 {
         // Fibonacci-style multiplicative hash; cheap and well-spread for
         // sequential keys.

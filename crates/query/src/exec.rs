@@ -187,8 +187,13 @@ impl EncodedRows {
         self.len == 0
     }
 
+    /// Bytes per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
     /// Row `i`.
-    pub(crate) fn get(&self, i: usize) -> &[u8] {
+    pub fn get(&self, i: usize) -> &[u8] {
         &self.bytes[i * self.width..(i + 1) * self.width]
     }
 
@@ -206,6 +211,15 @@ impl EncodedRows {
     pub fn push(&mut self, row: &[u8]) {
         assert_eq!(row.len(), self.width, "row width mismatch");
         self.bytes.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// Encode `tuple` with `schema` straight onto the end of the buffer
+    /// (`Bytes` fields zero-padded). Panics on a schema mismatch, like
+    /// [`Schema::encode`].
+    pub fn push_tuple(&mut self, schema: &Schema, tuple: &Tuple) {
+        assert_eq!(schema.tuple_width(), self.width, "row width mismatch");
+        schema.encode_into(tuple, &mut self.bytes);
         self.len += 1;
     }
 
@@ -268,6 +282,11 @@ impl RowBatch {
     /// Every row, decoded, in batch order.
     pub fn decode(&self) -> Vec<Tuple> {
         self.rows.decode(&self.schema)
+    }
+
+    /// The encoded rows, without their schema.
+    pub fn into_rows(self) -> EncodedRows {
+        self.rows
     }
 
     /// The rows' bytes, sorted: equal for two batches exactly when they

@@ -211,8 +211,14 @@ impl Schema {
     /// does not match the schema (arity or types) — schema mismatches are
     /// programming errors, not runtime conditions.
     pub fn encode(&self, tuple: &Tuple) -> Vec<u8> {
-        assert_eq!(tuple.len(), self.fields.len(), "tuple arity mismatch");
         let mut out = Vec::with_capacity(self.tuple_width());
+        self.encode_into(tuple, &mut out);
+        out
+    }
+
+    /// [`Schema::encode`], appending the bytes to `out`.
+    pub(crate) fn encode_into(&self, tuple: &Tuple, out: &mut Vec<u8>) {
+        assert_eq!(tuple.len(), self.fields.len(), "tuple arity mismatch");
         for (v, f) in tuple.iter().zip(&self.fields) {
             match (v, f.ty) {
                 (Value::Int(i), FieldType::Int) => out.extend_from_slice(&i.to_le_bytes()),
@@ -224,7 +230,6 @@ impl Schema {
                 _ => panic!("tuple value does not match schema field {:?}", f),
             }
         }
-        out
     }
 
     /// Decode a fixed-width byte form back into a tuple.

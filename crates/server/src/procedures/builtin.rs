@@ -167,12 +167,13 @@ fn p2(session: &Session, args: &[Value]) -> Result<CallOutcome, String> {
         .iter()
         .find_map(|(_, v)| v.joins.first().map(|j| j.outer_key_field))
         .unwrap_or(base_key);
+    let inner_rows = inner.rows.decode(&inner.schema);
     let mut rows = Vec::new();
     for outer in &selected {
         let Some(Value::Int(probe)) = outer.get(probe_field) else {
             continue;
         };
-        for inner_row in &inner.rows {
+        for inner_row in &inner_rows {
             if matches!(inner_row.get(inner_key), Some(Value::Int(k)) if k == probe) {
                 let mut combined = outer.clone();
                 combined.extend(inner_row.iter().cloned());

@@ -69,7 +69,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// How often blocked readers/acceptors re-check the shutdown flag.
+/// How often blocked readers re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
 
 pub(crate) struct Shared {
@@ -116,7 +116,6 @@ impl Server {
     /// Bind on localhost and start accepting connections over `session`.
     pub fn start(mut session: Session, cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let reg = procdb_obs::global();
         // One front cache per server, attached before any connection can
@@ -176,6 +175,9 @@ impl Server {
     pub fn stop(mut self) -> Session {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
+            // The acceptor is parked in `accept`: one loopback connection
+            // wakes it to see the flag.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
         // Connection threads observe the flag within one read-timeout
@@ -193,12 +195,19 @@ impl Server {
     }
 }
 
+/// Accept connections until `shutdown` is set. `accept` blocks: a client
+/// is greeted as soon as it connects, and [`Server::stop`] wakes the
+/// thread with a connection of its own once the flag is set.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     // Reap finished connection threads as we go; join the rest on exit
     // so `stop` sees the last `Arc` clones dropped promptly.
     let conns: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let n = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
                 if n > shared.max_conns {
@@ -221,7 +230,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
+            // Out of descriptors or the like: back off, then retry.
             Err(_) => thread::sleep(POLL),
         }
     }
@@ -1146,6 +1155,31 @@ mod tests {
         assert!(data[0].starts_with("4 rows"), "{data:?}");
         send(&mut s, &mut r, "quit");
         server.stop();
+    }
+
+    /// The acceptor blocks in `accept`; `stop` wakes it whether or not a
+    /// client ever connected, and every cycle greets its client.
+    #[test]
+    fn stop_wakes_the_parked_acceptor() {
+        let cfg = ServerConfig {
+            port: 0,
+            max_conns: 4,
+            ..ServerConfig::default()
+        };
+        let mut session = Server::start(Session::new(), cfg.clone()).unwrap().stop();
+        for cycle in 0..4 {
+            let server = Server::start(session, cfg.clone()).unwrap();
+            let (mut s, mut r) = connect(server.addr());
+            let (_, t) = send(
+                &mut s,
+                &mut r,
+                &format!("create table T{cycle} (k int) btree k"),
+            );
+            assert_eq!(t, "ok", "cycle {cycle}");
+            drop((s, r));
+            session = server.stop();
+            assert_eq!(session.tables().len(), cycle + 1);
+        }
     }
 
     #[test]

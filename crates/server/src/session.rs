@@ -10,13 +10,18 @@
 //! paper is about. Every build re-splits the key range over the rows it
 //! moves in and the views' key windows ([`Router::split_for`]).
 //!
-//! The base (first-declared, updatable) table's rows have **one owner
-//! at a time**: its [`TableSpec`] until the engine is built — the build
-//! moves them into the partitions — and the engine from then on. A
-//! rebuild first reads them back out of the live engine; if that read
-//! fails, the command that asked for the rebuild fails and engine and
-//! rows stay as they were. Inner tables are never mutated by a live
-//! engine and keep their declared rows.
+//! Declared rows are kept encoded ([`EncodedRows`] beside the table's
+//! schema): `insert` type-checks a row and encodes it straight into the
+//! buffer, and readers decode on demand. The base (first-declared,
+//! updatable) table's rows have **one owner at a time**: its
+//! [`TableSpec`] until the engine is built, and the engine from then on.
+//! The build sorts them by key once: the router splits the key range on
+//! that order, each shard receives its sorted run, and every table is
+//! bulk-loaded ([`Table::load`]) — `R1`'s leaves come out full, the
+//! paper's `b = N·S/B` blocks. A rebuild first reads the rows back out of
+//! the live engine; if that read fails, the command that asked for the
+//! rebuild fails and engine and rows stay as they were. Inner tables are
+//! never mutated by a live engine and keep their declared rows.
 //!
 //! Concurrency control is per shard, so a live engine serves accesses
 //! *and* updates through `&self` ([`Session::access_shared`],
@@ -36,7 +41,9 @@ use procdb_core::{
     parse_define_view, DeltaObserver, Engine, EngineOptions, ProcedureDef, RecoveryOutcome,
     StrategyKind, WorkloadObserver,
 };
-use procdb_query::{Catalog, FieldType, Organization, RowBatch, Schema, Table, Tuple, Value};
+use procdb_query::{
+    Catalog, EncodedRows, FieldType, Organization, RowBatch, Schema, Table, Tuple, Value,
+};
 use procdb_shard::{Router, ShardedEngine};
 use procdb_storage::{CostConstants, FaultPlan, Pager, PagerConfig};
 
@@ -85,9 +92,11 @@ pub struct TableSpec {
     pub schema: Schema,
     /// Physical organization.
     pub org: Organization,
-    /// Declared contents. The base table's are empty while an engine is
-    /// live and owns them — read those through [`Session::scan_base`].
-    pub rows: Vec<Tuple>,
+    /// Declared contents, encoded with `schema` (decode with
+    /// [`EncodedRows::decode`]). The base table's are empty while an
+    /// engine is live and owns them — read those through
+    /// [`Session::scan_base`].
+    pub rows: EncodedRows,
 }
 
 /// Session errors (string-typed: every message is user-facing).
@@ -208,8 +217,8 @@ impl Session {
     pub fn scan_base(&self) -> Result<Vec<Tuple>, SessionError> {
         let base = self.base()?;
         match self.engine.as_ref() {
-            Some(engine) => engine.scan_r1().map_err(|e| e.to_string()),
-            None => Ok(base.rows.clone()),
+            Some(engine) => Ok(engine.scan_r1().map_err(|e| e.to_string())?.decode()),
+            None => Ok(base.rows.decode(&base.schema)),
         }
     }
 
@@ -233,7 +242,7 @@ impl Session {
     /// callers run this *before* touching any declarative state.
     fn dirty(&mut self) -> Result<(), SessionError> {
         if let Some(engine) = self.engine.as_ref() {
-            self.tables[0].rows = engine.scan_r1().map_err(|e| e.to_string())?;
+            self.tables[0].rows = engine.scan_r1().map_err(|e| e.to_string())?.into_rows();
             self.engine = None;
         }
         // Whatever the next engine computes may differ from what the
@@ -305,9 +314,9 @@ impl Session {
         self.dirty()?;
         self.tables.push(TableSpec {
             name: name.to_string(),
+            rows: EncodedRows::new(schema.tuple_width()),
             schema,
             org,
-            rows: Vec::new(),
         });
         Ok(())
     }
@@ -329,11 +338,9 @@ impl Session {
                 _ => return Err(format!("value does not fit field {}", f.name)),
             }
         }
-        // Canonical (padded) form everywhere: declared rows and engine.
-        let row = spec.schema.normalize(&row);
         // A live engine owns its base relation's rows: route the insert
-        // through it (charged maintenance). Anything else lands in the
-        // declared rows and the engine rebuilds lazily.
+        // through it (charged maintenance). Anything else is encoded into
+        // the declared rows and the engine rebuilds lazily.
         if let Some(engine) = self.engine.as_ref() {
             if self.tables[0].name == table {
                 engine
@@ -343,41 +350,42 @@ impl Session {
             }
         }
         self.dirty()?;
-        self.table_mut(table)?.rows.push(row);
+        let spec = self.table_mut(table)?;
+        spec.rows.push_tuple(&spec.schema, &row);
         Ok(())
     }
 
-    /// Build a catalog from the declared tables (uncharged). With
-    /// `base_rows = None` only the schemas/organizations are created —
-    /// enough for name resolution, without copying any data. A shard
-    /// build passes its partition of the first (updatable) table; every
-    /// other table is loaded in full (inner relations are replicated
-    /// per shard).
+    /// Build a catalog from the declared tables, each bulk-loaded
+    /// uncharged ([`Table::load`]). With `base_rows = None` the tables
+    /// are created empty — enough for name resolution, without copying
+    /// any data. A shard build passes its partition of the first
+    /// (updatable) table; every other table is loaded in full (inner
+    /// relations are replicated per shard).
     fn build_catalog(
         &self,
         pager: &Arc<Pager>,
-        base_rows: Option<&[Tuple]>,
+        base_rows: Option<&EncodedRows>,
     ) -> Result<Catalog, SessionError> {
         pager.set_charging(false);
         let mut cat = Catalog::new();
         for (ti, spec) in self.tables.iter().enumerate() {
-            let rows: &[Tuple] = match (ti, base_rows) {
-                (_, None) => &[],
+            let empty;
+            let rows = match (ti, base_rows) {
+                (_, None) => {
+                    empty = EncodedRows::new(spec.schema.tuple_width());
+                    &empty
+                }
                 (0, Some(part)) => part,
                 _ => &spec.rows,
             };
-            let mut t = Table::create(
+            let t = Table::load(
                 pager.clone(),
                 &spec.name,
                 spec.schema.clone(),
                 spec.org,
-                rows.len().max(16),
-            )
-            .map_err(|e| e.to_string())?;
-            for row in rows {
-                t.insert(row).map_err(|e| e.to_string())?;
-            }
-            cat.add(t);
+                rows,
+            );
+            cat.add(t.map_err(|e| e.to_string())?);
         }
         pager.ledger().reset();
         pager.set_charging(true);
@@ -436,7 +444,7 @@ impl Session {
     fn build_engine(
         &self,
         shard: u32,
-        part: &[Tuple],
+        part: &EncodedRows,
         r1_key_field: usize,
     ) -> Result<Engine, SessionError> {
         let pager = Pager::new(PagerConfig {
@@ -478,7 +486,7 @@ impl Session {
     fn build_backend(
         &self,
         router: Router,
-        parts: &[Vec<Tuple>],
+        parts: &[EncodedRows],
         key_field: usize,
     ) -> Result<ShardedEngine, SessionError> {
         let engine = ShardedEngine::new_replicated(router, self.replicas, |sid, _| {
@@ -506,19 +514,34 @@ impl Session {
                 return Err("the first table must be B-tree organized".to_string());
             };
             // The partitions take the base rows over from the declared
-            // table; a failed build hands them back.
-            let rows = std::mem::take(&mut self.tables[0].rows);
+            // table, in one key order: the router splits on it and each
+            // shard gets a sorted run. A failed build hands them back.
+            let base = &mut self.tables[0];
+            let width = base.schema.tuple_width();
+            let rows = std::mem::replace(&mut base.rows, EncodedRows::new(width));
+            let mut order: Vec<(i64, u32)> = (0..)
+                .zip(rows.iter())
+                .map(|(i, row)| (base.schema.int_field(row, key_field), i))
+                .collect();
+            order.sort_by_key(|&(key, _)| key);
             let router = Router::split_for(
                 self.shards,
-                rows.iter().map(|r| r[key_field].as_int()),
+                order.iter().map(|&(key, _)| key),
                 self.views.iter().map(|(_, def)| &def.selection),
                 key_field,
             );
-            let parts = router.partition_rows(rows, key_field);
+            let mut parts = vec![EncodedRows::new(width); router.shards()];
+            for &(key, i) in &order {
+                parts[router.shard_of(key)].push(rows.get(i as usize));
+            }
+            drop((rows, order));
             match self.build_backend(router, &parts, key_field) {
                 Ok(engine) => self.engine = Some(engine),
                 Err(e) => {
-                    self.tables[0].rows = parts.into_iter().flatten().collect();
+                    let back = &mut self.tables[0].rows;
+                    for row in parts.iter().flat_map(EncodedRows::iter) {
+                        back.push(row);
+                    }
                     return Err(e);
                 }
             }
@@ -1544,9 +1567,11 @@ mod tests {
         s.update(15, 99).unwrap();
         // A rebuild hands them back, updates included.
         s.set_shards(3).unwrap();
-        assert_eq!(s.tables()[0].rows.len(), 40);
-        assert!(s.tables()[0].rows.iter().any(|r| r[0] == Value::Int(99)));
-        assert!(!s.tables()[0].rows.iter().any(|r| r[0] == Value::Int(15)));
+        let base = &s.tables()[0];
+        let rows = base.rows.decode(&base.schema);
+        assert_eq!(rows.len(), 40);
+        assert!(rows.iter().any(|r| r[0] == Value::Int(99)));
+        assert!(!rows.iter().any(|r| r[0] == Value::Int(15)));
         assert_eq!(s.access("V").unwrap().0.len(), 9);
     }
 

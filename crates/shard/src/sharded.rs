@@ -1592,7 +1592,7 @@ impl ShardedEngine {
             None => {
                 let snapshot = self.scan_r1_of(&slot.replicas[slot.primary_idx()].engine.read())?;
                 let mut eng = rep.engine.write();
-                eng.install_r1_snapshot(&snapshot.decode())?;
+                eng.install_r1_snapshot(&snapshot.into_rows())?;
                 eng.note_applied_lsn(target);
                 slot.resync_full.inc();
             }
@@ -1658,13 +1658,13 @@ impl ShardedEngine {
     /// an access's partials: byte order over several shards, the
     /// engine's own key order over one. The session reads the base table
     /// back through this when it takes the rows over from a live engine.
-    pub fn scan_r1(&self) -> Result<Vec<Tuple>> {
+    pub fn scan_r1(&self) -> Result<RowBatch> {
         let mut partials = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             let eng = slot.replicas[slot.primary_idx()].engine.read();
             partials.push(self.scan_r1_of(&eng)?);
         }
-        Ok(RowBatch::merge(partials).decode())
+        Ok(RowBatch::merge(partials))
     }
 
     /// Point-in-time per-shard summaries (allocation-light on the hot

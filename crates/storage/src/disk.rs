@@ -95,6 +95,15 @@ impl Disk {
         Ok(self.file(file)?.pages.len() as u32)
     }
 
+    /// Pages allocated across every live file.
+    pub fn total_pages(&self) -> u64 {
+        self.files
+            .iter()
+            .flatten()
+            .map(|f| f.pages.len() as u64)
+            .sum()
+    }
+
     /// Append a zeroed page to the file, returning its id.
     pub fn allocate_page(&mut self, file: FileId) -> Result<PageId> {
         let zeroed = self.zeroed.clone();

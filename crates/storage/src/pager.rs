@@ -13,6 +13,11 @@
 //! Charging can be suspended (`set_charging(false)`) while loading base
 //! data, so experiments measure steady-state work only.
 //!
+//! Durability does not depend on the accounting mode. An operation ends
+//! with [`Pager::end_operation`], which writes every dirty frame back; the
+//! mode decides only what that write-back charges (see its docs), so a
+//! simulated crash ([`Pager::drop_frames`]) loses no completed operation.
+//!
 //! Pages stay in place. A frame holds a shared [`Page`] handle: a buffer
 //! fault takes the disk's handle, not a copy of its bytes. [`Pager::read`]
 //! takes the lock only to fault the page in and bump its reference count,
@@ -70,7 +75,13 @@ impl Default for PagerConfig {
 
 struct Frame {
     data: Page,
+    /// The bytes differ from the disk's page.
     dirty: bool,
+    /// `Physical` accounting still owes this page's write-back charge:
+    /// set by a write, paid when the frame is evicted or flushed. An
+    /// operation boundary makes the page durable without paying it, the
+    /// way a no-force buffer pool defers the write to eviction.
+    unpaid: bool,
     last_used: u64,
 }
 
@@ -198,6 +209,11 @@ impl Pager {
         self.state.lock().disk.page_count(file)
     }
 
+    /// Pages allocated across every live file.
+    pub fn total_pages(&self) -> u64 {
+        self.state.lock().disk.total_pages()
+    }
+
     /// Allocate a fresh zeroed page (not itself a charged access).
     pub fn allocate_page(&self, file: FileId) -> Result<PageId> {
         self.state.lock().disk.allocate_page(file)
@@ -228,13 +244,20 @@ impl Pager {
         self.state.lock().frames.clear();
     }
 
-    /// Write `data` to disk at `pid`, routing through the fault injector.
-    /// A torn write lands a prefix of the new bytes over the old page
-    /// content, then reports failure — exactly what a half-completed
-    /// sector write leaves behind.
-    fn write_back(&self, st: &mut PagerState, pid: PageId, data: &[u8]) -> Result<()> {
+    /// Write `data` to disk at `pid`, routing through the fault injector
+    /// (`charged` tells it whether the transfer is priced). A torn write
+    /// lands a prefix of the new bytes over the old page content, then
+    /// reports failure — exactly what a half-completed sector write
+    /// leaves behind.
+    fn write_back(
+        &self,
+        st: &mut PagerState,
+        pid: PageId,
+        data: &[u8],
+        charged: bool,
+    ) -> Result<()> {
         if let Some(inj) = st.injector.clone() {
-            match inj.decide(TransferKind::Write, self.is_charging()) {
+            match inj.decide(TransferKind::Write, charged) {
                 FaultDecision::Proceed => {}
                 FaultDecision::Fail(n) => return Err(StorageError::Io(n)),
                 FaultDecision::Kill => return Err(StorageError::Crashed),
@@ -293,13 +316,15 @@ impl Pager {
             Frame {
                 data,
                 dirty: false,
+                unpaid: false,
                 last_used: clock,
             },
         );
         Ok(true)
     }
 
-    /// Evict LRU frames down to capacity; returns dirty pages written back.
+    /// Evict LRU frames down to capacity, writing dirty ones back; returns
+    /// the write-backs owed (the `Physical` charge).
     fn evict_to_capacity(&self, st: &mut PagerState, capacity: usize, keep: PageId) -> Result<u64> {
         let mut writes = 0;
         while st.frames.len() > capacity {
@@ -317,7 +342,7 @@ impl Pager {
             };
             self.metrics.evictions.inc();
             if frame.dirty {
-                if let Err(e) = self.write_back(st, victim, &frame.data) {
+                if let Err(e) = self.write_back(st, victim, &frame.data, self.is_charging()) {
                     // The device write failed but the in-memory copy is
                     // intact: keep the frame (still dirty) so no data is
                     // silently lost without a crash. The pool runs over
@@ -325,8 +350,8 @@ impl Pager {
                     st.frames.insert(victim, frame);
                     return Err(e);
                 }
-                writes += 1;
             }
+            writes += u64::from(frame.unpaid);
         }
         Ok(writes)
     }
@@ -385,6 +410,7 @@ impl Pager {
         let mut st = self.state.lock();
         let (frame, missed) = self.touch(&mut st, pid)?;
         frame.dirty = true;
+        frame.unpaid = true;
         let out = f(Arc::make_mut(&mut frame.data));
         let writes = self.evict_to_capacity(&mut st, self.config.buffer_capacity, pid)?;
         drop(st);
@@ -426,31 +452,59 @@ impl Pager {
     /// `Physical` mode only — `Logical` mode has already charged them).
     pub fn flush(&self) -> Result<()> {
         self.metrics.flushes.inc();
-        let mut st = self.state.lock();
-        let dirty: Vec<PageId> = st
-            .frames
-            .iter()
-            .filter(|(_, fr)| fr.dirty)
-            .map(|(pid, _)| *pid)
-            .collect();
-        let mut writes = 0;
-        for pid in dirty {
-            // A handle, not a copy of the page; dropped after the write.
-            let Some(data) = st.frames.get(&pid).map(|fr| fr.data.clone()) else {
-                return Err(StorageError::Corrupt("dirty page vanished during flush"));
-            };
-            self.write_back(&mut st, pid, &data)?;
-            let Some(frame) = st.frames.get_mut(&pid) else {
-                return Err(StorageError::Corrupt("dirty page vanished during flush"));
-            };
-            frame.dirty = false;
-            writes += 1;
-        }
-        drop(st);
+        let writes = self.write_back_dirty(self.is_charging(), true)?;
         if self.config.mode == AccountingMode::Physical {
             self.charge_write(writes);
         }
         Ok(())
+    }
+
+    /// End one operation: every dirty frame becomes durable, whatever the
+    /// accounting mode; the mode decides only what that write-back
+    /// charges. Under `Physical` accounting with `drop_frames`, the pool
+    /// is flushed (charged) and emptied, so the next operation pays for
+    /// its own distinct pages as the model assumes. Otherwise the
+    /// write-back is uncharged: `Logical` mode charged each write when it
+    /// happened, and a warm `Physical` pool still owes each page one
+    /// write-back charge, paid at eviction or flush — unless charging is
+    /// suspended now (an uncharged base mutation), which settles it.
+    pub fn end_operation(&self, drop_frames: bool) -> Result<()> {
+        if drop_frames && self.config.mode == AccountingMode::Physical {
+            return self.clear_buffer();
+        }
+        self.write_back_dirty(false, !self.is_charging()).map(drop)
+    }
+
+    /// Write every dirty frame back (`charged` is what the fault injector
+    /// is told). With `settle`, the frames' owed write-back charges are
+    /// cleared too. Returns how many charges were owed.
+    fn write_back_dirty(&self, charged: bool, settle: bool) -> Result<u64> {
+        let mut st = self.state.lock();
+        let pending: Vec<(PageId, bool)> = st
+            .frames
+            .iter()
+            .filter(|(_, fr)| fr.dirty || (settle && fr.unpaid))
+            .map(|(pid, fr)| (*pid, fr.dirty))
+            .collect();
+        let mut owed = 0;
+        for (pid, dirty) in pending {
+            if dirty {
+                // A handle, not a copy of the page; dropped after the write.
+                let Some(data) = st.frames.get(&pid).map(|fr| fr.data.clone()) else {
+                    return Err(StorageError::Corrupt("dirty page vanished during flush"));
+                };
+                self.write_back(&mut st, pid, &data, charged)?;
+            }
+            let Some(frame) = st.frames.get_mut(&pid) else {
+                return Err(StorageError::Corrupt("dirty page vanished during flush"));
+            };
+            frame.dirty = false;
+            if settle {
+                owed += u64::from(frame.unpaid);
+                frame.unpaid = false;
+            }
+        }
+        Ok(owed)
     }
 }
 
@@ -492,6 +546,45 @@ mod tests {
         assert_eq!(snap.page_writes, 0); // not yet evicted
         pager.flush().unwrap();
         assert_eq!(pager.ledger().snapshot().page_writes, 1);
+    }
+
+    /// An operation boundary makes a write durable in every mode and
+    /// charges nothing for it unless it drops a `Physical` pool's frames;
+    /// a warm `Physical` pool still owes the write-back once, at flush,
+    /// unless the boundary ran with charging suspended.
+    #[test]
+    fn end_operation_is_durable_and_charges_by_mode() {
+        let cases = [
+            (AccountingMode::Logical, false, 1, 1),
+            (AccountingMode::Physical, true, 1, 1),
+            (AccountingMode::Physical, false, 0, 1),
+        ];
+        for (mode, drop_frames, at_boundary, after_flush) in cases {
+            let pager = small_pager(mode, 8);
+            let f = pager.create_file();
+            let p = pager.allocate_page(f).unwrap();
+            pager.write(p, |d| d[0] = 5).unwrap();
+            pager.end_operation(drop_frames).unwrap();
+            let writes = || pager.ledger().snapshot().page_writes;
+            assert_eq!(writes(), at_boundary, "{mode:?} {drop_frames}");
+            pager.flush().unwrap();
+            assert_eq!(writes(), after_flush, "{mode:?} {drop_frames}");
+            pager.drop_frames();
+            assert_eq!(
+                pager.read(p, |d| d[0]).unwrap(),
+                5,
+                "{mode:?} {drop_frames}"
+            );
+        }
+        // Suspended charging settles a warm pool's owed write-back.
+        let pager = small_pager(AccountingMode::Physical, 8);
+        let p = pager.allocate_page(pager.create_file()).unwrap();
+        pager.write(p, |d| d[0] = 6).unwrap();
+        pager.set_charging(false);
+        pager.end_operation(false).unwrap();
+        pager.set_charging(true);
+        pager.flush().unwrap();
+        assert_eq!(pager.ledger().snapshot().page_writes, 0);
     }
 
     #[test]

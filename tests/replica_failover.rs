@@ -281,7 +281,7 @@ fn kill_point_mid_cross_shard_move_leaves_row_on_exactly_one_shard() {
         let recovered = sharded.recover(Some(0));
         assert_eq!(recovered.len(), 1);
         // Exactly one copy of the moved row, on the destination shard.
-        let all = sharded.scan_r1().unwrap();
+        let all = sharded.scan_r1().unwrap().decode();
         assert_eq!(all.len(), R1_ROWS as usize, "{kind}: tuples not conserved");
         let moved = all
             .iter()

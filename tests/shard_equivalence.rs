@@ -250,8 +250,8 @@ fn render_oracle(kind: StrategyKind, session: &Session) -> Engine {
     pager.set_charging(false);
     let spec = &session.tables()[0];
     let mut emp = Table::create(pager.clone(), "EMP", spec.schema.clone(), spec.org, 0).unwrap();
-    for row in &spec.rows {
-        emp.insert(row).unwrap();
+    for row in spec.rows.decode(&spec.schema) {
+        emp.insert(&row).unwrap();
     }
     let mut cat = Catalog::new();
     cat.add(emp);
