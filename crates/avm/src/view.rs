@@ -209,6 +209,11 @@ impl<S: BuildHasher> MaterializedView<S> {
         self.heap.page_count()
     }
 
+    /// Drop the stored copy's file, freeing its pages.
+    pub fn destroy(self) -> Result<()> {
+        self.heap.destroy()
+    }
+
     /// Discard the stored copy and recompute it from the base relations
     /// (used at view creation; the engine usually does this uncharged).
     pub fn recompute_full(&mut self, catalog: &Catalog) -> Result<()> {

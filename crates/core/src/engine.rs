@@ -213,6 +213,23 @@ impl RecoveryOutcome {
     }
 }
 
+/// What an engine keeps of its strategy's derived state.
+///
+/// A primary serves accesses, so it builds its caches, views or Rete
+/// network up front. A follower only has to be able to take over: it
+/// holds the base relations and creates its derived state empty and
+/// marked for rebuild, the state [`Engine::crash`] leaves. Applying a
+/// delta then costs it the base mutation alone, since maintenance skips
+/// dirty state, and a promoted follower pays its strategy's §3 recovery
+/// on first access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Derived state built and maintained.
+    Primary,
+    /// Base relations only; derived state pending rebuild.
+    Follower,
+}
+
 /// The database-procedure engine.
 pub struct Engine {
     pager: Arc<Pager>,
@@ -268,6 +285,20 @@ impl Engine {
         kind: StrategyKind,
         opts: EngineOptions,
     ) -> Result<Engine> {
+        Engine::with_role(pager, catalog, procs, kind, opts, Role::Primary)
+    }
+
+    /// [`Engine::new`] in `role`: a [`Role::Follower`] creates its
+    /// strategy's structures empty and pending rebuild instead of
+    /// filling them.
+    pub fn with_role(
+        pager: Arc<Pager>,
+        catalog: Catalog,
+        procs: Vec<ProcedureDef>,
+        kind: StrategyKind,
+        opts: EngineOptions,
+        role: Role,
+    ) -> Result<Engine> {
         let metrics = EngineMetrics::new(kind, opts.shard);
         let schemas = procs
             .iter()
@@ -288,12 +319,10 @@ impl Engine {
             last_recovery: None,
             applied_lsn: 0,
         };
-        let was_charging = engine.pager.is_charging();
-        engine.pager.set_charging(false);
-        engine.state = engine.build_state(kind)?;
+        let _uncharged = engine.pager.uncharged();
+        engine.state = engine.build_state(role)?;
         // Flush setup writes while still uncharged.
         engine.pager.clear_buffer()?;
-        engine.pager.set_charging(was_charging);
         Ok(engine)
     }
 
@@ -303,8 +332,11 @@ impl Engine {
             .unwrap_or((i64::MIN, i64::MAX))
     }
 
-    fn build_state(&mut self, kind: StrategyKind) -> Result<StrategyState> {
-        match kind {
+    /// The strategy's structures, filled from the base relations for a
+    /// primary and left empty and pending rebuild for a follower.
+    fn build_state(&mut self, role: Role) -> Result<StrategyState> {
+        let fill = role == Role::Primary;
+        match self.kind {
             StrategyKind::AlwaysRecompute => Ok(StrategyState::Recompute),
             StrategyKind::CacheInvalidate => {
                 let mut caches = Vec::with_capacity(self.procs.len());
@@ -330,11 +362,13 @@ impl Engine {
                 for p in &self.procs {
                     let mut v =
                         MaterializedView::new(self.pager.clone(), p.view.clone(), &self.catalog);
-                    v.recompute_full(&self.catalog)?;
+                    if fill {
+                        v.recompute_full(&self.catalog)?;
+                    }
                     bounds.push(self.selection_bounds(&p.view));
                     views.push(v);
                 }
-                let dirty = vec![false; views.len()];
+                let dirty = vec![!fill; views.len()];
                 Ok(StrategyState::Avm {
                     views,
                     bounds,
@@ -363,14 +397,40 @@ impl Engine {
                     debug_assert_eq!(rete.memory(out).schema(), &**schema);
                     outputs.push(out);
                 }
-                rete.initialize(&self.catalog)?;
+                if fill {
+                    rete.initialize(&self.catalog)?;
+                }
                 Ok(StrategyState::Rvm {
                     rete,
                     outputs,
-                    dirty: false,
+                    dirty: !fill,
                 })
             }
         }
+    }
+
+    /// Become a [`Role::Follower`]: drop the derived state, freeing its
+    /// pages, and put empty structures pending rebuild in its place.
+    /// Uncharged. Every way a replica turns follower again (a demoted
+    /// primary, a resync, a rejoin) goes through here.
+    pub fn shed_derived_state(&mut self) -> Result<()> {
+        let _uncharged = self.pager.uncharged();
+        let fresh = self.build_state(Role::Follower)?;
+        match std::mem::replace(&mut self.state, fresh) {
+            StrategyState::Recompute => {}
+            StrategyState::CacheInval { caches, .. } => {
+                for entry in caches {
+                    entry.heap.destroy()?;
+                }
+            }
+            StrategyState::Avm { views, .. } => {
+                for v in views {
+                    v.destroy()?;
+                }
+            }
+            StrategyState::Rvm { rete, .. } => rete.destroy()?,
+        }
+        self.end_operation()
     }
 
     /// The strategy in force.
@@ -587,17 +647,17 @@ impl Engine {
     /// (uncharged; Cache-and-Invalidate caches start valid, with i-locks
     /// set). No-op for the other strategies, whose setup already warms.
     pub fn warm_up(&mut self) -> Result<()> {
-        let was = self.pager.is_charging();
-        self.pager.set_charging(false);
-        if let StrategyState::CacheInval { .. } = self.state {
-            for i in 0..self.procs.len() {
-                self.refill_cache(i)?;
+        {
+            let _uncharged = self.pager.uncharged();
+            if let StrategyState::CacheInval { .. } = self.state {
+                for i in 0..self.procs.len() {
+                    self.refill_cache(i)?;
+                }
             }
+            // Flush warm-up writes while still uncharged, then commit the
+            // validity records those (now durable) pages justify.
+            self.pager.clear_buffer()?;
         }
-        // Flush warm-up writes while still uncharged, then commit the
-        // validity records those (now durable) pages justify.
-        self.pager.clear_buffer()?;
-        self.pager.set_charging(was);
         self.force_validity();
         Ok(())
     }
@@ -838,19 +898,17 @@ impl Engine {
         let start = Instant::now();
         let mut sp = procdb_obs::span!(procdb_obs::global(), "update");
         // 1. Mutate the base relation (uncharged).
-        let was = self.pager.is_charging();
-        self.pager.set_charging(false);
         let key_field = self.opts.r1_key_field;
         let mut delta = Delta::new();
         {
+            let _uncharged = self.pager.uncharged();
             let r1 = self
                 .catalog
                 .get_mut(&self.opts.r1)
                 .unwrap_or_else(|| panic!("unknown base relation"));
             mutate(r1, &mut delta)?;
+            self.end_operation()?;
         }
-        self.end_operation()?;
-        self.pager.set_charging(was);
         let modified = delta.inserted.len().max(delta.deleted.len());
 
         // 2. Strategy maintenance (charged).
@@ -964,10 +1022,9 @@ impl Engine {
         let start = Instant::now();
         let mut sp = procdb_obs::span!(procdb_obs::global(), "update");
         // 1. Base mutation, uncharged.
-        let was = self.pager.is_charging();
-        self.pager.set_charging(false);
         let mut delta = Delta::new();
         {
+            let _uncharged = self.pager.uncharged();
             let table = self
                 .catalog
                 .get_mut(relation)
@@ -985,9 +1042,8 @@ impl Engine {
                 delta.deleted.push(old);
                 delta.inserted.push(new);
             }
+            self.end_operation()?;
         }
-        self.end_operation()?;
-        self.pager.set_charging(was);
         let modified = delta.inserted.len();
 
         // 2. Strategy maintenance, charged.
@@ -1049,11 +1105,9 @@ impl Engine {
     /// Reference answer for procedure `i`, recomputed fresh and uncharged
     /// (test/verification support).
     pub fn expected_rows(&self, i: usize) -> Result<RowBatch> {
-        let was = self.pager.is_charging();
-        self.pager.set_charging(false);
-        let rows = execute_encoded(&self.procs[i].plan(), &self.catalog);
-        self.pager.set_charging(was);
-        Ok(RowBatch::new(Arc::clone(&self.schemas[i]), rows?))
+        let _uncharged = self.pager.uncharged();
+        let rows = execute_encoded(&self.procs[i].plan(), &self.catalog)?;
+        Ok(RowBatch::new(Arc::clone(&self.schemas[i]), rows))
     }
 
     /// Rete network statistics (RVM engines only).
@@ -1180,11 +1234,10 @@ impl Engine {
     /// are charged when they happen, exactly like post-crash recovery
     /// work. Returns the number of rows installed.
     pub fn install_r1_snapshot(&mut self, rows: &EncodedRows) -> Result<usize> {
-        let was = self.pager.is_charging();
-        self.pager.set_charging(false);
-        let installed = self.replace_r1(rows);
-        self.pager.set_charging(was);
-        let installed = installed?;
+        let installed = {
+            let _uncharged = self.pager.uncharged();
+            self.replace_r1(rows)?
+        };
         match &mut self.state {
             StrategyState::Recompute => {}
             StrategyState::CacheInval { validity, .. } => {

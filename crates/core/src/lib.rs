@@ -35,7 +35,7 @@ pub mod stats;
 
 pub use advisor::{recommend, Recommendation};
 pub use ddl::{parse_define_view, DdlError, DefineView};
-pub use engine::{Engine, EngineOptions, RecoveryOutcome, RecoveryReport};
+pub use engine::{Engine, EngineOptions, RecoveryOutcome, RecoveryReport, Role};
 pub use procedure::{ProcId, ProcedureDef, StrategyKind};
 pub use replication::{DeltaObserver, DeltaOp, ShippedDelta};
 pub use rete_planner::{choose_spec, maintenance_cost, UpdateFrequencies};

@@ -96,6 +96,11 @@ impl<S: BuildHasher> MemoryStore<S> {
         self.heap.page_count()
     }
 
+    /// Drop the memory's file, freeing its pages.
+    pub fn destroy(self) -> Result<()> {
+        self.heap.destroy()
+    }
+
     /// Drop every tuple, keeping the allocated pages. Re-initializes each
     /// page on disk (crash-recovery support: after volatile state is lost
     /// the stored contents are untrustworthy, and a rebuild must not parse

@@ -384,6 +384,16 @@ impl Rete {
         self.initialize(catalog)
     }
 
+    /// Drop every memory's file, freeing the network's pages.
+    pub fn destroy(self) -> Result<()> {
+        for node in self.nodes {
+            if let Node::Memory { store, .. } = node {
+                store.destroy()?;
+            }
+        }
+        Ok(())
+    }
+
     /// Submit one change token for `relation` at the root and let it
     /// propagate. Screens are charged at `C1` for every t-const the root
     /// dispatch delivers the token to; memory refreshes and probes charge

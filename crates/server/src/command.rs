@@ -435,206 +435,215 @@ fn parse_call(rest: &str) -> Result<Command, String> {
     Ok(Command::Call { name, args })
 }
 
+/// `line` past the keyword `kw` at its front, compared without case;
+/// `None` when the line does not start with it.
+fn after<'a>(line: &'a str, kw: &str) -> Option<&'a str> {
+    let head = line.get(..kw.len())?;
+    head.eq_ignore_ascii_case(kw).then(|| &line[kw.len()..])
+}
+
+/// [`after`] for a keyword that stands alone: the line is `kw`, or `kw`
+/// and a space.
+fn after_word<'a>(line: &'a str, kw: &str) -> Option<&'a str> {
+    after(line, kw).filter(|rest| rest.is_empty() || rest.starts_with(' '))
+}
+
+fn parse_opt_shard(rest: &str, what: &str) -> Result<Option<usize>, String> {
+    let rest = rest.trim().to_ascii_lowercase();
+    if rest.is_empty() {
+        return Ok(None);
+    }
+    rest.parse()
+        .map(Some)
+        .map_err(|_| format!("expected: {what} [SHARD], got {rest:?}"))
+}
+
+fn parse_insert(rest: &str) -> Result<Command, String> {
+    let (table, rest) = split_ident(rest).ok_or_else(|| "expected table name".to_string())?;
+    let rest = rest.trim_start();
+    let open = rest
+        .strip_prefix('(')
+        .ok_or_else(|| "expected '(' before values".to_string())?;
+    let close = open
+        .rfind(')')
+        .ok_or_else(|| "expected ')' after values".to_string())?;
+    let row = parse_values(&open[..close])?;
+    Ok(Command::Insert { table, row })
+}
+
+fn parse_update(rest: &str) -> Result<Command, String> {
+    let parts: Vec<&str> = rest.split("->").collect();
+    if parts.len() != 2 {
+        return Err("expected: update VICTIM -> NEWKEY".to_string());
+    }
+    let victim: i64 = parts[0]
+        .trim()
+        .parse()
+        .map_err(|_| format!("bad key {:?}", parts[0].trim()))?;
+    let new_key: i64 = parts[1]
+        .trim()
+        .parse()
+        .map_err(|_| format!("bad key {:?}", parts[1].trim()))?;
+    Ok(Command::Update(victim, new_key))
+}
+
+fn parse_trace(rest: &str) -> Result<Command, String> {
+    let rest = rest.trim().to_ascii_lowercase();
+    if let Some(n) = rest.strip_prefix("sample") {
+        return n
+            .trim()
+            .parse()
+            .map(Command::TraceSample)
+            .map_err(|_| format!("expected: trace sample N, got {rest:?}"));
+    }
+    if let Some(us) = rest.strip_prefix("slow") {
+        return us
+            .trim()
+            .parse()
+            .map(Command::TraceSlow)
+            .map_err(|_| format!("expected: trace slow MICROS, got {rest:?}"));
+    }
+    match rest.as_str() {
+        "on" => Ok(Command::Trace(true)),
+        "off" => Ok(Command::Trace(false)),
+        other => Err(format!("expected 'trace on' or 'trace off', got {other:?}")),
+    }
+}
+
+fn parse_strategy(rest: &str) -> Result<Command, String> {
+    let kind = match rest.trim().to_ascii_lowercase().as_str() {
+        "recompute" | "always-recompute" | "ar" => StrategyKind::AlwaysRecompute,
+        "cache" | "cache-invalidate" | "ci" => StrategyKind::CacheInvalidate,
+        "avm" | "update-cache-avm" => StrategyKind::UpdateCacheAvm,
+        "rvm" | "update-cache-rvm" => StrategyKind::UpdateCacheRvm,
+        other => {
+            return Err(format!(
+                "unknown strategy {other:?} (recompute|cache|avm|rvm)"
+            ))
+        }
+    };
+    Ok(Command::Strategy(kind))
+}
+
+fn parse_create_table(rest: &str) -> Result<Command, String> {
+    let (name, rest) = split_ident(rest).ok_or_else(|| "expected table name".to_string())?;
+    let rest = rest.trim_start();
+    let open = rest
+        .strip_prefix('(')
+        .ok_or_else(|| "expected '(' after table name".to_string())?;
+    let close = open
+        .find(')')
+        .ok_or_else(|| "expected ')' closing the schema".to_string())?;
+    let schema = parse_schema_body(&open[..close])?;
+    let tail: Vec<&str> = open[close + 1..].split_whitespace().collect();
+    let org = match tail.as_slice() {
+        [kind, key] => {
+            let key_field = schema
+                .field_index(key)
+                .ok_or_else(|| format!("unknown key field {key}"))?;
+            if kind.eq_ignore_ascii_case("btree") {
+                Organization::BTree { key_field }
+            } else if kind.eq_ignore_ascii_case("hash") {
+                Organization::Hash { key_field }
+            } else {
+                return Err(format!("unknown organization {kind:?} (btree|hash)"));
+            }
+        }
+        _ => return Err("expected: btree|hash KEYFIELD after the schema".to_string()),
+    };
+    Ok(Command::CreateTable { name, schema, org })
+}
+
 /// Parse one input line (blank lines and `#` comments yield `None`).
+///
+/// The first keyword picks the parser. Keywords are compared in place
+/// without case, the bulk `insert`, `access` and `update` first, so
+/// those lines copy nothing and cost at most three comparisons; a
+/// command whose arguments ignore case lowercases only the rest of its
+/// own line. No line one keyword accepts starts with another keyword,
+/// so the order of the tests matters only among the `explain` forms.
 pub fn parse(line: &str) -> Result<Option<Command>, String> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
-    let lower = line.to_ascii_lowercase();
-    if lower == "quit" || lower == "exit" {
-        return Ok(Some(Command::Quit));
-    }
-    if lower == "help" {
-        return Ok(Some(Command::Help));
-    }
-    if lower == "show" {
-        return Ok(Some(Command::Show));
-    }
-    if lower == "costs" {
-        return Ok(Some(Command::Costs));
-    }
-    if lower == "stats" {
-        return Ok(Some(Command::Stats));
-    }
-    if lower == "metrics" {
-        return Ok(Some(Command::Metrics));
-    }
-    if let Some(rest) = lower.strip_prefix("trace") {
-        if rest.is_empty() || rest.starts_with(|c: char| c.is_whitespace()) {
-            let rest = rest.trim();
-            if let Some(n) = rest.strip_prefix("sample") {
-                return n
-                    .trim()
-                    .parse()
-                    .map(|n| Some(Command::TraceSample(n)))
-                    .map_err(|_| format!("expected: trace sample N, got {rest:?}"));
-            }
-            if let Some(us) = rest.strip_prefix("slow") {
-                return us
-                    .trim()
-                    .parse()
-                    .map(|us| Some(Command::TraceSlow(us)))
-                    .map_err(|_| format!("expected: trace slow MICROS, got {rest:?}"));
-            }
-            return match rest {
-                "on" => Ok(Some(Command::Trace(true))),
-                "off" => Ok(Some(Command::Trace(false))),
-                other => Err(format!("expected 'trace on' or 'trace off', got {other:?}")),
-            };
-        }
-    }
-    if lower == "serve" || lower.starts_with("serve ") {
-        return parse_serve(&line["serve".len()..]).map(Some);
-    }
-    fn parse_opt_shard(rest: &str, what: &str) -> Result<Option<usize>, String> {
-        let rest = rest.trim();
-        if rest.is_empty() {
-            return Ok(None);
-        }
+    let is = |kw: &str| line.eq_ignore_ascii_case(kw);
+    let cmd = if let Some(rest) = after(line, "insert") {
+        parse_insert(rest)
+    } else if let Some(rest) = after(line, "access") {
+        split_ident(rest)
+            .map(|(view, _)| Command::Access(view))
+            .ok_or_else(|| "expected view name".to_string())
+    } else if let Some(rest) = after(line, "update") {
+        parse_update(rest)
+    } else if is("quit") || is("exit") {
+        Ok(Command::Quit)
+    } else if is("help") {
+        Ok(Command::Help)
+    } else if is("show") {
+        Ok(Command::Show)
+    } else if is("costs") {
+        Ok(Command::Costs)
+    } else if is("stats") {
+        Ok(Command::Stats)
+    } else if is("metrics") {
+        Ok(Command::Metrics)
+    } else if let Some(rest) =
+        after(line, "trace").filter(|r| r.is_empty() || r.starts_with(char::is_whitespace))
+    {
+        parse_trace(rest)
+    } else if let Some(rest) = after_word(line, "serve") {
+        parse_serve(rest)
+    } else if let Some(rest) = after_word(line, "crash") {
+        parse_opt_shard(rest, "crash").map(Command::Crash)
+    } else if let Some(rest) = after_word(line, "recover") {
+        parse_opt_shard(rest, "recover").map(Command::Recover)
+    } else if let Some(rest) = after_word(line, "shards") {
+        parse_opt_shard(rest, "shards").map(Command::Shards)
+    } else if let Some(rest) = after_word(line, "replicas") {
+        parse_opt_shard(rest, "replicas").map(Command::Replicas)
+    } else if let Some(rest) = after_word(line, "promote") {
+        let rest = rest.trim().to_ascii_lowercase();
         rest.parse()
-            .map(Some)
-            .map_err(|_| format!("expected: {what} [SHARD], got {rest:?}"))
-    }
-    if lower == "crash" || lower.starts_with("crash ") {
-        return parse_opt_shard(&lower["crash".len()..], "crash").map(|s| Some(Command::Crash(s)));
-    }
-    if lower == "recover" || lower.starts_with("recover ") {
-        return parse_opt_shard(&lower["recover".len()..], "recover")
-            .map(|s| Some(Command::Recover(s)));
-    }
-    if lower == "shards" || lower.starts_with("shards ") {
-        return parse_opt_shard(&lower["shards".len()..], "shards")
-            .map(|s| Some(Command::Shards(s)));
-    }
-    if lower == "replicas" || lower.starts_with("replicas ") {
-        return parse_opt_shard(&lower["replicas".len()..], "replicas")
-            .map(|s| Some(Command::Replicas(s)));
-    }
-    if lower == "promote" || lower.starts_with("promote ") {
-        let rest = lower["promote".len()..].trim();
-        return rest
-            .parse()
-            .map(|s| Some(Command::Promote(s)))
-            .map_err(|_| format!("expected: promote SHARD, got {rest:?}"));
-    }
-    if lower == "resync" || lower.starts_with("resync ") {
-        return parse_opt_shard(&lower["resync".len()..], "resync")
-            .map(|s| Some(Command::Resync(s)));
-    }
-    if lower == "fault" || lower.starts_with("fault ") {
-        return parse_fault(&lower["fault".len()..]).map(Some);
-    }
-    if lower == "chaos" || lower.starts_with("chaos ") {
-        return parse_chaos(&lower["chaos".len()..]).map(Some);
-    }
-    if lower == "cache" || lower.starts_with("cache ") {
-        return match lower["cache".len()..].trim() {
-            "on" => Ok(Some(Command::Cache(true))),
-            "off" => Ok(Some(Command::Cache(false))),
-            "stats" => Ok(Some(Command::CacheStats)),
+            .map(Command::Promote)
+            .map_err(|_| format!("expected: promote SHARD, got {rest:?}"))
+    } else if let Some(rest) = after_word(line, "resync") {
+        parse_opt_shard(rest, "resync").map(Command::Resync)
+    } else if let Some(rest) = after_word(line, "fault") {
+        parse_fault(&rest.to_ascii_lowercase())
+    } else if let Some(rest) = after_word(line, "chaos") {
+        parse_chaos(&rest.to_ascii_lowercase())
+    } else if let Some(rest) = after_word(line, "cache") {
+        match rest.trim().to_ascii_lowercase().as_str() {
+            "on" => Ok(Command::Cache(true)),
+            "off" => Ok(Command::Cache(false)),
+            "stats" => Ok(Command::CacheStats),
             _ => Err("expected: cache on|off|stats".to_string()),
-        };
-    }
-    if lower == "call" || lower.starts_with("call ") {
-        return parse_call(&line["call".len()..]).map(Some);
-    }
-    if lower.starts_with("define view") || lower.starts_with("retrieve") {
-        return Ok(Some(Command::DefineView(line.to_string())));
-    }
-    if let Some(rest) = lower.strip_prefix("strategy") {
-        let kind = match rest.trim() {
-            "recompute" | "always-recompute" | "ar" => StrategyKind::AlwaysRecompute,
-            "cache" | "cache-invalidate" | "ci" => StrategyKind::CacheInvalidate,
-            "avm" | "update-cache-avm" => StrategyKind::UpdateCacheAvm,
-            "rvm" | "update-cache-rvm" => StrategyKind::UpdateCacheRvm,
-            other => {
-                return Err(format!(
-                    "unknown strategy {other:?} (recompute|cache|avm|rvm)"
-                ))
-            }
-        };
-        return Ok(Some(Command::Strategy(kind)));
-    }
-    if lower.starts_with("create table") {
-        let rest = &line["create table".len()..];
-        let (name, rest) = split_ident(rest).ok_or_else(|| "expected table name".to_string())?;
-        let rest = rest.trim_start();
-        let open = rest
-            .strip_prefix('(')
-            .ok_or_else(|| "expected '(' after table name".to_string())?;
-        let close = open
-            .find(')')
-            .ok_or_else(|| "expected ')' closing the schema".to_string())?;
-        let schema = parse_schema_body(&open[..close])?;
-        let tail: Vec<&str> = open[close + 1..].split_whitespace().collect();
-        let org = match tail.as_slice() {
-            [kind, key] => {
-                let key_field = schema
-                    .field_index(key)
-                    .ok_or_else(|| format!("unknown key field {key}"))?;
-                if kind.eq_ignore_ascii_case("btree") {
-                    Organization::BTree { key_field }
-                } else if kind.eq_ignore_ascii_case("hash") {
-                    Organization::Hash { key_field }
-                } else {
-                    return Err(format!("unknown organization {kind:?} (btree|hash)"));
-                }
-            }
-            _ => return Err("expected: btree|hash KEYFIELD after the schema".to_string()),
-        };
-        return Ok(Some(Command::CreateTable { name, schema, org }));
-    }
-    if lower.starts_with("insert") {
-        let rest = &line["insert".len()..];
-        let (table, rest) = split_ident(rest).ok_or_else(|| "expected table name".to_string())?;
-        let rest = rest.trim_start();
-        let open = rest
-            .strip_prefix('(')
-            .ok_or_else(|| "expected '(' before values".to_string())?;
-        let close = open
-            .rfind(')')
-            .ok_or_else(|| "expected ')' after values".to_string())?;
-        let row = parse_values(&open[..close])?;
-        return Ok(Some(Command::Insert { table, row }));
-    }
-    if lower.starts_with("access") {
-        let (view, _) =
-            split_ident(&line["access".len()..]).ok_or_else(|| "expected view name".to_string())?;
-        return Ok(Some(Command::Access(view)));
-    }
-    if lower.starts_with("explain analyze ") {
-        let inner = line["explain analyze ".len()..].trim();
+        }
+    } else if let Some(rest) = after_word(line, "call") {
+        parse_call(rest)
+    } else if after(line, "define view").is_some() || after(line, "retrieve").is_some() {
+        Ok(Command::DefineView(line.to_string()))
+    } else if let Some(rest) = after(line, "strategy") {
+        parse_strategy(rest)
+    } else if let Some(rest) = after(line, "create table") {
+        parse_create_table(rest)
+    } else if let Some(inner) = after(line, "explain analyze ") {
+        let inner = inner.trim();
         if inner.is_empty() {
             return Err("expected: explain analyze COMMAND".to_string());
         }
-        return Ok(Some(Command::ExplainAnalyze(inner.to_string())));
-    }
-    if lower == "explain analyze" {
-        return Err("expected: explain analyze COMMAND".to_string());
-    }
-    if lower.starts_with("explain") {
-        let (view, _) = split_ident(&line["explain".len()..])
-            .ok_or_else(|| "expected view name".to_string())?;
-        return Ok(Some(Command::Explain(view)));
-    }
-    if lower.starts_with("update") {
-        let rest = &line["update".len()..];
-        let parts: Vec<&str> = rest.split("->").collect();
-        if parts.len() != 2 {
-            return Err("expected: update VICTIM -> NEWKEY".to_string());
-        }
-        let victim: i64 = parts[0]
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad key {:?}", parts[0].trim()))?;
-        let new_key: i64 = parts[1]
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad key {:?}", parts[1].trim()))?;
-        return Ok(Some(Command::Update(victim, new_key)));
-    }
-    Err(format!("unknown command {line:?} (try 'help')"))
+        Ok(Command::ExplainAnalyze(inner.to_string()))
+    } else if is("explain analyze") {
+        Err("expected: explain analyze COMMAND".to_string())
+    } else if let Some(rest) = after(line, "explain") {
+        split_ident(rest)
+            .map(|(view, _)| Command::Explain(view))
+            .ok_or_else(|| "expected view name".to_string())
+    } else {
+        Err(format!("unknown command {line:?} (try 'help')"))
+    };
+    cmd.map(Some)
 }
 
 #[cfg(test)]

@@ -8,7 +8,11 @@
 //! layout changes: switching strategies mid-session replays the same
 //! database under the new algorithm, which is exactly the comparison the
 //! paper is about. Every build re-splits the key range over the rows it
-//! moves in and the views' key windows ([`Router::split_for`]).
+//! moves in and the views' key windows ([`Router::split_for`]). The shard
+//! groups build concurrently; with `replicas R`, each shard's primary
+//! builds the strategy's derived state and its followers hold the base
+//! tables only ([`Role::Follower`]), so a promoted follower pays its
+//! strategy's recovery on first access, as after `crash` and `recover`.
 //!
 //! Declared rows are kept encoded ([`EncodedRows`] beside the table's
 //! schema): `insert` type-checks a row and encodes it straight into the
@@ -38,7 +42,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use procdb_cache::ResultCache;
 use procdb_core::{
-    parse_define_view, DeltaObserver, Engine, EngineOptions, ProcedureDef, RecoveryOutcome,
+    parse_define_view, DeltaObserver, Engine, EngineOptions, ProcedureDef, RecoveryOutcome, Role,
     StrategyKind, WorkloadObserver,
 };
 use procdb_query::{
@@ -366,7 +370,7 @@ impl Session {
         pager: &Arc<Pager>,
         base_rows: Option<&EncodedRows>,
     ) -> Result<Catalog, SessionError> {
-        pager.set_charging(false);
+        let uncharged = pager.uncharged();
         let mut cat = Catalog::new();
         for (ti, spec) in self.tables.iter().enumerate() {
             let empty;
@@ -388,7 +392,7 @@ impl Session {
             cat.add(t.map_err(|e| e.to_string())?);
         }
         pager.ledger().reset();
-        pager.set_charging(true);
+        drop(uncharged);
         Ok(cat)
     }
 
@@ -439,13 +443,14 @@ impl Session {
         Ok(())
     }
 
-    /// Build shard `shard`'s engine over the declared schema and `part`,
-    /// that shard's partition of the base table's rows.
+    /// Build shard `shard`'s engine in `role` over the declared schema
+    /// and `part`, that shard's partition of the base table's rows.
     fn build_engine(
         &self,
         shard: u32,
         part: &EncodedRows,
         r1_key_field: usize,
+        role: Role,
     ) -> Result<Engine, SessionError> {
         let pager = Pager::new(PagerConfig {
             page_size: self.page_size,
@@ -464,7 +469,7 @@ impl Session {
             .iter()
             .find_map(|(_, v)| v.joins.first().map(|j| j.outer_key_field))
             .unwrap_or(r1_key_field);
-        Engine::new(
+        Engine::with_role(
             pager,
             catalog,
             procs,
@@ -477,27 +482,27 @@ impl Session {
                 clear_buffer_between_ops: true,
                 shard: Some(shard),
             },
+            role,
         )
         .map_err(|e| e.to_string())
     }
 
     /// Build and warm the engine over `parts`, the base table's rows
-    /// dealt into one partition per shard of `router`.
+    /// dealt into one partition per shard of `router`. The shard groups
+    /// build concurrently, and only each shard's primary builds views.
     fn build_backend(
         &self,
         router: Router,
         parts: &[EncodedRows],
         key_field: usize,
     ) -> Result<ShardedEngine, SessionError> {
-        let engine = ShardedEngine::new_replicated(router, self.replicas, |sid, _| {
-            self.build_engine(sid as u32, &parts[sid], key_field)
+        let engine = ShardedEngine::new_replicated(router, self.replicas, |sid, role| {
+            self.build_engine(sid as u32, &parts[sid], key_field, role)
         })?;
         engine.warm_up().map_err(|e| e.to_string())?;
         if self.replicas > 1 {
-            // With followers available, contended reads may hedge and a
-            // crashed primary is promoted away from even when no traffic
-            // touches the failed shard.
-            engine.set_hedged_reads(true);
+            // With followers available, a crashed primary is promoted
+            // away from even when no traffic touches the failed shard.
             engine.start_supervisor(SUPERVISOR_INTERVAL);
         }
         self.attach_engine_to_cache(&engine, key_field);
@@ -1031,10 +1036,9 @@ impl Session {
             ));
             if engine.replicas() > 1 {
                 out.push_str(&format!(
-                    "replicas: {} per shard, {} failover(s), {} hedged read(s)\n",
+                    "replicas: {} per shard, {} failover(s)\n",
                     engine.replicas(),
                     engine.failovers(),
-                    engine.hedged_read_count(),
                 ));
             }
             for st in engine.shard_stats() {
@@ -1369,6 +1373,29 @@ mod tests {
         assert!(ms > 0.0);
     }
 
+    /// The CLI sequence `fault inject --seed 7 --io-writes 1
+    /// --include-uncharged`, `update 2 -> 50`, `fault off`, `access V`:
+    /// the update's base mutation fails on its first write, and the
+    /// access after it must be priced again, not answer "0.0 model-ms".
+    #[test]
+    fn a_failed_base_mutation_leaves_the_pager_charging() {
+        let mut s = demo_session();
+        s.define_view("define view V (EMP.all) where EMP.eid >= 10 and EMP.eid <= 19")
+            .unwrap();
+        let (_, priced) = s.access("V").unwrap();
+        assert!(priced > 0.0);
+        let line = "fault inject --seed 7 --io-writes 1 --include-uncharged";
+        let Ok(Some(crate::Command::FaultInject(plan))) = crate::parse(line) else {
+            panic!("{line} parses");
+        };
+        s.fault_inject(plan).unwrap();
+        assert!(s.update(2, 50).is_err(), "every page write faults");
+        s.fault_off().unwrap();
+        let (rows, ms) = s.access("V").unwrap();
+        assert_eq!(rows.len(), 10);
+        assert!(ms > 0.0, "the access after a failed update was not charged");
+    }
+
     #[test]
     fn strategy_switch_preserves_answers() {
         let mut s = demo_session();
@@ -1512,7 +1539,9 @@ mod tests {
             s.set_strategy(kind).unwrap();
             assert_eq!((s.shards(), s.replicas()), (1, 1));
             // The oracle: one bare engine over the same declared data.
-            let mut oracle = s.build_engine(0, &s.tables()[0].rows, 0).unwrap();
+            let mut oracle = s
+                .build_engine(0, &s.tables()[0].rows, 0, Role::Primary)
+                .unwrap();
             oracle.warm_up().unwrap();
             let compare = |s: &mut Session, oracle: &mut Engine, step: &str| {
                 for (i, view) in ["V", "F0"].into_iter().enumerate() {

@@ -21,16 +21,23 @@
 //!   primary applies the mutation first and stamps the routed
 //!   [`DeltaOp`] into the shard's delta log, then synchronously notifies
 //!   each live follower, which applies the log from its own LSN up to
-//!   the new entry (each follower runs its *own* strategy maintenance —
-//!   AVM/Rete followers keep their own view state, CI followers their
-//!   own i-locks — so failover preserves each strategy's §3 recovery
-//!   class). A re-key
+//!   the new entry. A follower holds the base relations only
+//!   ([`Role::Follower`]): its derived state stays empty and pending
+//!   rebuild, so it applies the base delta and no maintenance. A re-key
 //!   whose new key falls in another shard's range becomes a
 //!   *cross-shard move*: delete-take on the source group, rewrite the
 //!   key, insert on the destination group — never holding two shard
 //!   groups' mutation locks at once, so shard locks cannot deadlock.
 //! * **Inner-relation updates** (`R2`/`R3` are replicated) broadcast to
 //!   every shard group.
+//!
+//! ## Set-up
+//!
+//! [`ShardedEngine::new_replicated`] builds the shard groups on scoped
+//! threads, at most one per available core; each thread builds its
+//! shard's primary, then its followers. Each shard has its own pager,
+//! so the builds share no lock. Views are built on the `S` primaries
+//! only, never on the followers.
 //!
 //! ## Failover & resync
 //!
@@ -41,7 +48,10 @@
 //! the in-flight operation retries on the new primary — so with
 //! `replicas ≥ 2` a primary failure costs latency, not availability.
 //! The promoted follower first applies whatever log entries it has not
-//! (a withheld notification), so no committed op is lost to the swap.
+//! (a withheld notification), so no committed op is lost to the swap,
+//! and pays its strategy's §3 recovery on first access: nothing for
+//! Always Recompute, cache refills for Cache & Invalidate, a rebuild
+//! from base for AVM and RVM.
 //! Promotion is triggered synchronously by the failing access/update
 //! path, immediately by [`ShardedEngine::crash`], by an operator
 //! [`ShardedEngine::promote`], or by the optional background
@@ -51,19 +61,15 @@
 //!
 //! Notification, promotion and resync move a replica the same way: one
 //! `advance` applies the shard log's entries past the replica's applied
-//! LSN under its engine write lock. A rejoining replica
+//! LSN under its engine write lock. A replica that turns follower again
+//! (a healthy primary demoted by [`ShardedEngine::promote`], or any
+//! replica rejoining) sheds its derived state
+//! ([`Engine::shed_derived_state`]). A rejoining replica
 //! ([`ShardedEngine::resync`], also run by [`ShardedEngine::recover`])
 //! first recovers its engine, then advances to the log head; when the
 //! log has been truncated past its position — or its stream position is
 //! ambiguous — it falls back to the conservative path: a
-//! full `R1` snapshot install from the current primary plus whole
-//! derived-state invalidation, which each strategy then repairs on
-//! first access exactly as post-crash recovery does.
-//!
-//! Optional **hedged reads** ([`ShardedEngine::set_hedged_reads`]) let
-//! an access whose primary lock is contended serve from a live follower
-//! instead of waiting — safe because live followers are synchronously
-//! fresh.
+//! full `R1` snapshot install from the current primary.
 //!
 //! ## Failure containment
 //!
@@ -96,7 +102,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use procdb_core::{
-    DeltaObserver, DeltaOp, Engine, RecoveryOutcome, RecoveryReport, ShippedDelta, StrategyKind,
+    DeltaObserver, DeltaOp, Engine, RecoveryOutcome, RecoveryReport, Role, ShippedDelta,
+    StrategyKind,
 };
 use procdb_obs::{Counter, Gauge, Histogram};
 use procdb_query::{RowBatch, Tuple, Value};
@@ -292,7 +299,6 @@ struct ShardSlot {
     replica_drops: Counter,
     resync_replayed: Counter,
     resync_full: Counter,
-    hedged: Counter,
     fenced: Counter,
 }
 
@@ -323,7 +329,6 @@ impl ShardSlot {
             replica_drops: reg.counter("procdb_replica_drops_total", labels),
             resync_replayed: reg.counter("procdb_replica_resync_replayed_total", labels),
             resync_full: reg.counter("procdb_replica_resync_full_total", labels),
-            hedged: reg.counter("procdb_replica_hedged_reads_total", labels),
             fenced: reg.counter("procdb_fenced_total", labels),
         }
     }
@@ -538,30 +543,43 @@ fn serve_on(
     Ok((rows, ms, true))
 }
 
-/// Hedged read: serve from any live follower whose lock is free, via
-/// the shared (read-only) path. Live followers are synchronously fresh,
-/// so the answer equals the primary's. `Ok(None)` when no follower
-/// could serve without writing.
-fn hedged_read(
-    slot: &ShardSlot,
-    pidx: usize,
-    i: usize,
-    c: &CostConstants,
-) -> Result<Option<(RowBatch, f64)>> {
-    for rep in &slot.replicas {
-        if rep.idx == pidx || !rep.is_alive() {
-            continue;
-        }
-        if let Some(eng) = rep.engine.try_read() {
-            let before = eng.ledger().snapshot();
-            if let Some(rows) = eng.access_shared(i)? {
-                let ms = eng.ledger().snapshot().since(&before).priced(c);
-                slot.hedged.inc();
-                return Ok(Some((rows, ms)));
-            }
-        }
+/// Build `shards` replica groups with `build(shard_id)`, several at once:
+/// at most [`std::thread::available_parallelism`] scoped threads, each
+/// taking the next unbuilt shard until none is left. One shard builds on
+/// the calling thread. The lowest failing shard's error wins.
+fn build_groups<T: Send, E: Send>(
+    shards: usize,
+    build: impl Fn(usize) -> std::result::Result<T, E> + Sync,
+) -> std::result::Result<Vec<T>, E> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(shards);
+    if threads <= 1 {
+        return (0..shards).map(build).collect();
     }
-    Ok(None)
+    let next = AtomicUsize::new(0);
+    let mut built: Vec<(usize, std::result::Result<T, E>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let id = next.fetch_add(1, Ordering::Relaxed);
+                        if id >= shards {
+                            break mine;
+                        }
+                        mine.push((id, build(id)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    built.sort_by_key(|&(id, _)| id);
+    built.into_iter().map(|(_, group)| group).collect()
 }
 
 /// The background health-checker: promotes away from crashed primaries
@@ -666,7 +684,6 @@ pub struct ShardedEngine {
     kind: StrategyKind,
     cross_moves: Counter,
     partials: Counter,
-    hedge: AtomicBool,
     supervisor: Mutex<Option<Supervisor>>,
     /// Active message-chaos injector, shared with the supervisor thread.
     chaos: Arc<Mutex<Option<Arc<ChaosInjector>>>>,
@@ -676,37 +693,38 @@ impl ShardedEngine {
     /// Build one unreplicated engine per shard of `router` via
     /// `build(shard_id)` — identical to [`ShardedEngine::new_replicated`]
     /// with one replica per shard.
-    pub fn new<E>(
+    pub fn new<E: Send>(
         router: Router,
-        mut build: impl FnMut(usize) -> std::result::Result<Engine, E>,
+        build: impl Fn(usize) -> std::result::Result<Engine, E> + Sync,
     ) -> std::result::Result<Self, E> {
-        Self::new_replicated(router, 1, |s, _r| build(s))
+        Self::new_replicated(router, 1, |s, _role| build(s))
     }
 
     /// Build one replica group of `replicas` engines per shard of
-    /// `router` via `build(shard_id, replica_idx)`. Every replica of a
+    /// `router` via `build(shard_id, role)`: replica 0 of each shard is
+    /// built as the [`Role::Primary`], the rest as [`Role::Follower`]s
+    /// (pass the role to [`Engine::with_role`]). Every replica of a
     /// shard must load the **same** `R1` slice (the rows
     /// [`Router::shard_of`] assigns to that shard; use
     /// [`Router::partition_rows`]) and full copies of the inner
     /// relations; every engine must share the strategy, `R1` name, key
-    /// field, and procedure list. Replica 0 of each shard starts as
-    /// primary. Generic over the builder's error type so callers keep
-    /// their own error domain.
-    pub fn new_replicated<E>(
+    /// field, and procedure list. The groups build concurrently
+    /// ([`build_groups`]). Generic over the builder's error type so
+    /// callers keep their own error domain; the lowest failing shard's
+    /// error is returned.
+    pub fn new_replicated<E: Send>(
         router: Router,
         replicas: usize,
-        mut build: impl FnMut(usize, usize) -> std::result::Result<Engine, E>,
+        build: impl Fn(usize, Role) -> std::result::Result<Engine, E> + Sync,
     ) -> std::result::Result<Self, E> {
         let shards = router.shards();
         assert!(replicas > 0, "a replica group needs at least one engine");
-        let mut slots = Vec::with_capacity(shards);
-        for id in 0..shards {
-            let mut engines = Vec::with_capacity(replicas);
-            for r in 0..replicas {
-                engines.push(build(id, r)?);
-            }
-            slots.push(Arc::new(ShardSlot::new(id, engines)));
-        }
+        let roles = || std::iter::once(Role::Primary).chain(vec![Role::Follower; replicas - 1]);
+        let groups = build_groups(shards, |id| roles().map(|role| build(id, role)).collect())?;
+        let slots: Vec<Arc<ShardSlot>> = (0..)
+            .zip(groups)
+            .map(|(id, engines)| Arc::new(ShardSlot::new(id, engines)))
+            .collect();
         let (r1, key_field, targets, kind) = {
             let eng = slots[0].replicas[0].engine.read();
             let key_field = eng.options().r1_key_field;
@@ -755,7 +773,6 @@ impl ShardedEngine {
             kind,
             cross_moves: procdb_obs::global().counter("procdb_shard_cross_moves_total", &[]),
             partials: procdb_obs::global().counter("procdb_shard_partials_total", &[]),
-            hedge: AtomicBool::new(false),
             supervisor: Mutex::new(None),
             chaos: Arc::new(Mutex::new(None)),
         })
@@ -850,24 +867,6 @@ impl ShardedEngine {
     /// Current primary replica index of one shard.
     pub fn primary_of(&self, shard: usize) -> usize {
         self.slots[shard].primary_idx()
-    }
-
-    /// Enable/disable hedged reads: an access whose primary lock is
-    /// contended serves from a live follower instead of waiting. Off by
-    /// default (a follower read can run ahead of a concurrent update's
-    /// fan-out, so strict read-your-writes callers should leave it off).
-    pub fn set_hedged_reads(&self, on: bool) {
-        self.hedge.store(on, Ordering::Relaxed);
-    }
-
-    /// Are hedged reads enabled?
-    pub fn hedged_reads(&self) -> bool {
-        self.hedge.load(Ordering::Relaxed)
-    }
-
-    /// Hedged reads served so far, summed over shards.
-    pub fn hedged_read_count(&self) -> u64 {
-        self.slots.iter().map(|s| s.hedged.get()).sum()
     }
 
     /// Cap every shard's delta-log retention at `cap` ops (truncating
@@ -982,13 +981,10 @@ impl ShardedEngine {
     /// escalating to exclusive only when the strategy must write. A
     /// crashed primary is promoted away from and the access **retries
     /// on the new primary** within a bounded failover window, so with
-    /// live followers a dying primary costs latency, not an error. With
-    /// hedged reads on, a merely *contended* primary lock routes the
-    /// read to a live follower.
+    /// live followers a dying primary costs latency, not an error.
     pub fn access(&self, i: usize, c: &CostConstants) -> Result<(RowBatch, f64)> {
         assert!(i < self.targets.len(), "procedure index out of range");
         let c = *c;
-        let hedge = self.hedged_reads();
         // The pool's worker threads are long-lived, so the request's
         // trace context and deadline do not follow implicitly — capture
         // them here and re-install them inside each job so every
@@ -1019,20 +1015,6 @@ impl ShardedEngine {
                             break Err(StorageError::Deadline { shard: shard_id });
                         }
                         let pidx = slot.primary_idx();
-                        if hedge && attempts == 1 && slot.replicas[pidx].engine.try_read().is_none()
-                        {
-                            match hedged_read(&slot, pidx, i, &c) {
-                                Ok(Some((rows, ms))) => {
-                                    slot.accesses.inc();
-                                    slot.access_ms.observe(start.elapsed().as_secs_f64() * 1e3);
-                                    sp.field("role", pidx as f64);
-                                    sp.field("hedged", 1.0);
-                                    break Ok((rows, ms));
-                                }
-                                Ok(None) => {}
-                                Err(e) => break Err(e),
-                            }
-                        }
                         match serve_on(&slot.replicas[pidx], shard_id, i, &c) {
                             Ok((rows, ms, escalated)) => {
                                 if escalated {
@@ -1094,12 +1076,11 @@ impl ShardedEngine {
     /// ship is not notified this time, and a later notification (or a
     /// promotion) advances the follower past it; a *duplicated* ship is
     /// notified twice, and the second advance finds nothing to apply. A
-    /// follower whose apply *crashed* leaves the group suspect; one
-    /// whose maintenance merely faulted keeps serving — its base effect
-    /// is durable and its derived state is dirty-marked, self-healing on
-    /// first access exactly like a standalone engine. A follower that
-    /// fell behind the log's retention window resyncs from the primary's
-    /// snapshot on the spot.
+    /// follower's derived state is pending rebuild, so an advance applies
+    /// base deltas only: no Rete, AVM or i-lock work runs here, on the
+    /// writer's thread. A follower whose apply *crashed* leaves the group
+    /// suspect. A follower that fell behind the log's retention window
+    /// resyncs from the primary's snapshot on the spot.
     ///
     /// A follower whose epoch watermark has moved past the ship's
     /// epoch means this primary was superseded between its commit point
@@ -1477,13 +1458,18 @@ impl ShardedEngine {
         let Some(best) = slot.freshest_follower(pidx) else {
             return Err(format!("shard {shard} has no live follower to promote"));
         };
-        let old_crashed = slot.replicas[pidx].engine.read().is_crashed();
+        let old = &slot.replicas[pidx];
+        let old_crashed = old.engine.read().is_crashed();
         if promote_cas(slot, pidx, best.idx) {
             if old_crashed {
                 // An operator crash is an op-boundary crash: position exact,
                 // so the drop stays replayable (a mid-apply death was already
                 // marked suspect by the mutation path that observed it).
-                slot.replicas[pidx].mark_down();
+                old.mark_down();
+            } else if old.engine.write().shed_derived_state().is_err() {
+                // A healthy ex-primary stays on as a follower; one that
+                // cannot shed its views rejoins through resync instead.
+                old.mark_down();
             }
             Ok(best.idx)
         } else {
@@ -1571,9 +1557,12 @@ impl ShardedEngine {
         Ok(reports)
     }
 
-    /// Catch one replica up to the shard's log head. Caller holds the
-    /// shard's mutation lock and has already recovered the engine.
+    /// Catch one replica up to the shard's log head as a follower: it
+    /// sheds its derived state first, so the replay applies base deltas
+    /// only. Caller holds the shard's mutation lock and has already
+    /// recovered the engine.
     fn resync_replica(&self, slot: &ShardSlot, rep: &Replica) -> Result<ResyncReport> {
+        rep.engine.write().shed_derived_state()?;
         let target = slot.log.lock().last_lsn();
         let replayed = if rep.needs_full_resync.load(Ordering::Relaxed) {
             None
@@ -1611,14 +1600,12 @@ impl ShardedEngine {
         })
     }
 
-    /// Warm every replica's caches (uncharged), so first measured
+    /// Warm every primary's caches (uncharged), so first measured
     /// accesses are steady-state — the sharded analogue of
-    /// [`Engine::warm_up`].
+    /// [`Engine::warm_up`]. Followers keep no caches to warm.
     pub fn warm_up(&self) -> Result<()> {
         for slot in &self.slots {
-            for rep in &slot.replicas {
-                rep.engine.write().warm_up()?;
-            }
+            slot.replicas[slot.primary_idx()].engine.write().warm_up()?;
         }
         Ok(())
     }
@@ -1642,12 +1629,9 @@ impl ShardedEngine {
     /// suspended: snapshots are setup work, not priced query cost.
     fn scan_r1_of(&self, eng: &Engine) -> Result<RowBatch> {
         let r1 = self.r1_table(eng);
-        let pager = eng.pager();
-        let was = pager.is_charging();
-        pager.set_charging(false);
-        let rows = r1.scan_encoded();
-        pager.set_charging(was);
-        Ok(RowBatch::new(Arc::new(r1.schema().clone()), rows?))
+        let _uncharged = eng.pager().uncharged();
+        let rows = r1.scan_encoded()?;
+        Ok(RowBatch::new(Arc::new(r1.schema().clone()), rows))
     }
 
     fn r1_table<'e>(&self, eng: &'e Engine) -> &'e procdb_query::Table {
@@ -1750,10 +1734,10 @@ mod tests {
     use procdb_query::{Catalog, FieldType, Organization, Predicate, Schema, Table};
     use procdb_storage::{AccountingMode, Pager, PagerConfig};
 
-    /// An engine over `R1(k)` loaded with keys `0..rows`, one procedure
-    /// per `(lo, hi)` key window. Physical accounting, so a base write is
-    /// flushed before the update returns and survives a crash.
-    fn engine(kind: StrategyKind, rows: i64, windows: &[(i64, i64)]) -> Result<Engine> {
+    /// An engine in `role` over `R1(k)` loaded with keys `0..rows`, one
+    /// procedure per `(lo, hi)` key window. Physical accounting, so a base
+    /// write is flushed before the update returns and survives a crash.
+    fn engine(kind: StrategyKind, rows: i64, windows: &[(i64, i64)], role: Role) -> Result<Engine> {
         let mode = AccountingMode::Physical;
         let pager = Pager::new(PagerConfig {
             mode,
@@ -1776,8 +1760,20 @@ mod tests {
             };
             ProcedureDef::new(i, format!("p{i}"), view)
         });
-        Engine::new(pager, cat, procs.collect(), kind, EngineOptions::default())
+        Engine::with_role(
+            pager,
+            cat,
+            procs.collect(),
+            kind,
+            EngineOptions::default(),
+            role,
+        )
     }
+
+    /// The tests below all drive shard 0, whose counters are the
+    /// process-global `shard="0"` series, and one of them counts its own
+    /// escalation: they take turns.
+    static SHARD_0: Mutex<()> = Mutex::new(());
 
     /// One shard, one replica, cache-and-invalidate over `R1(k)` with one
     /// selection: its cache starts invalid, so the first access must
@@ -1785,7 +1781,7 @@ mod tests {
     fn invalid_ci_engine() -> ShardedEngine {
         let router = Router::split(1, 0..8, &[]);
         ShardedEngine::new(router, |_| {
-            engine(StrategyKind::CacheInvalidate, 8, &[(2, 5)])
+            engine(StrategyKind::CacheInvalidate, 8, &[(2, 5)], Role::Primary)
         })
         .unwrap()
     }
@@ -1797,13 +1793,14 @@ mod tests {
     /// and a stale-epoch one applies nothing at all.
     #[test]
     fn promotion_advances_past_withheld_notifications() {
+        let _turn = SHARD_0.lock();
         const WINDOWS: [(i64, i64); 3] = [(0, 9), (8, 30), (20, 60)];
         let c = CostConstants::default();
         for kind in StrategyKind::ALL {
-            let build = || engine(kind, 32, &WINDOWS);
+            let build = |role| engine(kind, 32, &WINDOWS, role);
             let router = Router::split(1, 0..32, &[]);
-            let sharded = ShardedEngine::new_replicated(router, 3, |_, _| build()).unwrap();
-            let mut oracle = build().unwrap();
+            let sharded = ShardedEngine::new_replicated(router, 3, |_, role| build(role)).unwrap();
+            let mut oracle = build(Role::Primary).unwrap();
             let slot = &sharded.slots[0];
             let mut run = |plan: ChaosPlan, pairs: &[(i64, i64)]| {
                 sharded.install_chaos(plan);
@@ -1877,6 +1874,7 @@ mod tests {
 
     #[test]
     fn escalation_behind_a_held_engine_lock_honors_the_deadline() {
+        let _turn = SHARD_0.lock();
         let sharded = invalid_ci_engine();
         let c = CostConstants::default();
         let engine = &sharded.slots[0].replicas[0].engine;

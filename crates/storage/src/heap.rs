@@ -146,6 +146,12 @@ impl HeapFile {
         self.file
     }
 
+    /// Drop the file: its pages are freed and its buffered frames
+    /// discarded.
+    pub fn destroy(self) -> Result<()> {
+        self.pager.drop_file(self.file)
+    }
+
     /// Number of allocated pages.
     pub fn page_count(&self) -> u32 {
         self.free.len() as u32

@@ -45,4 +45,4 @@ pub use error::{Result, StorageError};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultStatus, TransferKind};
 pub use heap::{HeapFile, Rid, RidIndex};
 pub use ledger::{CostConstants, CostLedger, CostSnapshot};
-pub use pager::{AccountingMode, Pager, PagerConfig};
+pub use pager::{AccountingMode, Pager, PagerConfig, Uncharged};

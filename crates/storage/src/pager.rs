@@ -10,8 +10,9 @@
 //!   misses as reads, dirty evictions and flushes as writes. Used by the
 //!   ablation benches to show how a warm buffer pool shifts the tradeoff.
 //!
-//! Charging can be suspended (`set_charging(false)`) while loading base
-//! data, so experiments measure steady-state work only.
+//! Charging can be suspended while loading base data, so experiments
+//! measure steady-state work only: [`Pager::uncharged`] suspends it until
+//! its guard drops, on every exit path.
 //!
 //! Durability does not depend on the accounting mode. An operation ends
 //! with [`Pager::end_operation`], which writes every dirty frame back; the
@@ -119,6 +120,20 @@ impl PagerMetrics {
     }
 }
 
+/// Charging suspended on one pager; dropping it restores the charging
+/// state [`Pager::uncharged`] found.
+#[must_use = "charging resumes as soon as the guard drops"]
+pub struct Uncharged {
+    pager: Arc<Pager>,
+    was: bool,
+}
+
+impl Drop for Uncharged {
+    fn drop(&mut self) {
+        self.pager.set_charging(self.was);
+    }
+}
+
 /// Buffer-managed, cost-accounted page store. Shared via `Arc`.
 pub struct Pager {
     state: Mutex<PagerState>,
@@ -175,6 +190,19 @@ impl Pager {
     /// Whether accesses are currently charged.
     pub fn is_charging(&self) -> bool {
         self.charging.load(Ordering::Relaxed)
+    }
+
+    /// Suspend charging until the returned guard drops, which restores
+    /// whatever was in force before, also when the work in between
+    /// returns early with an error. Setup, base mutations and snapshots
+    /// run under it: they are not the paper's priced work.
+    pub fn uncharged(self: &Arc<Self>) -> Uncharged {
+        let was = self.is_charging();
+        self.set_charging(false);
+        Uncharged {
+            pager: Arc::clone(self),
+            was,
+        }
     }
 
     /// Buffer-pool statistics since construction: `(hits, faults)`.

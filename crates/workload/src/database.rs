@@ -87,8 +87,7 @@ pub fn r3_schema(c: &SimConfig) -> Schema {
 /// Build and load the three base relations (uncharged). Returns the
 /// catalog; the pager's ledger is left at zero.
 pub fn build_database(pager: Arc<Pager>, c: &SimConfig) -> Result<Catalog> {
-    let was = pager.is_charging();
-    pager.set_charging(false);
+    let uncharged = pager.uncharged();
     let mut rng = StdRng::seed_from_u64(c.seed);
     let n_r2 = c.n_r2() as i64;
     let n_r3 = c.n_r3() as i64;
@@ -143,7 +142,7 @@ pub fn build_database(pager: Arc<Pager>, c: &SimConfig) -> Result<Catalog> {
     cat.add(t2);
     cat.add(t3);
     pager.ledger().reset();
-    pager.set_charging(was);
+    drop(uncharged);
     pager.clear_buffer()?;
     Ok(cat)
 }

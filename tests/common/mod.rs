@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use procdb::avm::{JoinStep, ViewDef};
-use procdb::core::{Engine, EngineOptions, ProcedureDef, StrategyKind};
+use procdb::core::{Engine, EngineOptions, ProcedureDef, Role, StrategyKind};
 use procdb::query::{
     Catalog, CompOp, FieldType, Organization, Predicate, Schema, Table, Term, Value,
 };
@@ -77,6 +77,18 @@ pub fn build_engine(
     shard: Option<u32>,
     procs: &[ProcedureDef],
 ) -> Engine {
+    build_replica(kind, keys, shard, procs, Role::Primary)
+}
+
+/// [`build_engine`] in `role`: a follower loads the same relations and
+/// leaves its derived state pending rebuild.
+pub fn build_replica(
+    kind: StrategyKind,
+    keys: &[i64],
+    shard: Option<u32>,
+    procs: &[ProcedureDef],
+    role: Role,
+) -> Engine {
     let pager = Pager::new(PagerConfig {
         page_size: 512,
         buffer_capacity: 4096,
@@ -118,7 +130,7 @@ pub fn build_engine(
     cat.add(r2);
     pager.ledger().reset();
     pager.set_charging(true);
-    Engine::new(
+    Engine::with_role(
         Arc::clone(&pager),
         cat,
         procs.to_vec(),
@@ -127,6 +139,7 @@ pub fn build_engine(
             shard,
             ..EngineOptions::default()
         },
+        role,
     )
     .unwrap()
 }
@@ -141,15 +154,36 @@ pub fn build_replicated(
 ) -> ShardedEngine {
     let keys: Vec<i64> = (0..R1_ROWS).collect();
     let router = router(shards, &keys, procs);
-    ShardedEngine::new_replicated(router.clone(), replicas, |sid, _rid| {
-        let slice: Vec<i64> = keys
-            .iter()
-            .copied()
-            .filter(|&k| router.shard_of(k) == sid)
-            .collect();
-        Ok::<Engine, String>(build_engine(kind, &slice, Some(sid as u32), procs))
+    ShardedEngine::new_replicated(router.clone(), replicas, |sid, role| {
+        let slice = shard_keys(&router, &keys, sid);
+        Ok::<Engine, String>(build_replica(kind, &slice, Some(sid as u32), procs, role))
     })
     .unwrap()
+}
+
+/// The keys of `keys` the placement assigns to shard `sid`.
+pub fn shard_keys(router: &Router, keys: &[i64], sid: usize) -> Vec<i64> {
+    keys.iter()
+        .copied()
+        .filter(|&k| router.shard_of(k) == sid)
+        .collect()
+}
+
+/// Does `e` hold its strategy's derived state as a follower does: no
+/// valid cache, every view and the Rete network pending rebuild?
+pub fn derived_state_pending(e: &Engine) -> bool {
+    match e.strategy() {
+        StrategyKind::AlwaysRecompute => true,
+        StrategyKind::CacheInvalidate => e.valid_fraction() == Some(0.0),
+        StrategyKind::UpdateCacheAvm => e.rebuilds_pending() == e.procedures().len(),
+        StrategyKind::UpdateCacheRvm => e.rebuilds_pending() == 1,
+    }
+}
+
+/// `e`'s `R1` rows in key order, read uncharged.
+pub fn r1_rows(e: &Engine) -> procdb::query::EncodedRows {
+    let _uncharged = e.pager().uncharged();
+    e.catalog().get("R1").unwrap().scan_encoded().unwrap()
 }
 
 /// Every procedure answers through the sharded engine exactly as the
@@ -171,11 +205,11 @@ pub fn assert_matches_oracle(
     }
 }
 
-/// Every live replica of every group must answer exactly like a freshly
-/// rebuilt engine over the same base slice: a replica's `access` output
-/// equals its own uncharged fresh recompute (`expected_rows`), which in
-/// turn equals the primary's — so resync really restored the data, not
-/// just the liveness bit.
+/// Every replica of every group is live and holds its primary's base
+/// data: each procedure's uncharged fresh recompute (`expected_rows`)
+/// equals the primary's, so resync really restored the data, not just
+/// the liveness bit. The primary's `access` answers exactly that, and
+/// every follower holds the base only, its derived state pending.
 pub fn assert_groups_consistent(sharded: &ShardedEngine, ctx: &str) {
     for st in sharded.shard_stats() {
         let s = st.shard;
@@ -187,21 +221,32 @@ pub fn assert_groups_consistent(sharded: &ShardedEngine, ctx: &str) {
                 "{ctx}: shard {s} replica {} still down after resync",
                 rs.replica
             );
-            for i in 0..sharded.n_procs() {
-                let (norm_got, norm_here) = sharded.with_replica_engine_mut(s, rs.replica, |e| {
-                    let got = e.access(i).unwrap();
-                    let expect = e.expected_rows(i).unwrap();
-                    (got.normalized(), expect.normalized())
-                });
-                assert_eq!(
-                    norm_got,
-                    norm_here,
-                    "{ctx}: shard {s} replica {} proc {i} access ({} rows) diverged \
-                     from its own fresh recompute ({} rows)",
-                    rs.replica,
-                    norm_got.len(),
-                    norm_here.len()
+            if rs.role == ReplicaRole::Follower {
+                assert!(
+                    sharded.with_replica_engine(s, rs.replica, derived_state_pending),
+                    "{ctx}: shard {s} follower {} holds derived state",
+                    rs.replica
                 );
+            }
+            for i in 0..sharded.n_procs() {
+                let norm_here = sharded
+                    .with_replica_engine(s, rs.replica, |e| e.expected_rows(i))
+                    .unwrap()
+                    .normalized();
+                if rs.role == ReplicaRole::Primary {
+                    let norm_got = sharded
+                        .with_replica_engine_mut(s, primary, |e| e.access(i))
+                        .unwrap()
+                        .normalized();
+                    assert_eq!(
+                        norm_got,
+                        norm_here,
+                        "{ctx}: shard {s} primary proc {i} access ({} rows) diverged \
+                         from its own fresh recompute ({} rows)",
+                        norm_got.len(),
+                        norm_here.len()
+                    );
+                }
                 let norm_primary = sharded
                     .with_replica_engine_mut(s, primary, |e| {
                         e.expected_rows(i).map(|r| r.normalized())

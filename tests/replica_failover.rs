@@ -294,11 +294,8 @@ fn kill_point_mid_cross_shard_move_leaves_row_on_exactly_one_shard() {
         assert_eq!(moved, 1, "{kind}: the re-keyed row must exist exactly once");
         assert_eq!(stale, 0, "{kind}: the old key must be gone");
         let on_dst = sharded.with_engine(1, |e| {
-            let pg = e.pager().clone();
-            let was = pg.is_charging();
-            pg.set_charging(false);
+            let _uncharged = e.pager().uncharged();
             let rows = e.catalog().get("R1").unwrap().scan_all().unwrap();
-            pg.set_charging(was);
             rows.iter().filter(|r| r[0] == Value::Int(new_key)).count()
         });
         assert_eq!(
