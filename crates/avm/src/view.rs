@@ -13,26 +13,19 @@
 //! survivors through the view's join steps (hash probes into `R2`/`R3`),
 //! and patch the stored copy.
 //!
-//! The stored copy lives on heap-file pages. Per stored view tuple RAM
-//! holds one record id under a 64-bit fingerprint of the tuple's encoded
-//! bytes — never the bytes. A fingerprint with a single tuple keeps its
-//! rid inline ([`RidIndex`]), so a view of distinct tuples costs no heap
-//! block per tuple. A delete finds its candidates by fingerprint and
-//! removes the newest whose page bytes match ([`HeapFile::delete_if_eq`]),
-//! inside the one page write it makes anyway, and changes the index only
-//! once that write has succeeded. Two different tuples that share a
-//! fingerprint therefore cost one extra charged write, never a wrong
-//! delete. Fingerprints are not persisted: a full recompute re-derives
-//! them.
+//! The stored copy is a [`StoredRows`] keyed on `R1`'s key field (a view
+//! has no projection, so every output row carries it): a delete reads
+//! only the page holding its victim, and a full recompute is one fill.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
 
 use procdb_query::{
-    execute, execute_encoded, Catalog, EncodedRows, Plan, Predicate, Schema, Tuple,
+    execute, execute_encoded, Catalog, EncodedRows, FieldType, Organization, Plan, Predicate,
+    Schema, StoredRows, Tuple,
 };
-use procdb_storage::{HeapFile, Pager, Result, RidIndex};
+use procdb_storage::{Pager, Result};
 
 use crate::delta::Delta;
 
@@ -73,8 +66,14 @@ pub struct ViewDef {
 impl ViewDef {
     /// The full recompute plan for this view.
     pub fn to_plan(&self) -> Plan {
+        self.prefix_plan(self.joins.len())
+    }
+
+    /// The plan computing the pipeline prefix: the base selection plus the
+    /// first `upto` join steps.
+    fn prefix_plan(&self, upto: usize) -> Plan {
         let mut plan = Plan::select(&self.base, self.selection.clone());
-        for j in &self.joins {
+        for j in &self.joins[..upto] {
             plan = plan.hash_join(&j.inner, j.outer_key_field, j.residual.clone());
         }
         plan
@@ -94,7 +93,7 @@ impl ViewDef {
         catalog: &Catalog,
         pager: &Arc<Pager>,
     ) -> Result<Vec<Tuple>> {
-        let ledger = pager.ledger().clone();
+        let ledger = pager.ledger();
         let charging = pager.is_charging();
         let mut rows: Vec<Tuple> = Vec::new();
         for t in r1_tuples {
@@ -107,28 +106,40 @@ impl ViewDef {
                 rows.push(t.clone());
             }
         }
-        for step in &self.joins {
-            let inner = catalog
-                .get(&step.inner)
-                .unwrap_or_else(|| panic!("unknown table {}", step.inner));
-            let mut next = Vec::new();
-            for row in &rows {
-                let key = row[step.outer_key_field].as_int();
-                inner.probe(key, |inner_row| {
-                    if charging {
-                        ledger.add_screens(1);
-                    }
-                    let mut combined = row.clone();
-                    combined.extend(inner_row);
-                    if step.residual.eval(&combined) {
-                        next.push(combined);
-                    }
-                })?;
-            }
-            rows = next;
-        }
-        Ok(rows)
+        extend(rows, &self.joins, catalog, pager)
     }
+}
+
+/// Extend `rows` through `steps`: probe each step's inner hash table on
+/// the running tuple's key field and keep each combination passing the
+/// step's residual, charging `C1` per probed inner tuple.
+fn extend(
+    mut rows: Vec<Tuple>,
+    steps: &[JoinStep],
+    catalog: &Catalog,
+    pager: &Pager,
+) -> Result<Vec<Tuple>> {
+    let charging = pager.is_charging();
+    for step in steps {
+        let inner = catalog
+            .get(&step.inner)
+            .unwrap_or_else(|| panic!("unknown table {}", step.inner));
+        let mut next = Vec::new();
+        for row in &rows {
+            inner.probe(row[step.outer_key_field].as_int(), |inner_row| {
+                if charging {
+                    pager.ledger().add_screens(1);
+                }
+                let mut combined = row.clone();
+                combined.extend(inner_row);
+                if step.residual.eval(&combined) {
+                    next.push(combined);
+                }
+            })?;
+        }
+        rows = next;
+    }
+    Ok(rows)
 }
 
 /// Statistics from one maintenance step.
@@ -142,21 +153,12 @@ pub struct MaintStats {
     pub view_deleted: usize,
 }
 
-/// A stored view kept current by AVM. `S` makes the tuple fingerprints;
+/// A stored view kept current by AVM. `S` makes the row fingerprints;
 /// the default keys them at random per view, so tuples cannot be crafted
 /// to collide.
-///
-/// The stored copy lives in a heap file; the in-RAM index maps tuple
-/// fingerprints to record ids so a delete touches only the page holding
-/// the victim (the paper's `Y3`/`Y4` refresh terms count exactly the pages
-/// holding changed tuples).
 pub struct MaterializedView<S = RandomState> {
     def: ViewDef,
-    schema: Schema,
-    heap: HeapFile,
-    /// fingerprint → rids of the stored tuples with it, in insertion order.
-    by_fingerprint: RidIndex<u64>,
-    fingerprint: S,
+    rows: StoredRows<S>,
 }
 
 impl MaterializedView {
@@ -175,12 +177,18 @@ impl<S: BuildHasher> MaterializedView<S> {
         fingerprint: S,
     ) -> MaterializedView<S> {
         let schema = def.output_schema(catalog);
+        // The base relation's key, or its first integer field for a heap.
+        let key_field = match catalog.get(&def.base).map(|t| t.organization()) {
+            Some(Organization::BTree { key_field } | Organization::Hash { key_field }) => key_field,
+            _ => schema
+                .fields()
+                .iter()
+                .position(|f| f.ty == FieldType::Int)
+                .expect("a view's base relation has an integer field"),
+        };
         MaterializedView {
             def,
-            schema,
-            heap: HeapFile::create(pager),
-            by_fingerprint: RidIndex::new(),
-            fingerprint,
+            rows: StoredRows::with_hasher(pager, schema, key_field, fingerprint),
         }
     }
 
@@ -191,64 +199,56 @@ impl<S: BuildHasher> MaterializedView<S> {
 
     /// The view's output schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.rows.schema()
     }
 
     /// Number of tuples currently materialized.
     pub fn len(&self) -> u64 {
-        self.heap.len()
+        self.rows.len()
     }
 
     /// Whether the view is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.rows.is_empty()
     }
 
     /// Pages of the stored copy.
     pub fn page_count(&self) -> u32 {
-        self.heap.page_count()
+        self.rows.page_count()
     }
 
     /// Drop the stored copy's file, freeing its pages.
     pub fn destroy(self) -> Result<()> {
-        self.heap.destroy()
+        self.rows.destroy()
     }
 
-    /// Discard the stored copy and recompute it from the base relations
-    /// (used at view creation; the engine usually does this uncharged).
+    /// Recompute the stored copy from the base relations and fill it in
+    /// one pass (view creation and every rebuild; one read-modify-write
+    /// per page, [`StoredRows::fill`]).
     pub fn recompute_full(&mut self, catalog: &Catalog) -> Result<()> {
-        self.heap.clear()?;
-        self.by_fingerprint.clear();
         let rows = execute_encoded(&self.def.to_plan(), catalog)?;
-        for row in rows.iter() {
-            self.insert_encoded(row)?;
-        }
-        Ok(())
+        self.rows.fill(&rows)
     }
 
-    fn insert_row(&mut self, row: &Tuple) -> Result<()> {
-        self.insert_encoded(&self.schema.encode(row))
-    }
-
-    fn insert_encoded(&mut self, bytes: &[u8]) -> Result<()> {
-        let rid = self.heap.insert(bytes)?;
-        self.by_fingerprint
-            .push(self.fingerprint.hash_one(bytes), rid);
-        Ok(())
-    }
-
-    /// Delete the most recently inserted stored copy of `row`; a failed
-    /// write leaves it, and its index entry, in place.
-    fn delete_row(&mut self, row: &Tuple) -> Result<bool> {
-        let bytes = self.schema.encode(row);
-        let fp = self.fingerprint.hash_one(&bytes[..]);
-        for (i, &rid) in self.by_fingerprint.get(&fp).iter().enumerate().rev() {
-            if self.heap.delete_if_eq(rid, &bytes)? {
-                self.by_fingerprint.remove(fp, i);
-                return Ok(true);
+    /// Patch the stored copy: deletes first, since an in-place key
+    /// modification may re-insert an identical tuple, and
+    /// delete-then-insert keeps the multiset exact.
+    fn patch(
+        &mut self,
+        to_delete: &[Tuple],
+        to_insert: &[Tuple],
+        stats: &mut MaintStats,
+    ) -> Result<()> {
+        for row in to_delete {
+            if self.rows.remove(row)? {
+                stats.view_deleted += 1;
             }
         }
-        Ok(false)
+        for row in to_insert {
+            self.rows.insert(row)?;
+            stats.view_inserted += 1;
+        }
+        Ok(())
     }
 
     /// Apply one transaction's (pre-filtered) base-relation delta: evaluate
@@ -256,35 +256,15 @@ impl<S: BuildHasher> MaterializedView<S> {
     pub fn apply_delta(&mut self, delta: &Delta, catalog: &Catalog) -> Result<MaintStats> {
         delta_applications_counter().inc();
         delta_tuples_counter().add(delta.len() as u64);
-        let pager = self.heap.pager().clone();
+        let pager = self.rows.pager().clone();
         let to_insert = self.def.delta_rows(&delta.inserted, catalog, &pager)?;
         let to_delete = self.def.delta_rows(&delta.deleted, catalog, &pager)?;
         let mut stats = MaintStats {
             base_tuples: delta.len(),
             ..MaintStats::default()
         };
-        // Deletes first: an in-place key modification may re-insert an
-        // identical tuple, and delete-then-insert keeps the multiset exact.
-        for row in &to_delete {
-            if self.delete_row(row)? {
-                stats.view_deleted += 1;
-            }
-        }
-        for row in &to_insert {
-            self.insert_row(row)?;
-            stats.view_inserted += 1;
-        }
+        self.patch(&to_delete, &to_insert, &mut stats)?;
         Ok(stats)
-    }
-
-    /// The plan computing the pipeline prefix: the base selection plus the
-    /// first `upto` join steps.
-    fn prefix_plan(&self, upto: usize) -> procdb_query::Plan {
-        let mut plan = procdb_query::Plan::select(&self.def.base, self.def.selection.clone());
-        for j in &self.def.joins[..upto] {
-            plan = plan.hash_join(&j.inner, j.outer_key_field, j.residual.clone());
-        }
-        plan
     }
 
     /// Apply a delta to the **inner relation** of join step `step_idx`
@@ -306,21 +286,21 @@ impl<S: BuildHasher> MaterializedView<S> {
         assert!(step_idx < self.def.joins.len(), "no such join step");
         delta_applications_counter().inc();
         delta_tuples_counter().add(delta.len() as u64);
-        let pager = self.heap.pager().clone();
-        let ledger = pager.ledger().clone();
+        let pager = self.rows.pager().clone();
+        let ledger = pager.ledger();
         let charging = pager.is_charging();
         // The prefix is re-evaluated: the static plan for inner deltas.
-        let prefix_rows = execute(&self.prefix_plan(step_idx), catalog)?;
-        let step = self.def.joins[step_idx].clone();
+        let prefix_rows = execute(&self.def.prefix_plan(step_idx), catalog)?;
+        let step = &self.def.joins[step_idx];
         let inner_key_field = match catalog
             .get(&step.inner)
             .unwrap_or_else(|| panic!("unknown table {}", step.inner))
             .organization()
         {
-            procdb_query::Organization::Hash { key_field } => key_field,
+            Organization::Hash { key_field } => key_field,
             _ => 0,
         };
-        let extend = |side: &[Tuple]| -> Result<Vec<Tuple>> {
+        let join = |side: &[Tuple]| -> Result<Vec<Tuple>> {
             // Join prefix rows with the delta tuples of this step...
             let mut rows: Vec<Tuple> = Vec::new();
             for t in side {
@@ -343,43 +323,15 @@ impl<S: BuildHasher> MaterializedView<S> {
                 }
             }
             // ...then extend through the remaining steps as usual.
-            for later in &self.def.joins[step_idx + 1..] {
-                let inner = catalog
-                    .get(&later.inner)
-                    .unwrap_or_else(|| panic!("unknown table {}", later.inner));
-                let mut next = Vec::new();
-                for row in &rows {
-                    let key = row[later.outer_key_field].as_int();
-                    inner.probe(key, |inner_row| {
-                        if charging {
-                            ledger.add_screens(1);
-                        }
-                        let mut combined = row.clone();
-                        combined.extend(inner_row);
-                        if later.residual.eval(&combined) {
-                            next.push(combined);
-                        }
-                    })?;
-                }
-                rows = next;
-            }
-            Ok(rows)
+            extend(rows, &self.def.joins[step_idx + 1..], catalog, &pager)
         };
-        let to_insert = extend(&delta.inserted)?;
-        let to_delete = extend(&delta.deleted)?;
+        let to_insert = join(&delta.inserted)?;
+        let to_delete = join(&delta.deleted)?;
         let mut stats = MaintStats {
             base_tuples: delta.len(),
             ..MaintStats::default()
         };
-        for row in &to_delete {
-            if self.delete_row(row)? {
-                stats.view_deleted += 1;
-            }
-        }
-        for row in &to_insert {
-            self.insert_row(row)?;
-            stats.view_inserted += 1;
-        }
+        self.patch(&to_delete, &to_insert, &mut stats)?;
         Ok(stats)
     }
 
@@ -398,20 +350,17 @@ impl<S: BuildHasher> MaterializedView<S> {
     /// per-access `C_read` cost: one page read per page of the stored
     /// copy).
     pub fn read_encoded(&self) -> Result<EncodedRows> {
-        EncodedRows::read_heap(&self.heap, self.schema.tuple_width())
+        self.rows.scan_encoded()
     }
 
     /// [`MaterializedView::read_encoded`], decoded.
     pub fn read_all(&self) -> Result<Vec<Tuple>> {
-        Ok(self.read_encoded()?.decode(&self.schema))
+        self.rows.scan_all()
     }
 
     /// Sorted encoded contents — multiset equality checks in tests.
     pub fn contents_normalized(&self) -> Result<Vec<Vec<u8>>> {
-        let mut out = Vec::new();
-        self.heap.scan(|_, bytes| out.push(bytes.to_vec()))?;
-        out.sort_unstable();
-        Ok(out)
+        self.rows.contents_normalized()
     }
 }
 

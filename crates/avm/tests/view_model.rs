@@ -11,7 +11,8 @@
 //! The same sequences then run with a fingerprint hasher that gives every
 //! tuple the same fingerprint, so every delete must fall back to comparing
 //! page bytes: contents stay exact, and each delete pays one charged write
-//! per candidate it compares, newest first.
+//! per candidate it compares — the stored tuples with its key (the view
+//! is indexed on `R1`'s key field), newest first.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
@@ -114,9 +115,10 @@ fn run<S: BuildHasher>(
             model.push(t);
         } else {
             let newest = model.iter().rposition(|m| *m == t);
-            let compared = match newest {
-                Some(j) => model.len() - j,
-                None => model.len(),
+            let same_key: Vec<&Tuple> = model.iter().filter(|m| m[0] == t[0]).collect();
+            let compared = match same_key.iter().rposition(|m| **m == t) {
+                Some(j) => same_key.len() - j,
+                None => same_key.len(),
             } as u64;
             let delta = Delta {
                 inserted: vec![],

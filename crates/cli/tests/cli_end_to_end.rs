@@ -121,3 +121,39 @@ fn demo_script_matches_golden_transcript() {
     let got = run_script(&read("examples/demo.pdb"));
     assert_eq!(got, read("tests/golden/demo.out"));
 }
+
+/// README's replicated-mode example: 4 shards × 2 replicas under RVM.
+/// The first `access V3` after `crash 1` runs on the promoted follower,
+/// which pays its Rete rebuild (210.0 model-ms instead of 30.0); the
+/// later update and access charge as before the crash.
+#[test]
+fn readme_replicated_example_prices_the_promoted_rebuild() {
+    let mut script = String::from("create table EMP (eid int, grp int, pad bytes 8) btree eid\n");
+    for i in 0..240 {
+        script.push_str(&format!("insert EMP ({i}, {}, \"pad\")\n", i % 4));
+    }
+    for v in 0..8 {
+        let lo = 30 * v;
+        script.push_str(&format!(
+            "define view V{v} (EMP.all) where EMP.eid >= {lo} and EMP.eid <= {}\n",
+            lo + 29
+        ));
+    }
+    script.push_str(
+        "strategy rvm\nshards 4\nreplicas 2\naccess V3\ncrash 1\naccess V3\n\
+         update 90 -> 301\naccess V3\nquit\n",
+    );
+    let out = run_script(&script);
+    let charged: Vec<&str> = out.lines().filter(|l| l.contains("model-ms")).collect();
+    assert_eq!(
+        charged,
+        [
+            "30 rows in 30.0 model-ms:",
+            "30 rows in 210.0 model-ms:",
+            "1 tuple(s) re-keyed 90 -> 301; maintenance 61.0 model-ms",
+            "29 rows in 30.0 model-ms:",
+        ],
+        "{out}"
+    );
+    assert!(out.contains("replica 1 promoted"), "{out}");
+}

@@ -501,18 +501,14 @@ impl Engine {
         self.pager.drop_frames();
         match &mut self.state {
             StrategyState::Recompute => {}
-            StrategyState::CacheInval {
-                caches, validity, ..
-            } => {
+            // A cache's free-space map may now be ahead of the disk (lost
+            // writes); `HeapFile::rewrite` sees the pager's crash and
+            // distrusts it, as every fill of a view or memory does anyway.
+            StrategyState::CacheInval { validity, .. } => {
                 for p in validity.crash() {
                     if !self.pending_suspect.contains(&p) {
                         self.pending_suspect.push(p);
                     }
-                }
-                // The caches' free-space maps may now be ahead of the disk
-                // (lost writes); the next rewrite must not trust them.
-                for entry in caches.iter_mut() {
-                    entry.heap.assume_unknown_contents();
                 }
             }
             StrategyState::Avm { dirty, .. } => {
@@ -618,28 +614,27 @@ impl Engine {
     /// maintenance pass marked it dirty (UC strategies). Charged: the
     /// rebuild is real recovery work, and pricing it is the point.
     fn rebuild_if_dirty(&mut self, i: usize) -> Result<()> {
-        let _sp = match &self.state {
-            StrategyState::Avm { dirty, .. } if dirty[i] => {
-                Some(procdb_obs::span!(procdb_obs::global(), "rebuild", proc = i))
-            }
-            StrategyState::Rvm { dirty, .. } if *dirty => {
-                Some(procdb_obs::span!(procdb_obs::global(), "rebuild", proc = i))
-            }
-            _ => None,
+        let dirty = match &mut self.state {
+            StrategyState::Avm { dirty, .. } => &mut dirty[i],
+            StrategyState::Rvm { dirty, .. } => dirty,
+            _ => return Ok(()),
         };
+        if !*dirty {
+            return Ok(());
+        }
+        let _sp = procdb_obs::span!(procdb_obs::global(), "rebuild", proc = i);
         match &mut self.state {
-            StrategyState::Avm { views, dirty, .. } if dirty[i] => {
+            StrategyState::Avm { views, dirty, .. } => {
                 views[i].recompute_full(&self.catalog)?;
                 dirty[i] = false;
-                self.metrics.recovery_rebuilds.inc();
             }
-            StrategyState::Rvm { rete, dirty, .. } if *dirty => {
-                rete.rebuild(&self.catalog)?;
+            StrategyState::Rvm { rete, dirty, .. } => {
+                rete.initialize(&self.catalog)?;
                 *dirty = false;
-                self.metrics.recovery_rebuilds.inc();
             }
-            _ => {}
+            _ => unreachable!("only UC strategies hold derived state"),
         }
+        self.metrics.recovery_rebuilds.inc();
         Ok(())
     }
 
@@ -678,7 +673,7 @@ impl Engine {
             panic!("refill_cache outside CacheInval");
         };
         let entry = &mut caches[i];
-        entry.heap.rewrite(&rows.iter().collect::<Vec<_>>())?;
+        entry.heap.rewrite(rows.iter())?;
         let pid = ProcId(i as u32);
         locks.drop_locks(pid);
         locks.set_range_lock(R1_TABLE, entry.bounds.0, entry.bounds.1, pid);
@@ -1828,6 +1823,70 @@ mod tests {
         let cat = catalog(&pg);
         let e = Engine::new(pg.clone(), cat, procs, kind, EngineOptions::default()).unwrap();
         (pg, e)
+    }
+
+    /// Under `Physical` accounting with clearing, a crash followed by each
+    /// procedure's first access charges `(page reads, page writes,
+    /// screens)` as pinned, after updates that shrink one view by more
+    /// than a page. The pins predate filling derived stores a page at a
+    /// time, which must not move them.
+    #[test]
+    fn first_accesses_after_a_crash_charge_as_pinned_under_physical_clearing() {
+        let pinned: [[(u64, u64, u64); 3]; 4] = [
+            [(13, 0, 40), (6, 0, 140), (1, 0, 71)],
+            [(17, 4, 40), (10, 4, 140), (4, 3, 71)],
+            [(17, 4, 40), (10, 4, 140), (4, 3, 71)],
+            // RVM rebuilds its whole network on the first access.
+            [(42, 22, 170), (4, 0, 0), (3, 0, 0)],
+        ];
+        for (kind, pinned) in StrategyKind::ALL.into_iter().zip(pinned) {
+            let procs = vec![p1(0, 10, 79), p2(1, 0, 99), p2_threeway(2, 20, 69)];
+            let (pg, mut e) = engine_physical(kind, procs);
+            e.warm_up().unwrap();
+            e.apply_update(&(10..40).map(|k| (k, 300 + k)).collect::<Vec<_>>())
+                .unwrap();
+            e.crash();
+            e.recover().into_report().expect("crashed engine recovers");
+            for (i, want) in pinned.into_iter().enumerate() {
+                let before = pg.ledger().snapshot();
+                let rows = e.access(i).unwrap();
+                let d = pg.ledger().snapshot().since(&before);
+                assert_eq!((d.page_reads, d.page_writes, d.screens), want, "{kind} {i}");
+                let expect = e.expected_rows(i).unwrap();
+                assert_eq!(rows.normalized(), expect.normalized(), "{kind} proc {i}");
+            }
+        }
+    }
+
+    /// Under the default `Logical` accounting a rebuild is priced like the
+    /// paper's refresh: the recompute an Always Recompute access pays, one
+    /// read and one write per stored page, then the access's read of those
+    /// pages. For an AVM view and a Rete network of one α-memory.
+    #[test]
+    fn logical_rebuild_charges_one_read_and_write_per_page() {
+        let procs = || vec![p1(0, 10, 79), p2(1, 0, 99)];
+        let charge = |e: &mut Engine, i: usize| {
+            let before = e.ledger().snapshot();
+            e.access(i).unwrap();
+            let d = e.ledger().snapshot().since(&before);
+            (d.page_reads, d.page_writes, d.screens)
+        };
+        let mut recompute = engine_with(StrategyKind::AlwaysRecompute, procs());
+        for (kind, n) in [
+            (StrategyKind::UpdateCacheAvm, 2),
+            (StrategyKind::UpdateCacheRvm, 1),
+        ] {
+            for i in 0..n {
+                let mut e = engine_with(kind, procs()[..n].to_vec());
+                let (plan_reads, _, screens) = charge(&mut recompute, i);
+                let (pages, writes, _) = charge(&mut e, i);
+                assert!(pages > 1 && writes == 0, "{kind} {i}: {pages} pages");
+                e.crash();
+                e.recover().into_report().expect("crashed engine recovers");
+                let want = (plan_reads + 2 * pages, pages, screens);
+                assert_eq!(charge(&mut e, i), want, "{kind} proc {i}");
+            }
+        }
     }
 
     #[test]

@@ -497,19 +497,29 @@ impl BTreeFile {
             return Ok(());
         }
         let mut page_no = self.find_leaf(EntryKey::min(lo))?;
+        let int = |page: &[u8], at: usize| {
+            i64::from_le_bytes(page[at..at + 8].try_into().expect("8 bytes"))
+        };
         loop {
             let pid = self.pid(page_no);
             let next = self.pager.read(pid, |page| {
                 if page[0] != LEAF {
                     return Err(StorageError::CorruptPage(pid));
                 }
-                for (_, k, tuple) in leaf_entries(page) {
-                    if k.key > hi {
+                // Walk the entries by offset; only a key in range is
+                // decoded further.
+                let mut at = LEAF_HDR;
+                for _ in 0..leaf_count(page) {
+                    let key = int(page, at);
+                    if key > hi {
                         return Ok(NO_PAGE);
                     }
-                    if k.key >= lo {
-                        f(k.key, k.seq, tuple);
+                    let len = u16::from_le_bytes([page[at + 16], page[at + 17]]) as usize;
+                    let end = at + ENTRY_HDR + len;
+                    if key >= lo {
+                        f(key, int(page, at + 8) as u64, &page[at + ENTRY_HDR..end]);
                     }
+                    at = end;
                 }
                 Ok(leaf_next(page))
             })??;

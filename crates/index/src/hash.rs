@@ -184,15 +184,21 @@ impl HashFile {
     }
 
     /// Probe: call `f` for every tuple stored under `key`. Reads the
-    /// bucket's page chain (typically one page).
+    /// bucket's page chain (typically one page). Entries are matched on
+    /// their key bytes where they sit: only a match is sliced out.
     pub fn probe(&self, key: i64, mut f: impl FnMut(&[u8])) -> Result<()> {
+        let want = key.to_le_bytes();
         let mut page_no = self.bucket_of(key);
         loop {
             let next = self.pager.read(self.pid(page_no), |page| {
-                for (_, k, v) in bucket_entries(page) {
-                    if k == key {
-                        f(v);
+                let mut at = BUCKET_HDR;
+                for _ in 0..entry_count(page) {
+                    let len = u16::from_le_bytes([page[at + 8], page[at + 9]]) as usize;
+                    let end = at + entry_size(len);
+                    if page[at..at + 8] == want {
+                        f(&page[at + 10..end]);
                     }
+                    at = end;
                 }
                 bucket_next(page)
             })?;

@@ -2,8 +2,10 @@
 //!
 //! The relational engine for the `procdb` reproduction of Hanson
 //! (SIGMOD 1988): typed tuples with a fixed-width encoding, selection
-//! predicates, physically organized [`Table`]s, and a cost-accounted
-//! executor over precompiled [`Plan`]s.
+//! predicates, physically organized [`Table`]s, a cost-accounted
+//! executor over precompiled [`Plan`]s, and [`StoredRows`], the keyed
+//! page store that holds every derived relation (AVM views, Rete
+//! memories).
 //!
 //! ```
 //! use procdb_query::{execute, Catalog, Organization, Plan, Predicate,
@@ -30,10 +32,12 @@
 
 pub mod exec;
 pub mod predicate;
+pub mod stored;
 pub mod table;
 pub mod value;
 
 pub use exec::{execute, execute_encoded, select_encoded, EncodedRows, Plan, RowBatch};
 pub use predicate::{CompOp, Predicate, Term};
+pub use stored::StoredRows;
 pub use table::{Catalog, Organization, Table};
 pub use value::{Field, FieldType, Schema, Tuple, Value};

@@ -13,7 +13,9 @@
 //! * **β-memory** — materializes and-node output.
 //!
 //! α/β memories are *views*: the contents of a memory node equal the
-//! value of the view whose qualification its ancestors encode. Procedures
+//! value of the view whose qualification its ancestors encode. Each is a
+//! [`procdb_query::StoredRows`] keyed on its probe field, the store AVM
+//! views use too. Procedures
 //! with a common selection share one α-memory (the paper's sharing factor
 //! `SF`); in the three-way-join model a precomputed β-memory lets RVM do
 //! one join per delta tuple where AVM needs two.
@@ -54,8 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod memory;
 pub mod network;
 
-pub use memory::MemoryStore;
 pub use network::{NodeId, Rete, ReteSpec, ReteStats, Side, Sign, Token};

@@ -21,19 +21,23 @@
 //! of the t-const chain's key bounds, testing only the remaining terms in
 //! place; on a hash or heap relation a scan testing every row in place. A
 //! β-memory is filled by walking its left memory's rows in heap order and
-//! appending each right-memory row under the join key. [`Rete::rebuild`]
-//! (crash recovery, or a failed maintenance pass) clears the memories and
-//! runs the same path, so a rebuilt network holds the same rows at the
-//! same rids as a fresh one, and it is priced like a plan run: the pages
-//! read plus one screen per scanned base row.
+//! appending each right-memory row under the join key. Each memory takes
+//! its rows in one [`StoredRows::fill`]. Rebuilding (crash recovery, or a
+//! failed maintenance pass) is the same call, so a rebuilt network holds
+//! the same rows at the same rids as a fresh one, and it is priced like a
+//! plan run plus a refresh: the pages read, one screen per scanned base
+//! row, and one read-modify-write per memory page.
+//!
+//! **Propagation.** A token is encoded once, by the α-memory whose
+//! t-const passes it; from there every and-node concatenates encoded
+//! rows (`left ++ right`, the same join initialization runs) and every
+//! memory inserts or removes them as bytes.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use procdb_query::{select_encoded, Catalog, EncodedRows, Predicate, Schema, Tuple};
+use procdb_query::{select_encoded, Catalog, EncodedRows, Predicate, Schema, StoredRows, Tuple};
 use procdb_storage::{Pager, Result};
-
-use crate::memory::MemoryStore;
 
 fn tokens_counter() -> &'static procdb_obs::Counter {
     static C: OnceLock<procdb_obs::Counter> = OnceLock::new();
@@ -140,7 +144,7 @@ enum Node {
         memory: NodeId,
     },
     Memory {
-        store: Box<MemoryStore>,
+        store: Box<StoredRows>,
         source: MemSource,
         outputs: Vec<(NodeId, Side)>,
     },
@@ -209,7 +213,7 @@ impl Rete {
                 dispatch_field,
             } => {
                 let mem_id = self.nodes.len();
-                let store = MemoryStore::new(self.pager.clone(), schema.clone(), *probe_field);
+                let store = StoredRows::new(self.pager.clone(), schema.clone(), *probe_field);
                 self.nodes.push(Node::Memory {
                     store: Box::new(store),
                     source: MemSource::Select {
@@ -244,11 +248,11 @@ impl Rete {
                 let left_id = self.add_view(left);
                 let right_id = self.add_view(right);
                 let combined = self
-                    .memory_store(left_id)
+                    .memory(left_id)
                     .schema()
-                    .concat(self.memory_store(right_id).schema());
+                    .concat(self.memory(right_id).schema());
                 let out_id = self.nodes.len();
-                let store = MemoryStore::new(self.pager.clone(), combined, *probe_field);
+                let store = StoredRows::new(self.pager.clone(), combined, *probe_field);
                 let and_id = out_id + 1;
                 self.nodes.push(Node::Memory {
                     store: Box::new(store),
@@ -272,14 +276,7 @@ impl Rete {
         id
     }
 
-    fn memory_store(&self, id: NodeId) -> &MemoryStore {
-        match &self.nodes[id] {
-            Node::Memory { store, .. } => store,
-            _ => panic!("node {id} is not a memory"),
-        }
-    }
-
-    fn memory_store_mut(&mut self, id: NodeId) -> &mut MemoryStore {
+    fn memory_store_mut(&mut self, id: NodeId) -> &mut StoredRows {
         match &mut self.nodes[id] {
             Node::Memory { store, .. } => store,
             _ => panic!("node {id} is not a memory"),
@@ -294,14 +291,18 @@ impl Rete {
     }
 
     /// Public read access to a memory node's store.
-    pub fn memory(&self, id: NodeId) -> &MemoryStore {
-        self.memory_store(id)
+    pub fn memory(&self, id: NodeId) -> &StoredRows {
+        match &self.nodes[id] {
+            Node::Memory { store, .. } => store,
+            _ => panic!("node {id} is not a memory"),
+        }
     }
 
-    /// Fill every memory from the base relations. Call once, after all
-    /// views are added and the base tables are loaded. (The engine
-    /// usually wraps this in a non-charging section: it is setup, not
-    /// steady-state work.)
+    /// Fill every memory from the base relations, replacing whatever it
+    /// held: the initial build, after all views are added and the base
+    /// tables are loaded, and every rebuild (crash recovery, or a failed
+    /// maintenance pass). (The engine runs the initial build uncharged:
+    /// it is setup, not steady-state work; a rebuild is charged.)
     ///
     /// Rows stay encoded throughout (see the module docs): α-memories
     /// take the survivors of [`select_encoded`], β-memories the encoded
@@ -331,57 +332,60 @@ impl Rete {
                 } => self.join_rows(*and)?,
                 _ => continue,
             };
-            let store = self.memory_store_mut(id);
-            for row in rows.iter() {
-                store.insert_encoded(row)?;
-            }
+            self.memory_store_mut(id).fill(&rows)?;
         }
         Ok(())
+    }
+
+    /// And-node `and`'s `(left, right, left_field, right_field, out)`.
+    fn and_node(&self, and: NodeId) -> (NodeId, NodeId, usize, usize, NodeId) {
+        match self.nodes[and] {
+            Node::And {
+                left,
+                right,
+                left_field,
+                right_field,
+                out,
+            } => (left, right, left_field, right_field, out),
+            _ => panic!("node {and} is not an and node"),
+        }
     }
 
     /// The rows and-node `and` produces from its inputs' current
     /// contents: `left ++ right` per matching pair, left rows in heap
     /// order, right rows in probe order.
     fn join_rows(&self, and: NodeId) -> Result<EncodedRows> {
-        let Node::And {
-            left,
-            right,
-            left_field,
-            right_field,
-            ..
-        } = self.nodes[and]
-        else {
-            panic!("node {and} is not an and node");
-        };
-        let (left, right) = (self.memory_store(left), self.memory_store(right));
-        let width = left.schema().tuple_width() + right.schema().tuple_width();
-        let mut out = EncodedRows::new(width);
-        let mut pair = Vec::with_capacity(width);
-        for l in left.scan_encoded()?.iter() {
-            let key = left.schema().int_field(l, left_field);
-            right.probe_encoded(right_field, key, |r| {
-                pair.clear();
-                pair.extend_from_slice(l);
-                pair.extend_from_slice(r);
-                out.push(&pair);
-            })?;
+        let (left, .., out) = self.and_node(and);
+        let mut rows = EncodedRows::new(self.memory(out).schema().tuple_width());
+        for l in self.memory(left).scan_encoded()?.iter() {
+            self.join_one(and, Side::Left, l, &mut rows)?;
         }
-        Ok(out)
+        Ok(rows)
     }
 
-    /// Rebuild every memory from the base catalog: clear all α/β contents
-    /// (re-initializing their pages without parsing possibly-torn bytes)
-    /// and re-run [`initialize`]. Crash-recovery support — after volatile
-    /// state is lost, recomputing from base is the conservative move.
-    ///
-    /// [`initialize`]: Rete::initialize
-    pub fn rebuild(&mut self, catalog: &Catalog) -> Result<()> {
-        for node in &mut self.nodes {
-            if let Node::Memory { store, .. } = node {
-                store.clear()?;
+    /// Append to `out` what and-node `and` makes of one `row` arriving on
+    /// `side`: `row` joined with each matching row of the opposite memory,
+    /// as `left ++ right` in the opposite memory's probe order.
+    fn join_one(&self, and: NodeId, side: Side, row: &[u8], out: &mut EncodedRows) -> Result<()> {
+        let (left, right, left_field, right_field, _) = self.and_node(and);
+        let (left, right) = (self.memory(left), self.memory(right));
+        let mut pair = Vec::with_capacity(out.width());
+        let mut push = |l: &[u8], r: &[u8]| {
+            pair.clear();
+            pair.extend_from_slice(l);
+            pair.extend_from_slice(r);
+            out.push(&pair);
+        };
+        match side {
+            Side::Left => {
+                let key = left.schema().int_field(row, left_field);
+                right.probe_encoded(right_field, key, |r| push(row, r))
+            }
+            Side::Right => {
+                let key = right.schema().int_field(row, right_field);
+                left.probe_encoded(left_field, key, |l| push(l, row))
             }
         }
-        self.initialize(catalog)
     }
 
     /// Drop every memory's file, freeing the network's pages.
@@ -426,76 +430,37 @@ impl Rete {
                 _ => panic!("dispatch target is not a t-const"),
             };
             if passes {
-                self.activate_memory(mem_id, token.clone())?;
+                let row = self.memory(mem_id).schema().encode(&token.tuple);
+                self.activate_memory(mem_id, token.sign, &row)?;
             }
         }
         Ok(())
     }
 
-    fn activate_memory(&mut self, mem_id: NodeId, token: Token) -> Result<()> {
-        // 1. Refresh this memory's materialized contents.
-        let present = match token.sign {
+    /// Apply one encoded row to memory `mem_id` and propagate what it
+    /// joins with through every and-node the memory feeds.
+    fn activate_memory(&mut self, mem_id: NodeId, sign: Sign, row: &[u8]) -> Result<()> {
+        let Node::Memory { store, outputs, .. } = &mut self.nodes[mem_id] else {
+            panic!("node {mem_id} is not a memory");
+        };
+        let present = match sign {
             Sign::Plus => {
-                self.memory_store_mut(mem_id).insert(&token.tuple)?;
+                store.insert_encoded(row)?;
                 true
             }
-            Sign::Minus => self.memory_store_mut(mem_id).remove(&token.tuple)?,
+            Sign::Minus => store.remove_encoded(row)?,
         };
         if !present {
             // A deletion of a tuple this memory never held produces no
             // downstream joins either.
             return Ok(());
         }
-        // 2. Propagate through every and-node this memory feeds.
-        let outputs: Vec<(NodeId, Side)> = match &self.nodes[mem_id] {
-            Node::Memory { outputs, .. } => outputs.clone(),
-            _ => unreachable!(),
-        };
-        for (and_id, side) in outputs {
-            let (left, right, lf, rf, out) = match &self.nodes[and_id] {
-                Node::And {
-                    left,
-                    right,
-                    left_field,
-                    right_field,
-                    out,
-                } => (*left, *right, *left_field, *right_field, *out),
-                _ => panic!("memory output is not an and node"),
-            };
-            let combined: Vec<Tuple> = match side {
-                Side::Left => {
-                    let key = token.tuple[lf].as_int();
-                    self.memory_store(right)
-                        .probe_by_field(rf, key)?
-                        .into_iter()
-                        .map(|r| {
-                            let mut c = token.tuple.clone();
-                            c.extend(r);
-                            c
-                        })
-                        .collect()
-                }
-                Side::Right => {
-                    let key = token.tuple[rf].as_int();
-                    self.memory_store(left)
-                        .probe_by_field(lf, key)?
-                        .into_iter()
-                        .map(|l| {
-                            let mut c = l;
-                            c.extend(token.tuple.clone());
-                            c
-                        })
-                        .collect()
-                }
-            };
-            for c in combined {
-                self.activate_memory(
-                    out,
-                    Token {
-                        sign: token.sign,
-                        tuple: c,
-                    },
-                )?;
+        for (and, side) in outputs.clone() {
+            let (.., out) = self.and_node(and);
+            let mut combined = EncodedRows::new(self.memory(out).schema().tuple_width());
+            self.join_one(and, side, row, &mut combined)?;
+            for c in combined.iter() {
+                self.activate_memory(out, sign, c)?;
             }
         }
         Ok(())
@@ -504,7 +469,7 @@ impl Rete {
     /// Full contents of a view's output memory, as stored (charges one
     /// page read per page — the per-access `C_read`).
     pub fn read_view(&self, id: NodeId) -> Result<EncodedRows> {
-        self.memory_store(id).scan_encoded()
+        self.memory(id).scan_encoded()
     }
 
     /// Whether a structurally equal spec already exists in the network.

@@ -15,9 +15,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use procdb_query::{
-    Catalog, CompOp, FieldType, Organization, Predicate, Schema, Table, Term, Tuple, Value,
+    Catalog, CompOp, FieldType, Organization, Predicate, Schema, StoredRows, Table, Term, Tuple,
+    Value,
 };
-use procdb_rete::{MemoryStore, Rete, ReteSpec, Token};
+use procdb_rete::{Rete, ReteSpec, Token};
 use procdb_storage::{AccountingMode, Pager, PagerConfig, Rid};
 
 fn pager() -> Arc<Pager> {
@@ -175,7 +176,7 @@ fn specs() -> Vec<ReteSpec> {
 /// The replaced initialization of one memory and its inputs: decode a
 /// full scan, `eval` every tuple, re-encode the survivors; join by
 /// decoding the left memory and probing the right one.
-fn oracle(spec: &ReteSpec, cat: &Catalog, pg: &Arc<Pager>) -> MemoryStore {
+fn oracle(spec: &ReteSpec, cat: &Catalog, pg: &Arc<Pager>) -> StoredRows {
     match spec {
         ReteSpec::Select {
             relation,
@@ -193,7 +194,7 @@ fn oracle(spec: &ReteSpec, cat: &Catalog, pg: &Arc<Pager>) -> MemoryStore {
                     }
                 })
                 .unwrap();
-            let mut m = MemoryStore::new(pg.clone(), schema.clone(), *probe_field);
+            let mut m = StoredRows::new(pg.clone(), schema.clone(), *probe_field);
             for row in &rows {
                 m.insert(row).unwrap();
             }
@@ -208,7 +209,7 @@ fn oracle(spec: &ReteSpec, cat: &Catalog, pg: &Arc<Pager>) -> MemoryStore {
         } => {
             let (l, r) = (oracle(left, cat, pg), oracle(right, cat, pg));
             let schema = l.schema().concat(r.schema());
-            let mut m = MemoryStore::new(pg.clone(), schema, *probe_field);
+            let mut m = StoredRows::new(pg.clone(), schema, *probe_field);
             for lt in l.scan_all().unwrap() {
                 for rt in r
                     .probe_by_field(*right_field, lt[*left_field].as_int())
@@ -237,11 +238,11 @@ fn subspecs(spec: &ReteSpec, out: &mut Vec<ReteSpec>) {
 /// every probe key present, in index order.
 type Layout = (Vec<(Rid, Vec<u8>)>, Vec<Vec<Tuple>>);
 
-fn layout(m: &MemoryStore) -> Layout {
+fn layout(m: &StoredRows) -> Layout {
     let rows = m.rows_with_rids().unwrap();
     let mut keys: Vec<i64> = rows
         .iter()
-        .map(|(_, b)| m.schema().int_field(b, m.probe_field()))
+        .map(|(_, b)| m.schema().int_field(b, m.key_field()))
         .collect();
     keys.sort_unstable();
     keys.dedup();
@@ -318,7 +319,7 @@ fn rebuild_after_crash_equals_fresh_build() {
             .unwrap();
         }
         pg.drop_frames();
-        rete.rebuild(&cat).unwrap();
+        rete.initialize(&cat).unwrap();
         let fresh = network(&pg, &specs(), &cat);
         let ctx = format!("seed {seed}");
         assert_matches(

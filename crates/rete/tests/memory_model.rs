@@ -1,4 +1,4 @@
-//! `MemoryStore` against a multiset model, on random insert/remove
+//! A Rete memory's store (`StoredRows`) against a multiset model, on random insert/remove
 //! sequences: few probe keys (so hundreds of tuples share one), a small
 //! value domain (so duplicate tuples are common), and removes of tuples
 //! that are not stored.
@@ -20,8 +20,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use procdb_query::{FieldType, Schema, Tuple, Value};
-use procdb_rete::MemoryStore;
+use procdb_query::{FieldType, Schema, StoredRows, Tuple, Value};
 use procdb_storage::{AccountingMode, Pager, PagerConfig};
 
 /// Every tuple fingerprints to 0.
@@ -80,7 +79,7 @@ fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
 
 /// Run one random sequence. `collide` says every tuple shares one
 /// fingerprint, which changes only what a remove is expected to charge.
-fn run<S: BuildHasher>(seed: u64, mut store: MemoryStore<S>, pager: &Pager, collide: bool) {
+fn run<S: BuildHasher>(seed: u64, mut store: StoredRows<S>, pager: &Pager, collide: bool) {
     let mut rng = StdRng::seed_from_u64(seed);
     // Stored tuples in insertion order; a remove takes the newest match.
     let mut model: Vec<Tuple> = Vec::new();
@@ -150,7 +149,7 @@ fn run<S: BuildHasher>(seed: u64, mut store: MemoryStore<S>, pager: &Pager, coll
 fn memory_store_matches_multiset_model() {
     for seed in 0..4 {
         let pg = pager();
-        let store = MemoryStore::with_hasher(pg.clone(), schema(), 0, RandomState::new());
+        let store = StoredRows::with_hasher(pg.clone(), schema(), 0, RandomState::new());
         run(seed, store, &pg, false);
     }
 }
@@ -159,7 +158,7 @@ fn memory_store_matches_multiset_model() {
 fn memory_store_matches_model_when_every_fingerprint_collides() {
     for seed in 0..4 {
         let pg = pager();
-        let store = MemoryStore::with_hasher(pg.clone(), schema(), 0, SameFingerprint::default());
+        let store = StoredRows::with_hasher(pg.clone(), schema(), 0, SameFingerprint::default());
         run(seed, store, &pg, true);
     }
 }

@@ -6,11 +6,13 @@
 //! allocated page — exactly the `⌈f·b⌉` term the paper uses for reading a
 //! stored object.
 //!
-//! The in-RAM indexes over heap files (Rete memories, AVM views) keep only
-//! record ids and 64-bit fingerprints of the stored bytes, never the bytes
-//! themselves: [`RidIndex`] maps a key to its rids, and
-//! [`HeapFile::delete_if_eq`] checks the real bytes inside the delete's
-//! own page write.
+//! The in-RAM index over a derived store (`procdb_query::StoredRows`,
+//! which holds AVM views and Rete memories) keeps only record ids and
+//! 64-bit fingerprints of the stored bytes, never the bytes themselves:
+//! [`RidIndex`] maps a key to its rids, and [`HeapFile::delete_if_eq`]
+//! checks the real bytes inside the delete's own page write. Derived
+//! contents are replaced in bulk by [`HeapFile::rewrite`], which reports
+//! each record's rid and never trusts its free-space map across a crash.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -125,19 +127,25 @@ pub struct HeapFile {
     file: FileId,
     /// Per-page reclaimable free bytes (in-memory free-space map; a real
     /// system keeps this in memory too, so maintaining it is not charged).
-    free: Vec<u16>,
+    /// `None` marks a page whose contents are unknown: it is never parsed
+    /// and holds no live record until [`HeapFile::rewrite`] initializes it.
+    free: Vec<Option<u16>>,
     live: u64,
+    /// [`Pager::crashes`] when `free` last matched the disk.
+    crashes: u64,
 }
 
 impl HeapFile {
     /// Create a fresh, empty heap file.
     pub fn create(pager: Arc<Pager>) -> HeapFile {
         let file = pager.create_file();
+        let crashes = pager.crashes();
         HeapFile {
             pager,
             file,
             free: Vec::new(),
             live: 0,
+            crashes,
         }
     }
 
@@ -171,6 +179,14 @@ impl HeapFile {
         PageId::new(self.file, page_no)
     }
 
+    /// `rid`'s page, if it is allocated and its contents are known.
+    fn known_page(&self, rid: Rid) -> Result<PageId> {
+        match self.free.get(rid.page_no as usize) {
+            Some(Some(_)) => Ok(self.pid(rid.page_no)),
+            _ => Err(StorageError::UnknownRecord(rid)),
+        }
+    }
+
     /// Insert a record, returning its stable id. First-fit over the
     /// free-space map; allocates a new page when nothing fits.
     pub fn insert(&mut self, record: &[u8]) -> Result<Rid> {
@@ -185,7 +201,7 @@ impl HeapFile {
         let candidate = self
             .free
             .iter()
-            .position(|&fr| fr >= need)
+            .position(|&fr| fr.is_some_and(|fr| fr >= need))
             .map(|i| i as u32);
         let page_no = match candidate {
             Some(p) => p,
@@ -193,7 +209,7 @@ impl HeapFile {
                 let pid = self.pager.allocate_page(self.file)?;
                 // Initializing a fresh page is part of the insert's write;
                 // slotted::init happens inside the charged write below.
-                self.free.push(0); // fixed up after init
+                self.free.push(Some(0)); // fixed up after init
                 pid.page_no
             }
         };
@@ -208,19 +224,22 @@ impl HeapFile {
         })?;
         let (slot, remaining) = slot;
         let slot = slot.ok_or(StorageError::CorruptPage(self.pid(page_no)))?;
-        self.free[page_no as usize] = remaining;
+        self.free[page_no as usize] = Some(remaining);
         self.live += 1;
         Ok(Rid::new(page_no, slot))
     }
 
     /// Read the record at `rid`.
     pub fn get(&self, rid: Rid) -> Result<Vec<u8>> {
-        if rid.page_no >= self.page_count() {
-            return Err(StorageError::UnknownRecord(rid));
-        }
+        self.get_with(rid, <[u8]>::to_vec)
+    }
+
+    /// Run `f` on the record at `rid` where it sits on its page (one page
+    /// read charged, like [`HeapFile::get`]), without copying it out.
+    pub fn get_with<R>(&self, rid: Rid, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         self.pager
-            .read(self.pid(rid.page_no), |data| {
-                slotted::get(data, rid.slot).map(|r| r.to_vec())
+            .read(self.known_page(rid)?, |data| {
+                slotted::get(data, rid.slot).map(f)
             })?
             .ok_or(StorageError::UnknownRecord(rid))
     }
@@ -228,10 +247,7 @@ impl HeapFile {
     /// Overwrite the record at `rid` in place (same length required — the
     /// paper's updates "modify tuples in place").
     pub fn update_in_place(&mut self, rid: Rid, record: &[u8]) -> Result<()> {
-        if rid.page_no >= self.page_count() {
-            return Err(StorageError::UnknownRecord(rid));
-        }
-        let ok = self.pager.write(self.pid(rid.page_no), |data| {
+        let ok = self.pager.write(self.known_page(rid)?, |data| {
             slotted::update_in_place(data, rid.slot, record)
         })?;
         if ok {
@@ -257,10 +273,7 @@ impl HeapFile {
     }
 
     fn delete_matching(&mut self, rid: Rid, matches: impl FnOnce(&[u8]) -> bool) -> Result<bool> {
-        if rid.page_no >= self.page_count() {
-            return Err(StorageError::UnknownRecord(rid));
-        }
-        let outcome = self.pager.write(self.pid(rid.page_no), |data| {
+        let outcome = self.pager.write(self.known_page(rid)?, |data| {
             if !matches(slotted::get(data, rid.slot)?) {
                 return Some(None);
             }
@@ -269,7 +282,7 @@ impl HeapFile {
         })?;
         match outcome {
             Some(Some(remaining)) => {
-                self.free[rid.page_no as usize] = remaining;
+                self.free[rid.page_no as usize] = Some(remaining);
                 self.live -= 1;
                 Ok(true)
             }
@@ -279,9 +292,13 @@ impl HeapFile {
     }
 
     /// Full scan: calls `f` for every live record, page at a time. Charges
-    /// one page read per allocated page.
+    /// one page read per allocated page; a page of unknown contents is
+    /// skipped, unread.
     pub fn scan(&self, mut f: impl FnMut(Rid, &[u8])) -> Result<()> {
         for page_no in 0..self.page_count() {
+            if self.free[page_no as usize].is_none() {
+                continue;
+            }
             self.pager.read(self.pid(page_no), |data| {
                 for (slot, rec) in slotted::iter(data) {
                     f(Rid::new(page_no, slot), rec);
@@ -300,45 +317,37 @@ impl HeapFile {
         Ok(out)
     }
 
-    /// Delete every record but keep the allocated pages (used when a cached
-    /// result is rewritten: the paper charges a read+write of each page).
-    pub fn clear(&mut self) -> Result<()> {
-        for page_no in 0..self.page_count() {
-            let remaining = self.pager.write(self.pid(page_no), |data| {
-                slotted::init(data);
-                slotted::total_free(data) as u16
-            })?;
-            self.free[page_no as usize] = remaining;
-        }
-        self.live = 0;
-        Ok(())
-    }
-
-    /// Replace the file's entire contents with `records`, packing them
-    /// sequentially. Each touched page costs one read-modify-write — the
-    /// paper's `C_WriteCache = 2·C2·ProcSize` for refreshing a cached
-    /// procedure value. Previously used pages beyond the new contents are
-    /// emptied (also a charged page write); untouched empty pages are
-    /// skipped.
-    pub fn rewrite<R: AsRef<[u8]>>(&mut self, records: &[R]) -> Result<()> {
+    /// Replace the file's entire contents with `records`, packing them in
+    /// order, and return the rid each record got. Each touched page costs
+    /// one read-modify-write — the paper's `C_WriteCache = 2·C2·ProcSize`
+    /// for refreshing a cached procedure value. Previously used pages
+    /// beyond the new contents are emptied (also a charged page write);
+    /// pages known to be empty already are skipped. For records of one
+    /// width the layout is the one inserting them one by one into an
+    /// empty file gives.
+    ///
+    /// Pages are initialized, never parsed, so a torn page is harmless.
+    /// The free-space map is not trusted across a crash
+    /// ([`Pager::crashes`]): the disk may have lost writes the map
+    /// reflects, so every page is rewritten. A failed write leaves the
+    /// file empty with every page's contents unknown
+    /// ([`HeapFile::assume_unknown_contents`]); the next rewrite
+    /// initializes them all.
+    pub fn rewrite<'a>(&mut self, records: impl IntoIterator<Item = &'a [u8]>) -> Result<Vec<Rid>> {
         let page_size = self.pager.page_size();
         let max = slotted::max_record_len(page_size);
-        for r in records {
-            let r = r.as_ref();
-            if r.len() > max {
-                return Err(StorageError::RecordTooLarge {
-                    requested: r.len(),
-                    max,
-                });
-            }
-        }
         // Greedy packing plan.
         let mut pages: Vec<Vec<&[u8]>> = Vec::new();
         let mut current: Vec<&[u8]> = Vec::new();
         let mut used = 0usize;
         let capacity = page_size - 4; // slotted header
         for r in records {
-            let r = r.as_ref();
+            if r.len() > max {
+                return Err(StorageError::RecordTooLarge {
+                    requested: r.len(),
+                    max,
+                });
+            }
             let need = r.len() + 4;
             if used + need > capacity && !current.is_empty() {
                 pages.push(std::mem::take(&mut current));
@@ -350,65 +359,63 @@ impl HeapFile {
         if !current.is_empty() {
             pages.push(current);
         }
-        // Ensure enough pages are allocated.
-        while (self.free.len() as u32) < pages.len() as u32 {
-            self.pager.allocate_page(self.file)?;
-            self.free.push(0);
+        if self.crashes != self.pager.crashes() {
+            self.assume_unknown_contents();
         }
-        let empty_free = slotted::max_record_len(page_size) as u16 + 4;
-        // A failed (e.g. torn) write leaves a page whose disk contents no
-        // longer match the free map; distrust the whole map so the next
-        // rewrite re-initializes every page instead of skipping ones it
-        // believes are empty.
-        let wrote = self.write_packed(&pages, empty_free);
+        while self.free.len() < pages.len() {
+            self.pager.allocate_page(self.file)?;
+            self.free.push(None);
+        }
+        let mut rids = Vec::with_capacity(pages.iter().map(Vec::len).sum());
+        let wrote = self.write_packed(&pages, &mut rids);
         if wrote.is_err() {
             self.assume_unknown_contents();
         }
         wrote?;
-        self.live = records.len() as u64;
-        Ok(())
+        self.live = rids.len() as u64;
+        self.crashes = self.pager.crashes();
+        Ok(rids)
     }
 
-    /// [`rewrite`]'s write phase: pack `pages` in, empty leftovers.
+    /// [`rewrite`]'s write phase: pack `pages` in, pushing each record's
+    /// rid onto `rids`, and empty the leftovers.
     ///
     /// [`rewrite`]: HeapFile::rewrite
-    fn write_packed(&mut self, pages: &[Vec<&[u8]>], empty_free: u16) -> Result<()> {
+    fn write_packed(&mut self, pages: &[Vec<&[u8]>], rids: &mut Vec<Rid>) -> Result<()> {
+        let empty = Some(slotted::max_record_len(self.pager.page_size()) as u16 + 4);
         for (i, recs) in pages.iter().enumerate() {
-            let remaining = self.pager.write(self.pid(i as u32), |data| {
+            let page_no = i as u32;
+            let remaining = self.pager.write(self.pid(page_no), |data| {
                 slotted::init(data);
                 for r in recs.iter() {
-                    slotted::insert(data, r)?;
+                    rids.push(Rid::new(page_no, slotted::insert(data, r)?));
                 }
                 Some(slotted::total_free(data) as u16)
             })?;
             let remaining =
                 remaining.ok_or(StorageError::Corrupt("rewrite packing overflowed a page"))?;
-            self.free[i] = remaining;
+            self.free[i] = Some(remaining);
         }
-        // Empty any leftover pages that previously held records.
         for i in pages.len()..self.free.len() {
-            if self.free[i] != empty_free {
+            if self.free[i] != empty {
                 let remaining = self.pager.write(self.pid(i as u32), |data| {
                     slotted::init(data);
                     slotted::total_free(data) as u16
                 })?;
-                self.free[i] = remaining;
+                self.free[i] = Some(remaining);
             }
         }
         Ok(())
     }
 
-    /// Declare the in-memory free-space map untrustworthy (crash
-    /// recovery: the disk may have lost writes the map already reflects).
-    /// Every page is treated as having unknown contents, so the next
-    /// [`rewrite`] re-initializes all of them instead of skipping pages
-    /// it believes are already empty.
-    ///
-    /// [`rewrite`]: HeapFile::rewrite
+    /// Declare the file's contents unknown: every page holds no live
+    /// record, is never parsed, and is re-initialized by the next
+    /// [`HeapFile::rewrite`]. A store that is about to be refilled calls
+    /// this when anything may have touched its pages behind the free-space
+    /// map's back (a failed write, a crash).
     pub fn assume_unknown_contents(&mut self) {
-        for f in &mut self.free {
-            *f = 0;
-        }
+        self.free.fill(None);
+        self.live = 0;
     }
 
     /// The shared pager.
@@ -508,7 +515,7 @@ mod tests {
             h.insert(&[0u8; 50]).unwrap();
         }
         let pages = h.page_count();
-        h.clear().unwrap();
+        assert!(h.rewrite([]).unwrap().is_empty());
         assert!(h.is_empty());
         assert_eq!(h.page_count(), pages);
         assert!(h.scan_all().unwrap().is_empty());
@@ -531,21 +538,55 @@ mod tests {
         });
         let mut h = HeapFile::create(pg.clone());
         let big: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 60]).collect();
-        h.rewrite(&big).unwrap();
+        h.rewrite(big.iter().map(Vec::as_slice)).unwrap();
         assert!(h.page_count() > 1);
-        h.rewrite::<&[u8]>(&[]).unwrap(); // every page recorded as empty
+        h.rewrite([]).unwrap(); // every page recorded as empty
         pg.install_faults(
             crate::fault::FaultPlan::new(9)
                 .torn_writes(1.0)
                 .include_uncharged(),
         );
-        assert!(h.rewrite(&big).is_err(), "torn write must surface");
+        assert!(
+            h.rewrite(big.iter().map(Vec::as_slice)).is_err(),
+            "torn write must surface"
+        );
         pg.clear_faults();
-        let small: Vec<Vec<u8>> = vec![vec![7u8; 60]];
-        h.rewrite(&small).unwrap();
+        assert!(h.is_empty(), "a failed rewrite leaves no known record");
+        assert!(h.scan_all().unwrap().is_empty(), "and parses no page");
+        h.rewrite([&[7u8; 60][..]]).unwrap();
         let all = h.scan_all().unwrap();
         assert_eq!(all.len(), 1, "garbage from the torn rewrite leaked");
         assert_eq!(all[0].1, vec![7u8; 60]);
+    }
+
+    #[test]
+    fn crash_makes_the_next_rewrite_distrust_the_free_map() {
+        // The emptying rewrite reaches only the buffer; the crash loses
+        // it, so the disk still holds rows on pages the map calls empty.
+        let pg = Pager::new(PagerConfig {
+            page_size: 256,
+            buffer_capacity: 64,
+            mode: AccountingMode::Physical,
+        });
+        let mut h = HeapFile::create(pg.clone());
+        let big: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 60]).collect();
+        h.rewrite(big.iter().map(Vec::as_slice)).unwrap();
+        pg.flush().unwrap();
+        let pages = u64::from(h.page_count());
+        h.rewrite([]).unwrap();
+        pg.drop_frames();
+        let before = pg.ledger().snapshot();
+        h.rewrite([&[7u8; 60][..]]).unwrap();
+        pg.flush().unwrap();
+        let d = pg.ledger().snapshot().since(&before);
+        assert_eq!(d.page_writes, pages, "every page is rewritten");
+        let all = h.scan_all().unwrap();
+        assert_eq!(all.len(), 1, "rows the crash resurrected leaked");
+        // With the crash settled, empty pages are skipped again.
+        let before = pg.ledger().snapshot();
+        h.rewrite([&[8u8; 60][..]]).unwrap();
+        pg.flush().unwrap();
+        assert_eq!(pg.ledger().snapshot().since(&before).page_writes, 1);
     }
 
     #[test]
@@ -557,7 +598,7 @@ mod tests {
         let pages = h.page_count() as u64;
         let rows: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 50]).collect();
         let before = h.pager().ledger().snapshot();
-        h.rewrite(&rows).unwrap();
+        let rids = h.rewrite(rows.iter().map(Vec::as_slice)).unwrap();
         let d = h.pager().ledger().snapshot().since(&before);
         // Every page is read-modify-written exactly once: 2·C2 per page.
         assert_eq!(d.page_reads, pages);
@@ -565,12 +606,15 @@ mod tests {
         let mut got: Vec<Vec<u8>> = h.scan_all().unwrap().into_iter().map(|(_, r)| r).collect();
         got.sort_unstable();
         assert_eq!(got, rows);
+        for (rid, row) in rids.iter().zip(&rows) {
+            assert_eq!(&h.get(*rid).unwrap(), row, "rewrite reports each rid");
+        }
         // Shrinking rewrite empties the tail pages.
-        h.rewrite(&rows[..2]).unwrap();
+        h.rewrite(rows[..2].iter().map(Vec::as_slice)).unwrap();
         assert_eq!(h.len(), 2);
         assert_eq!(h.scan_all().unwrap().len(), 2);
         // Growing again reuses everything.
-        h.rewrite(&rows).unwrap();
+        h.rewrite(rows.iter().map(Vec::as_slice)).unwrap();
         assert_eq!(h.len(), 20);
     }
 
@@ -578,7 +622,7 @@ mod tests {
     fn rewrite_empty_clears() {
         let mut h = HeapFile::create(pager());
         h.insert(&[9u8; 30]).unwrap();
-        h.rewrite::<&[u8]>(&[]).unwrap();
+        h.rewrite([]).unwrap();
         assert!(h.is_empty());
         assert!(h.scan_all().unwrap().is_empty());
     }

@@ -34,7 +34,7 @@
 //! flush per update) peaked 28 % higher in RSS.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -139,6 +139,7 @@ pub struct Pager {
     state: Mutex<PagerState>,
     ledger: Arc<CostLedger>,
     charging: AtomicBool,
+    crashes: AtomicU64,
     config: PagerConfig,
     metrics: PagerMetrics,
 }
@@ -157,6 +158,7 @@ impl Pager {
             }),
             ledger: CostLedger::new(),
             charging: AtomicBool::new(true),
+            crashes: AtomicU64::new(0),
             config,
             metrics: PagerMetrics::new(),
         })
@@ -270,6 +272,15 @@ impl Pager {
     /// exactly what the disk already holds.
     pub fn drop_frames(&self) {
         self.state.lock().frames.clear();
+        self.crashes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Simulated crashes ([`Pager::drop_frames`]) so far. In-RAM state
+    /// that mirrors page contents, such as a heap file's free-space map,
+    /// compares this to know whether the disk may have lost writes since
+    /// it last matched.
+    pub fn crashes(&self) -> u64 {
+        self.crashes.load(Ordering::Relaxed)
     }
 
     /// Write `data` to disk at `pid`, routing through the fault injector

@@ -102,8 +102,8 @@ proptest! {
             mode: procdb_storage::AccountingMode::Logical,
         });
         let mut heap = HeapFile::create(pager);
-        heap.rewrite(&first).unwrap();
-        heap.rewrite(&second).unwrap();
+        heap.rewrite(first.iter().map(Vec::as_slice)).unwrap();
+        heap.rewrite(second.iter().map(Vec::as_slice)).unwrap();
         let mut scanned: Vec<Vec<u8>> = heap
             .scan_all()
             .unwrap()

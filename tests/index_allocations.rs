@@ -17,8 +17,9 @@ use std::sync::Arc;
 
 use procdb::avm::{MaterializedView, ViewDef};
 use procdb::core::StrategyKind;
-use procdb::query::{Catalog, FieldType, Organization, Predicate, Schema, Table, Tuple, Value};
-use procdb::rete::MemoryStore;
+use procdb::query::{
+    Catalog, FieldType, Organization, Predicate, Schema, StoredRows, Table, Tuple, Value,
+};
 use procdb::storage::{AccountingMode, Pager, PagerConfig};
 use procdb_server::Session;
 
@@ -95,7 +96,7 @@ fn row(i: i64) -> Tuple {
 #[test]
 fn indexes_add_far_fewer_blocks_than_tuples() {
     // Rete memory: N tuples, N distinct probe keys.
-    let mut memory = MemoryStore::new(pager(), schema(), 0);
+    let mut memory = StoredRows::new(pager(), schema(), 0);
     let before = live_blocks();
     for i in 0..N {
         memory.insert(&row(i)).unwrap();
@@ -104,7 +105,7 @@ fn indexes_add_far_fewer_blocks_than_tuples() {
     assert_eq!(memory.len(), N as u64);
     assert!(
         grown < (N / 10) as isize,
-        "MemoryStore: {grown} live blocks for {N} tuples"
+        "StoredRows: {grown} live blocks for {N} tuples"
     );
 
     // AVM view: a selection keeping all N distinct base rows.
