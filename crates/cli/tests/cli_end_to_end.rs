@@ -106,6 +106,23 @@ define view V (EMP.all) where EMP.eid >= 2
     }
 }
 
+/// Reads a file relative to the repository root.
+fn read_repo_file(path: &str) -> String {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    std::fs::read_to_string(format!("{root}/{path}")).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+/// Pipes `script` through the binary and compares the transcript with
+/// `golden` byte for byte.
+fn assert_golden(script: &str, golden: &str) {
+    let got = run_script(&read_repo_file(script));
+    assert_eq!(
+        got,
+        read_repo_file(golden),
+        "{script} no longer matches {golden}"
+    );
+}
+
 /// `examples/demo.pdb` piped through the binary reproduces the checked-in
 /// transcript `tests/golden/demo.out` byte for byte. After an intended
 /// output change, regenerate it from the repository root with
@@ -113,13 +130,28 @@ define view V (EMP.all) where EMP.eid >= 2
 /// and explain every changed line.
 #[test]
 fn demo_script_matches_golden_transcript() {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let read = |path: &str| {
-        std::fs::read_to_string(format!("{root}/{path}"))
-            .unwrap_or_else(|e| panic!("read {path}: {e}"))
-    };
-    let got = run_script(&read("examples/demo.pdb"));
-    assert_eq!(got, read("tests/golden/demo.out"));
+    assert_golden("examples/demo.pdb", "tests/golden/demo.out");
+}
+
+/// README's "Chaos" session: storage faults (a seeded I/O failure, then a
+/// one-shot kill inside a fail window), crash and WAL recovery under
+/// Cache & Invalidate. Regenerate with
+/// `cargo run -q --release -p procdb-cli < tests/golden/chaos.pdb > tests/golden/chaos.out`.
+#[test]
+fn chaos_script_matches_golden_transcript() {
+    assert_golden("tests/golden/chaos.pdb", "tests/golden/chaos.out");
+}
+
+/// Message chaos on 2 shards × 3 replicas: a seeded plan of delayed,
+/// dropped, duplicated and reordered ships, the fate tallies, then
+/// `resync` heals every follower. Regenerate as `chaos.out`, with
+/// `replica_chaos` for `chaos`.
+#[test]
+fn replica_chaos_script_matches_golden_transcript() {
+    assert_golden(
+        "tests/golden/replica_chaos.pdb",
+        "tests/golden/replica_chaos.out",
+    );
 }
 
 /// README's replicated-mode example: 4 shards × 2 replicas under RVM.

@@ -2122,7 +2122,7 @@ mod tests {
             e.apply_update(&[(100, 15)]).unwrap();
             let inj = pg.install_faults(procdb_storage::FaultPlan::new(1));
             e.access(0).unwrap();
-            inj.status().transfers
+            inj.transfers()
         };
         assert!(measured > 0, "a refill must move pages");
         let (pg, mut e) = engine_physical(StrategyKind::CacheInvalidate, vec![p1(0, 10, 29)]);

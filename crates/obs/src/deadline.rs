@@ -48,7 +48,7 @@ pub fn deadline_expired() -> bool {
 /// Rounds of `try` + `yield_now` before [`yield_then_block`] blocks.
 const YIELD_ROUNDS: u32 = 64;
 
-/// Take a contended lock: up to [`YIELD_ROUNDS`] rounds of `try_lock`
+/// Take a contended lock: up to `YIELD_ROUNDS` (64) rounds of `try_lock`
 /// with a `yield_now` after each miss, then `block` — the lock's own
 /// blocking acquire (`lock()`), or its timed one (`try_write_until`)
 /// when a deadline bounds the wait. Nothing here sleeps: a parked

@@ -1,4 +1,5 @@
-//! A Rete memory's store (`StoredRows`) against a multiset model, on random insert/remove
+//! `StoredRows` — the keyed store behind every AVM view copy and every
+//! Rete α/β-memory — against a multiset model, on random insert/remove
 //! sequences: few probe keys (so hundreds of tuples share one), a small
 //! value domain (so duplicate tuples are common), and removes of tuples
 //! that are not stored.
@@ -11,7 +12,8 @@
 //! The same sequences then run with a fingerprint hasher that gives every
 //! tuple the same fingerprint, so every remove must fall back to comparing
 //! page bytes: contents stay exact, and each remove pays one charged write
-//! per candidate it compares, newest first.
+//! per candidate it compares — the stored tuples with its key, newest
+//! first.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};

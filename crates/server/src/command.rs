@@ -27,6 +27,17 @@ use procdb_query::{FieldType, Organization, Schema, Value};
 use procdb_shard::ChaosPlan;
 use procdb_storage::FaultPlan;
 
+/// What a `fault` or `chaos` command asks of its injector.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Injection<P> {
+    /// `inject [flags]` — install the plan, replacing any other.
+    Inject(P),
+    /// `off` — remove the installed plan.
+    Off,
+    /// `status` — the active plan and its tallies.
+    Status,
+}
+
 /// A parsed shell command.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -75,22 +86,15 @@ pub enum Command {
     /// request at least this slow (0 retains every sampled request).
     TraceSlow(u64),
     /// `fault inject [--seed S] [--io-reads P] [--io-writes P] [--torn P]
-    /// [--kill-at N] [--window START END] [--include-uncharged]` —
-    /// install a seeded fault schedule on the engine's pager.
-    FaultInject(FaultPlan),
-    /// `fault off` — remove the installed fault plan.
-    FaultOff,
-    /// `fault status` — injector counters and the active plan.
-    FaultStatus,
+    /// [--kill-at N] [--window START END] [--include-uncharged]`, `fault
+    /// off` or `fault status` — seeded storage faults on the engine's
+    /// pagers.
+    Fault(Injection<FaultPlan>),
     /// `chaos inject [--seed S] [--delay P] [--delay-ms MIN MAX]
-    /// [--drop P] [--dup P] [--reorder P] [--heartbeat P] [--fence P]`
-    /// — install a seeded message-chaos plan on the replication layer
-    /// (requires `replicas R` with R >= 2).
-    ChaosInject(ChaosPlan),
-    /// `chaos off` — remove the installed chaos plan.
-    ChaosOff,
-    /// `chaos status` — chaos decision counters and the active plan.
-    ChaosStatus,
+    /// [--drop P] [--dup P] [--reorder P] [--heartbeat P] [--fence P]`,
+    /// `chaos off` or `chaos status` — seeded message chaos on the
+    /// replication layer (requires `replicas R` with R >= 2).
+    Chaos(Injection<ChaosPlan>),
     /// `cache on|off` — toggle the front result cache (server-attached;
     /// hits are served before any session or shard lock).
     Cache(bool),
@@ -282,123 +286,129 @@ fn parse_serve(rest: &str) -> Result<Command, String> {
     Ok(Command::Serve { port, max_conns })
 }
 
-fn parse_fault(rest: &str) -> Result<Command, String> {
-    let mut toks = rest.split_whitespace();
-    match toks.next() {
-        Some("off") => Ok(Command::FaultOff),
-        Some("status") => Ok(Command::FaultStatus),
-        Some("inject") => {
-            let mut plan = FaultPlan::new(1);
-            fn value<'a>(
-                toks: &mut impl Iterator<Item = &'a str>,
-                flag: &str,
-            ) -> Result<&'a str, String> {
-                toks.next().ok_or_else(|| format!("{flag} needs a value"))
-            }
-            fn prob(v: &str, flag: &str) -> Result<f64, String> {
-                let p: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad probability {v:?} for {flag}"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("{flag} must be in [0, 1], got {v}"));
-                }
-                Ok(p)
-            }
-            while let Some(flag) = toks.next() {
-                match flag {
-                    "--seed" => {
-                        let v = value(&mut toks, flag)?;
-                        plan.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
-                    }
-                    "--io-reads" => plan.io_read_prob = prob(value(&mut toks, flag)?, flag)?,
-                    "--io-writes" => plan.io_write_prob = prob(value(&mut toks, flag)?, flag)?,
-                    "--torn" => plan.torn_write_prob = prob(value(&mut toks, flag)?, flag)?,
-                    "--kill-at" => {
-                        let v = value(&mut toks, flag)?;
-                        let n: u64 = v
-                            .parse()
-                            .map_err(|_| format!("bad transfer number {v:?}"))?;
-                        if n == 0 {
-                            return Err("--kill-at is 1-based; 0 never fires".to_string());
-                        }
-                        plan.kill_after = Some(n);
-                    }
-                    "--window" => {
-                        let a = value(&mut toks, flag)?;
-                        let b = value(&mut toks, "--window END")?;
-                        let start: u64 =
-                            a.parse().map_err(|_| format!("bad window start {a:?}"))?;
-                        let end: u64 = b.parse().map_err(|_| format!("bad window end {b:?}"))?;
-                        if start == 0 || end <= start {
-                            return Err(
-                                "--window wants 1-based START END with START < END".to_string()
-                            );
-                        }
-                        plan.fail_window = Some((start, end));
-                    }
-                    "--include-uncharged" => plan.charged_only = false,
-                    other => return Err(format!("unknown fault flag {other:?}")),
-                }
-            }
-            Ok(Command::FaultInject(plan))
+/// The values after an `inject` flag, with the checks every injector
+/// shares.
+struct Flags<'a>(std::str::SplitWhitespace<'a>);
+
+impl<'a> Flags<'a> {
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.0.next().ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    fn number(&mut self, flag: &str, what: &str) -> Result<u64, String> {
+        let v = self.value(flag)?;
+        v.parse().map_err(|_| format!("bad {what} {v:?}"))
+    }
+
+    fn prob(&mut self, flag: &str) -> Result<f64, String> {
+        let v = self.value(flag)?;
+        let p: f64 = v
+            .parse()
+            .map_err(|_| format!("bad probability {v:?} for {flag}"))?;
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("{flag} must be in [0, 1], got {v}"));
         }
-        _ => Err("expected: fault inject|off|status".to_string()),
+        Ok(p)
+    }
+
+    /// `flag LO HI` with `LO <= HI`, or with `strict` a 1-based
+    /// half-open range (`1 <= LO < HI`).
+    fn pair(
+        &mut self,
+        flag: &str,
+        noun: &str,
+        [lo, hi]: [&str; 2],
+        strict: bool,
+    ) -> Result<(u64, u64), String> {
+        let what = |end: &str| format!("{noun} {}", end.to_ascii_lowercase());
+        let a = self.number(flag, &what(lo))?;
+        let b = self.number(&format!("{flag} {hi}"), &what(hi))?;
+        let (ok, base, op) = match strict {
+            true => (0 < a && a < b, "1-based ", "<"),
+            false => (a <= b, "", "<="),
+        };
+        ok.then_some((a, b))
+            .ok_or_else(|| format!("{flag} wants {base}{lo} {hi} with {lo} {op} {hi}"))
     }
 }
 
-fn parse_chaos(rest: &str) -> Result<Command, String> {
+/// `LAYER inject [flags] | off | status`, for both injectors. `--seed`
+/// is common; `knob` sets one layer flag and answers `false` for a flag
+/// it does not know.
+fn parse_injection<'a, P>(
+    rest: &'a str,
+    layer: &str,
+    mut plan: P,
+    seed: fn(&mut P) -> &mut u64,
+    knob: impl Fn(&mut P, &str, &mut Flags<'a>) -> Result<bool, String>,
+) -> Result<Injection<P>, String> {
     let mut toks = rest.split_whitespace();
     match toks.next() {
-        Some("off") => Ok(Command::ChaosOff),
-        Some("status") => Ok(Command::ChaosStatus),
+        Some("off") => Ok(Injection::Off),
+        Some("status") => Ok(Injection::Status),
         Some("inject") => {
-            let mut plan = ChaosPlan::new(1);
-            fn value<'a>(
-                toks: &mut impl Iterator<Item = &'a str>,
-                flag: &str,
-            ) -> Result<&'a str, String> {
-                toks.next().ok_or_else(|| format!("{flag} needs a value"))
-            }
-            fn prob(v: &str, flag: &str) -> Result<f64, String> {
-                let p: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad probability {v:?} for {flag}"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("{flag} must be in [0, 1], got {v}"));
-                }
-                Ok(p)
-            }
-            while let Some(flag) = toks.next() {
-                match flag {
-                    "--seed" => {
-                        let v = value(&mut toks, flag)?;
-                        plan.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
-                    }
-                    "--delay" => plan.delay_prob = prob(value(&mut toks, flag)?, flag)?,
-                    "--delay-ms" => {
-                        let a = value(&mut toks, flag)?;
-                        let b = value(&mut toks, "--delay-ms MAX")?;
-                        let min: u64 = a.parse().map_err(|_| format!("bad delay min {a:?}"))?;
-                        let max: u64 = b.parse().map_err(|_| format!("bad delay max {b:?}"))?;
-                        if max < min {
-                            return Err("--delay-ms wants MIN MAX with MIN <= MAX".to_string());
-                        }
-                        plan.delay_ms = (min, max);
-                    }
-                    "--drop" => plan.drop_prob = prob(value(&mut toks, flag)?, flag)?,
-                    "--dup" => plan.dup_prob = prob(value(&mut toks, flag)?, flag)?,
-                    "--reorder" => plan.reorder_prob = prob(value(&mut toks, flag)?, flag)?,
-                    "--heartbeat" => {
-                        plan.heartbeat_delay_prob = prob(value(&mut toks, flag)?, flag)?
-                    }
-                    "--fence" => plan.fence_prob = prob(value(&mut toks, flag)?, flag)?,
-                    other => return Err(format!("unknown chaos flag {other:?}")),
+            let mut flags = Flags(toks);
+            while let Some(flag) = flags.0.next() {
+                if flag == "--seed" {
+                    *seed(&mut plan) = flags.number(flag, "seed")?;
+                } else if !knob(&mut plan, flag, &mut flags)? {
+                    return Err(format!("unknown {layer} flag {flag:?}"));
                 }
             }
-            Ok(Command::ChaosInject(plan))
+            Ok(Injection::Inject(plan))
         }
-        _ => Err("expected: chaos inject|off|status".to_string()),
+        _ => Err(format!("expected: {layer} inject|off|status")),
     }
+}
+
+fn parse_fault(rest: &str) -> Result<Command, String> {
+    parse_injection(
+        rest,
+        "fault",
+        FaultPlan::new(1),
+        |p| &mut p.seed,
+        |p, flag, f| {
+            match flag {
+                "--io-reads" => p.io_read_prob = f.prob(flag)?,
+                "--io-writes" => p.io_write_prob = f.prob(flag)?,
+                "--torn" => p.torn_write_prob = f.prob(flag)?,
+                "--kill-at" => match f.number(flag, "transfer number")? {
+                    0 => return Err("--kill-at is 1-based; 0 never fires".to_string()),
+                    n => p.kill_after = Some(n),
+                },
+                "--window" => {
+                    p.fail_window = Some(f.pair(flag, "window", ["START", "END"], true)?)
+                }
+                "--include-uncharged" => p.charged_only = false,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        },
+    )
+    .map(Command::Fault)
+}
+
+fn parse_chaos(rest: &str) -> Result<Command, String> {
+    parse_injection(
+        rest,
+        "chaos",
+        ChaosPlan::new(1),
+        |p| &mut p.seed,
+        |p, flag, f| {
+            match flag {
+                "--delay" => p.delay_prob = f.prob(flag)?,
+                "--delay-ms" => p.delay_ms = f.pair(flag, "delay", ["MIN", "MAX"], false)?,
+                "--drop" => p.drop_prob = f.prob(flag)?,
+                "--dup" => p.dup_prob = f.prob(flag)?,
+                "--reorder" => p.reorder_prob = f.prob(flag)?,
+                "--heartbeat" => p.heartbeat_delay_prob = f.prob(flag)?,
+                "--fence" => p.fence_prob = f.prob(flag)?,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        },
+    )
+    .map(Command::Chaos)
 }
 
 fn parse_call(rest: &str) -> Result<Command, String> {
@@ -793,12 +803,18 @@ mod tests {
         assert_eq!(parse("resync").unwrap(), Some(Command::Resync(None)));
         assert_eq!(parse("RESYNC 3").unwrap(), Some(Command::Resync(Some(3))));
         assert!(parse("resync -1").is_err());
-        assert_eq!(parse("fault off").unwrap(), Some(Command::FaultOff));
-        assert_eq!(parse("fault status").unwrap(), Some(Command::FaultStatus));
+        assert_eq!(
+            parse("fault off").unwrap(),
+            Some(Command::Fault(Injection::Off))
+        );
+        assert_eq!(
+            parse("fault status").unwrap(),
+            Some(Command::Fault(Injection::Status))
+        );
         let c = parse("fault inject --seed 42 --io-reads 0.1 --io-writes 0.2 --torn 0.3")
             .unwrap()
             .unwrap();
-        let Command::FaultInject(plan) = c else {
+        let Command::Fault(Injection::Inject(plan)) = c else {
             panic!()
         };
         assert_eq!(plan.seed, 42);
@@ -809,7 +825,7 @@ mod tests {
         let c = parse("fault inject --kill-at 7 --window 3 9 --include-uncharged")
             .unwrap()
             .unwrap();
-        let Command::FaultInject(plan) = c else {
+        let Command::Fault(Injection::Inject(plan)) = c else {
             panic!()
         };
         assert_eq!(plan.kill_after, Some(7));
@@ -818,7 +834,7 @@ mod tests {
         // Bare `fault inject` is a valid (inert) plan.
         assert!(matches!(
             parse("fault inject").unwrap(),
-            Some(Command::FaultInject(_))
+            Some(Command::Fault(Injection::Inject(_)))
         ));
         assert!(parse("fault").is_err());
         assert!(parse("fault frobnicate").is_err());
@@ -832,15 +848,21 @@ mod tests {
 
     #[test]
     fn chaos_commands() {
-        assert_eq!(parse("chaos off").unwrap(), Some(Command::ChaosOff));
-        assert_eq!(parse("CHAOS STATUS").unwrap(), Some(Command::ChaosStatus));
+        assert_eq!(
+            parse("chaos off").unwrap(),
+            Some(Command::Chaos(Injection::Off))
+        );
+        assert_eq!(
+            parse("CHAOS STATUS").unwrap(),
+            Some(Command::Chaos(Injection::Status))
+        );
         let c = parse(
             "chaos inject --seed 42 --delay 0.2 --delay-ms 1 8 --drop 0.1 \
              --dup 0.15 --reorder 0.25 --heartbeat 0.3 --fence 0.05",
         )
         .unwrap()
         .unwrap();
-        let Command::ChaosInject(plan) = c else {
+        let Command::Chaos(Injection::Inject(plan)) = c else {
             panic!()
         };
         assert_eq!(plan.seed, 42);
@@ -854,7 +876,7 @@ mod tests {
         // Bare `chaos inject` is a valid (inert) plan.
         assert!(matches!(
             parse("chaos inject").unwrap(),
-            Some(Command::ChaosInject(p)) if p.is_inert()
+            Some(Command::Chaos(Injection::Inject(p))) if p == ChaosPlan::new(1)
         ));
         assert!(parse("chaos").is_err());
         assert!(parse("chaos frobnicate").is_err());

@@ -118,12 +118,8 @@ pub fn execute(session: &mut Session, cmd: Command) -> Result<Outcome, String> {
                 "slow-query threshold set to {us}us (0 retains every sampled request)"
             ))
         }
-        Command::FaultInject(plan) => Outcome::Text(session.fault_inject(plan)?),
-        Command::FaultOff => Outcome::Text(session.fault_off()?),
-        Command::FaultStatus => Outcome::Text(session.fault_status_text()),
-        Command::ChaosInject(plan) => Outcome::Text(session.chaos_inject(plan)?),
-        Command::ChaosOff => Outcome::Text(session.chaos_off()?),
-        Command::ChaosStatus => Outcome::Text(session.chaos_status_text()),
+        Command::Fault(op) => Outcome::Text(session.fault(op)?),
+        Command::Chaos(op) => Outcome::Text(session.chaos(op)?),
         Command::Cache(true) => Outcome::Text(session.cache_on()?),
         Command::Cache(false) => Outcome::Text(session.cache_off()?),
         Command::CacheStats => Outcome::Text(session.cache_stats_text()?),

@@ -49,7 +49,7 @@ pub mod server;
 pub mod session;
 pub mod wire_server;
 
-pub use command::{parse, Command, HELP};
+pub use command::{parse, Command, Injection, HELP};
 pub use exec::{execute, Outcome};
 pub use procedures::{CallOutcome, ProcedureRegistry};
 pub use server::{Server, ServerConfig};

@@ -48,8 +48,10 @@ use procdb_core::{
 use procdb_query::{
     Catalog, EncodedRows, FieldType, Organization, RowBatch, Schema, Table, Tuple, Value,
 };
-use procdb_shard::{Router, ShardedEngine};
+use procdb_shard::{ChaosPlan, Router, ShardedEngine};
 use procdb_storage::{CostConstants, FaultPlan, Pager, PagerConfig};
+
+use crate::command::Injection;
 
 /// Health-check cadence of the replica supervisor the session starts
 /// when a replicated engine is built.
@@ -671,131 +673,72 @@ impl Session {
         }
     }
 
-    /// The knobs of a fault plan, as `fault inject` echoes them and
-    /// `fault status` reports them.
-    fn describe_fault_plan(plan: &FaultPlan) -> String {
-        format!(
-            "seed {} io-reads {} io-writes {} torn {}{}{}{}",
-            plan.seed,
-            plan.io_read_prob,
-            plan.io_write_prob,
-            plan.torn_write_prob,
-            plan.kill_after
-                .map(|n| format!(" kill-at {n}"))
-                .unwrap_or_default(),
-            plan.fail_window
-                .map(|(a, b)| format!(" window [{a}, {b})"))
-                .unwrap_or_default(),
-            if plan.charged_only {
-                ""
-            } else {
-                " (uncharged included)"
-            },
-        )
-    }
-
-    /// Install the same seeded fault plan on every shard primary's
-    /// private pager (building the engine first if needed). Note that
-    /// rebuilding the engine — a strategy switch or DDL — discards the
+    /// `fault inject|off|status`: install the same seeded plan on every
+    /// shard primary's private pager (building the engine first if
+    /// needed), lift it, or report the plan and each shard's tallies.
+    /// Rebuilding the engine — a strategy switch or DDL — discards the
     /// plan with the pagers.
-    pub fn fault_inject(&mut self, plan: FaultPlan) -> Result<String, SessionError> {
-        let engine = self.ensure_backend()?;
-        let desc = Self::describe_fault_plan(&plan);
-        for s in 0..engine.shards() {
-            let plan = plan.clone();
-            engine.with_engine(s, |e| e.pager().install_faults(plan));
-        }
-        Ok(format!("fault plan installed: {desc}"))
-    }
-
-    /// Remove the installed fault plan, if any.
-    pub fn fault_off(&mut self) -> Result<String, SessionError> {
-        let engine = self.ensure_backend()?;
-        for s in 0..engine.shards() {
-            engine.with_engine(s, |e| e.pager().clear_faults());
-        }
-        Ok("fault injection off".to_string())
-    }
-
-    /// The active plan and each shard's injector counters (the `fault
-    /// status` command).
-    pub fn fault_status_text(&self) -> String {
-        let Some(engine) = self.engine.as_ref() else {
-            return "no fault plan installed".to_string();
+    pub fn fault(&mut self, op: Injection<FaultPlan>) -> Result<String, SessionError> {
+        let engine = match (&op, &self.engine) {
+            (Injection::Status, None) => return Ok("no fault plan installed".to_string()),
+            (Injection::Status, Some(engine)) => engine,
+            _ => self.ensure_backend()?,
         };
-        let injectors: Vec<_> = (0..engine.shards())
-            .map(|s| engine.with_engine(s, |e| e.pager().fault_injector()))
+        let pagers: Vec<_> = (0..engine.shards())
+            .map(|s| engine.with_engine(s, |e| Arc::clone(e.pager())))
             .collect();
-        let mut out = String::new();
-        if let Some(inj) = injectors.iter().flatten().next() {
-            out.push_str(&format!(
-                "plan: {}\n",
-                Self::describe_fault_plan(inj.plan())
-            ));
-        }
-        for (s, inj) in injectors.iter().enumerate() {
-            match inj {
-                None => out.push_str(&format!("shard {s}: no fault plan installed\n")),
-                Some(inj) => {
-                    let st = inj.status();
-                    out.push_str(&format!(
-                        "shard {s}: {} transfers, {} io failures, {} torn writes, \
-                         {} kills, crashed {}\n",
-                        st.transfers, st.io_failures, st.torn_writes, st.kills, st.crashed,
-                    ));
+        Ok(match op {
+            Injection::Inject(plan) => {
+                for pager in &pagers {
+                    pager.install_faults(plan.clone());
                 }
+                format!("fault plan installed: {}", plan.describe())
             }
-        }
-        out.trim_end().to_string()
+            Injection::Off => {
+                pagers.iter().for_each(|p| p.clear_faults());
+                "fault injection off".to_string()
+            }
+            Injection::Status => {
+                let injectors: Vec<_> = pagers.iter().map(|p| p.fault_injector()).collect();
+                let plan = (injectors.iter().flatten().next())
+                    .map(|inj| format!("plan: {}", inj.plan().describe()));
+                let shards = injectors.iter().enumerate().map(|(s, inj)| match inj {
+                    None => format!("shard {s}: no fault plan installed"),
+                    Some(inj) => format!("shard {s}: {}", inj.status()),
+                });
+                plan.into_iter()
+                    .chain(shards)
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            }
+        })
     }
 
-    /// Install a message-chaos plan on the replication layer (the
-    /// `chaos inject` command). Chaos only has meaning with followers —
-    /// there is no delta-shipping path to break otherwise.
-    pub fn chaos_inject(&mut self, plan: procdb_shard::ChaosPlan) -> Result<String, SessionError> {
-        let desc = plan.describe();
-        let engine = self.ensure_backend()?;
-        if engine.replicas() < 2 {
-            return Err("not replicated; use 'replicas R' (R >= 2) first".to_string());
-        }
-        engine.install_chaos(plan);
-        Ok(format!("{desc} (installed)"))
-    }
-
-    /// Remove the installed chaos plan, reporting its final counters.
-    pub fn chaos_off(&mut self) -> Result<String, SessionError> {
-        match self.ensure_backend()?.chaos_off() {
-            Some(st) => Ok(format!(
-                "chaos off; injected: {} delayed, {} dropped, {} duplicated, \
-                 {} reordered, {} heartbeats delayed, {} fenced",
-                st.delayed,
-                st.dropped,
-                st.duplicated,
-                st.reordered,
-                st.heartbeats_delayed,
-                st.fenced,
-            )),
-            None => Ok("no chaos plan installed".to_string()),
-        }
-    }
-
-    /// The active chaos plan and its decision counters (the
-    /// `chaos status` command).
-    pub fn chaos_status_text(&self) -> String {
-        match self.engine.as_ref().and_then(|e| e.chaos_status()) {
-            Some((plan, st)) => format!(
-                "{}\ninjected: {} delayed, {} dropped, {} duplicated, \
-                 {} reordered, {} heartbeats delayed, {} fenced",
-                plan.describe(),
-                st.delayed,
-                st.dropped,
-                st.duplicated,
-                st.reordered,
-                st.heartbeats_delayed,
-                st.fenced,
-            ),
+    /// `chaos inject|off|status`: install a message-chaos plan on the
+    /// replication layer, lift it with its final tallies, or report the
+    /// plan and its running tallies. Chaos only has meaning with
+    /// followers — there is no delta-shipping path to break otherwise.
+    pub fn chaos(&mut self, op: Injection<ChaosPlan>) -> Result<String, SessionError> {
+        let off = op == Injection::Off;
+        let injector = match op {
+            Injection::Inject(plan) => {
+                let engine = self.ensure_backend()?;
+                if engine.replicas() < 2 {
+                    return Err("not replicated; use 'replicas R' (R >= 2) first".to_string());
+                }
+                return Ok(format!(
+                    "{} (installed)",
+                    engine.install_chaos(plan).plan().describe()
+                ));
+            }
+            Injection::Off => self.ensure_backend()?.chaos_off(),
+            Injection::Status => self.engine.as_ref().and_then(|e| e.chaos()),
+        };
+        Ok(match injector {
             None => "no chaos plan installed".to_string(),
-        }
+            Some(inj) if off => format!("chaos off; injected: {}", inj.tallies()),
+            Some(inj) => format!("{}\ninjected: {}", inj.plan().describe(), inj.tallies()),
+        })
     }
 
     /// Simulate a crash on the live engine: `shard` selects one shard's
@@ -1373,6 +1316,24 @@ mod tests {
         assert!(ms > 0.0);
     }
 
+    /// Building and warming an engine is set-up, not workload: a built
+    /// session that has served nothing reports no buffer hits or faults.
+    #[test]
+    fn set_up_traffic_stays_out_of_the_buffer_hit_ratio() {
+        for kind in [StrategyKind::CacheInvalidate, StrategyKind::UpdateCacheRvm] {
+            let mut s = demo_session();
+            s.define_view("define view V (EMP.all) where EMP.eid >= 10 and EMP.eid <= 19")
+                .unwrap();
+            s.set_strategy(kind).unwrap();
+            s.ensure_backend().unwrap();
+            let text = s.shards_text();
+            assert!(
+                text.contains(" hits=0 faults=0 hit_ratio=0.0000 "),
+                "{kind}: {text}"
+            );
+        }
+    }
+
     /// The CLI sequence `fault inject --seed 7 --io-writes 1
     /// --include-uncharged`, `update 2 -> 50`, `fault off`, `access V`:
     /// the update's base mutation fails on its first write, and the
@@ -1385,12 +1346,12 @@ mod tests {
         let (_, priced) = s.access("V").unwrap();
         assert!(priced > 0.0);
         let line = "fault inject --seed 7 --io-writes 1 --include-uncharged";
-        let Ok(Some(crate::Command::FaultInject(plan))) = crate::parse(line) else {
+        let Ok(Some(crate::Command::Fault(op))) = crate::parse(line) else {
             panic!("{line} parses");
         };
-        s.fault_inject(plan).unwrap();
+        s.fault(op).unwrap();
         assert!(s.update(2, 50).is_err(), "every page write faults");
-        s.fault_off().unwrap();
+        s.fault(Injection::Off).unwrap();
         let (rows, ms) = s.access("V").unwrap();
         assert_eq!(rows.len(), 10);
         assert!(ms > 0.0, "the access after a failed update was not charged");

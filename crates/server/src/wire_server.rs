@@ -10,7 +10,7 @@
 //! * `Command`/`Call`/`Execute` requests are dispatched to a small
 //!   worker pool over a channel — each worker runs the request through
 //!   the same admission gate + readers-writer lock discipline as the v1
-//!   path ([`crate::server::run_line`]/[`crate::server::run_call`]) and
+//!   path (`server::run_line`/`server::run_call`) and
 //!   writes its response frame under the shared writer mutex whenever it
 //!   finishes;
 //! * recoverable decode errors (unknown opcode, malformed payload, bad

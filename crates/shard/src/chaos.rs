@@ -15,17 +15,19 @@
 //! deciding to commit, takes the typed `FENCED` rejection, and demotes
 //! itself into resync.
 //!
-//! Everything is driven by one seeded xorshift64* stream, so a chaos
-//! schedule replays deterministically for a given plan; decisions and
-//! their counts are exported as `procdb_chaos_injected_total{kind=}`.
-//!
-//! [`procdb_storage::FaultPlan`]: procdb_storage::FaultPlan
+//! This is the replication vocabulary over the storage layer's fate
+//! core ([`procdb_storage::fate`]). Ship and fence fates come from one
+//! seeded stream, drawn in operation order, so a chaos schedule replays
+//! deterministically for a given plan. Heartbeat fates come from a
+//! second stream derived from the same seed: the supervisor draws them
+//! at wall-clock times, and they must not shift the ship schedule.
+//! Decisions are counted in a tally exported as
+//! `procdb_chaos_injected_total{kind=}`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use procdb_obs::Counter;
+use procdb_storage::{FateKinds, FateStream, Tally};
 
 /// A seeded plan of message-level failures for the replication layer.
 ///
@@ -116,16 +118,6 @@ impl ChaosPlan {
         self
     }
 
-    /// Is every knob at zero?
-    pub fn is_inert(&self) -> bool {
-        self.delay_prob == 0.0
-            && self.drop_prob == 0.0
-            && self.dup_prob == 0.0
-            && self.reorder_prob == 0.0
-            && self.heartbeat_delay_prob == 0.0
-            && self.fence_prob == 0.0
-    }
-
     /// One-line rendering for command responses.
     pub fn describe(&self) -> String {
         format!(
@@ -168,64 +160,57 @@ impl ShipFate {
     };
 }
 
-/// Counter snapshot for `chaos status`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChaosStatus {
+/// The fates a [`ChaosInjector`] counts, as indices into its tally.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChaosKind {
     /// Ships delayed.
-    pub delayed: u64,
+    Delay,
     /// Ships dropped (follower marked down).
-    pub dropped: u64,
+    Drop,
     /// Ships notified twice.
-    pub duplicated: u64,
+    Duplicate,
     /// Ships whose notification was withheld.
-    pub reordered: u64,
+    Reorder,
     /// Supervisor heartbeats delayed.
-    pub heartbeats_delayed: u64,
+    HeartbeatDelay,
     /// Commit attempts fenced by a sprung promotion.
-    pub fenced: u64,
+    Fence,
 }
 
-/// The live injector: a [`ChaosPlan`] plus its seeded RNG stream and
-/// decision counters. Installed on a `ShardedEngine`; consulted on
-/// every delta ship, supervisor tick, and commit attempt.
+static CHAOS_KINDS: FateKinds<6> = [
+    ("delay", "delayed"),
+    ("drop", "dropped"),
+    ("duplicate", "duplicated"),
+    ("reorder", "reordered"),
+    ("heartbeat_delay", "heartbeats delayed"),
+    ("fence", "fenced"),
+];
+
+/// Mixed into the seed of the heartbeat stream, so the supervisor's
+/// wall-clock draws never shift the ship and fence schedule.
+const HEARTBEAT_STREAM: u64 = 0x6865_6172_7462_6561;
+
+/// The live injector: a [`ChaosPlan`] plus its seeded fate streams and
+/// tally. Installed on a `ShardedEngine`; consulted on every delta
+/// ship, supervisor tick, and commit attempt.
 #[derive(Debug)]
 pub struct ChaosInjector {
     plan: ChaosPlan,
-    rng: Mutex<u64>,
-    delayed: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    reordered: AtomicU64,
-    heartbeats_delayed: AtomicU64,
-    fenced: AtomicU64,
-    m_delay: Counter,
-    m_drop: Counter,
-    m_dup: Counter,
-    m_reorder: Counter,
-    m_heartbeat: Counter,
-    m_fence: Counter,
+    /// Ship and fence fates, drawn in operation order.
+    stream: FateStream,
+    /// Heartbeat fates, drawn by the supervisor on its own clock.
+    heartbeats: FateStream,
+    tally: Tally<6>,
 }
 
 impl ChaosInjector {
-    /// Seed the RNG stream from the plan and register the metrics.
+    /// Seed the fate streams from the plan and register the metrics.
     pub fn new(plan: ChaosPlan) -> Arc<ChaosInjector> {
-        let reg = procdb_obs::global();
-        let m = |kind: &str| reg.counter("procdb_chaos_injected_total", &[("kind", kind)]);
         Arc::new(ChaosInjector {
-            rng: Mutex::new(plan.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
+            stream: FateStream::new(plan.seed),
+            heartbeats: FateStream::new(plan.seed ^ HEARTBEAT_STREAM),
+            tally: Tally::new("procdb_chaos_injected_total", &CHAOS_KINDS),
             plan,
-            delayed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            reordered: AtomicU64::new(0),
-            heartbeats_delayed: AtomicU64::new(0),
-            fenced: AtomicU64::new(0),
-            m_delay: m("delay"),
-            m_drop: m("drop"),
-            m_dup: m("duplicate"),
-            m_reorder: m("reorder"),
-            m_heartbeat: m("heartbeat_delay"),
-            m_fence: m("fence"),
         })
     }
 
@@ -234,96 +219,62 @@ impl ChaosInjector {
         &self.plan
     }
 
-    /// xorshift64* — one shared stream so a schedule replays per seed.
-    fn next_u64(&self) -> u64 {
-        let mut rng = self.rng.lock().unwrap_or_else(|e| e.into_inner());
-        let mut x = *rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    /// Decisions of `kind` made so far.
+    pub fn count(&self, kind: ChaosKind) -> u64 {
+        self.tally.count(kind as usize)
     }
 
-    fn chance(&self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
+    /// The decision counts, as `chaos status` and `chaos off` report them.
+    pub fn tallies(&self) -> String {
+        self.tally.render()
+    }
+
+    /// Count a fate of `kind` if `fire`; returns `fire`.
+    fn noted(&self, kind: ChaosKind, fire: bool) -> bool {
+        if fire {
+            self.tally.note(kind as usize);
         }
-        if p >= 1.0 {
-            return true;
-        }
-        ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) < p
+        fire
     }
 
     /// Decide the fate of one ship to one follower. Drop wins over the
     /// other effects (a dead link neither delays nor duplicates).
     pub fn decide_ship(&self) -> ShipFate {
-        if self.chance(self.plan.drop_prob) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            self.m_drop.inc();
+        let chance = |kind, p| self.noted(kind, self.stream.chance(p));
+        if chance(ChaosKind::Drop, self.plan.drop_prob) {
             return ShipFate {
                 drop: true,
                 ..ShipFate::CLEAN
             };
         }
-        let delay = self.chance(self.plan.delay_prob).then(|| {
+        let delay = chance(ChaosKind::Delay, self.plan.delay_prob).then(|| {
             let (lo, hi) = self.plan.delay_ms;
-            let span = hi.saturating_sub(lo) + 1;
-            self.delayed.fetch_add(1, Ordering::Relaxed);
-            self.m_delay.inc();
-            Duration::from_millis(lo + self.next_u64() % span)
+            Duration::from_millis(lo + self.stream.pick(hi.saturating_sub(lo).saturating_add(1)))
         });
-        let duplicate = self.chance(self.plan.dup_prob);
-        if duplicate {
-            self.duplicated.fetch_add(1, Ordering::Relaxed);
-            self.m_dup.inc();
-        }
-        let hold = self.chance(self.plan.reorder_prob);
-        if hold {
-            self.reordered.fetch_add(1, Ordering::Relaxed);
-            self.m_reorder.inc();
-        }
         ShipFate {
             delay,
             drop: false,
-            duplicate,
-            hold,
+            duplicate: chance(ChaosKind::Duplicate, self.plan.dup_prob),
+            hold: chance(ChaosKind::Reorder, self.plan.reorder_prob),
         }
     }
 
     /// Should this supervisor tick's liveness check be skipped?
     pub fn heartbeat_delayed(&self) -> bool {
-        let fire = self.chance(self.plan.heartbeat_delay_prob);
-        if fire {
-            self.heartbeats_delayed.fetch_add(1, Ordering::Relaxed);
-            self.m_heartbeat.inc();
-        }
-        fire
+        let fire = self.heartbeats.chance(self.plan.heartbeat_delay_prob);
+        self.noted(ChaosKind::HeartbeatDelay, fire)
     }
 
     /// Should this commit attempt be fenced by a sprung promotion?
     /// (The caller only springs the trap when a live follower exists.)
     pub fn fence_fires(&self) -> bool {
-        self.chance(self.plan.fence_prob)
+        self.stream.chance(self.plan.fence_prob)
     }
 
     /// Record that a fence actually sprang (a follower was promoted and
     /// the commit was rejected).
     pub fn note_fenced(&self) {
-        self.fenced.fetch_add(1, Ordering::Relaxed);
-        self.m_fence.inc();
-    }
-
-    /// Current decision counts.
-    pub fn status(&self) -> ChaosStatus {
-        ChaosStatus {
-            delayed: self.delayed.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            heartbeats_delayed: self.heartbeats_delayed.load(Ordering::Relaxed),
-            fenced: self.fenced.load(Ordering::Relaxed),
-        }
+        self.noted(ChaosKind::Fence, true);
     }
 }
 
@@ -339,10 +290,9 @@ mod tests {
             assert!(!inj.heartbeat_delayed());
             assert!(!inj.fence_fires());
         }
-        let st = inj.status();
         assert_eq!(
-            (st.delayed, st.dropped, st.duplicated, st.reordered),
-            (0, 0, 0, 0)
+            inj.tallies(),
+            "0 delayed, 0 dropped, 0 duplicated, 0 reordered, 0 heartbeats delayed, 0 fenced"
         );
     }
 
@@ -365,6 +315,31 @@ mod tests {
         assert!(fate.duplicate && fate.hold);
     }
 
+    /// The supervisor draws heartbeat fates at wall-clock times, so they
+    /// must not shift the ship schedule: any number of heartbeat draws
+    /// between ships leaves every ship fate as it was without them.
+    #[test]
+    fn heartbeat_draws_leave_ship_fates_alone() {
+        let plan = ChaosPlan::new(5)
+            .delays(0.5)
+            .drops(0.3)
+            .duplicates(0.4)
+            .reorders(0.4)
+            .heartbeat_delays(0.5);
+        let quiet = ChaosInjector::new(plan.clone());
+        let expected: Vec<ShipFate> = (0..64).map(|_| quiet.decide_ship()).collect();
+        let noisy = ChaosInjector::new(plan);
+        let got: Vec<ShipFate> = (0..64)
+            .map(|i| {
+                for _ in 0..i % 5 {
+                    noisy.heartbeat_delayed();
+                }
+                noisy.decide_ship()
+            })
+            .collect();
+        assert_eq!(got, expected, "heartbeat draws shifted the ship schedule");
+    }
+
     #[test]
     fn same_seed_replays_the_same_schedule() {
         let plan = ChaosPlan::new(42)
@@ -373,22 +348,19 @@ mod tests {
             .duplicates(0.2)
             .reorders(0.2)
             .delay_window_ms(1, 8);
-        let a: Vec<ShipFate> = {
-            let inj = ChaosInjector::new(plan.clone());
+        let ships = |plan: ChaosPlan| -> Vec<ShipFate> {
+            let inj = ChaosInjector::new(plan);
             (0..64).map(|_| inj.decide_ship()).collect()
         };
-        let b: Vec<ShipFate> = {
-            let inj = ChaosInjector::new(plan.clone());
-            (0..64).map(|_| inj.decide_ship()).collect()
-        };
-        assert_eq!(a, b, "equal seeds must replay equal chaos");
-        let mut reseeded = plan.clone();
+        let a = ships(plan.clone());
+        assert_eq!(
+            a,
+            ships(plan.clone()),
+            "equal seeds must replay equal chaos"
+        );
+        let mut reseeded = plan;
         reseeded.seed = 43;
-        let c: Vec<ShipFate> = {
-            let inj = ChaosInjector::new(reseeded);
-            (0..64).map(|_| inj.decide_ship()).collect()
-        };
-        assert_ne!(a, c, "distinct seeds must diverge");
+        assert_ne!(a, ships(reseeded), "distinct seeds must diverge");
         assert!(
             a.iter().any(|f| f.drop) && a.iter().any(|f| f.duplicate),
             "probabilistic knobs must actually fire over 64 draws: {a:?}"
@@ -397,9 +369,7 @@ mod tests {
 
     #[test]
     fn describe_and_inert() {
-        assert!(ChaosPlan::new(1).is_inert());
         let p = ChaosPlan::new(9).drops(0.5);
-        assert!(!p.is_inert());
         assert!(p.describe().contains("seed 9"), "{}", p.describe());
         assert!(p.describe().contains("drop 0.5"), "{}", p.describe());
     }

@@ -56,7 +56,7 @@ mod replica;
 mod router;
 mod sharded;
 
-pub use chaos::{ChaosInjector, ChaosPlan, ChaosStatus};
+pub use chaos::{ChaosInjector, ChaosKind, ChaosPlan};
 pub use pool::WorkerPool;
 pub use replica::{ReplicaRole, ReplicaStatus, ResyncReport};
 pub use router::Router;

@@ -109,7 +109,7 @@ use procdb_obs::{Counter, Gauge, Histogram};
 use procdb_query::{RowBatch, Tuple, Value};
 use procdb_storage::{CostConstants, CostSnapshot, Result, StorageError};
 
-use crate::chaos::{ChaosInjector, ChaosPlan, ChaosStatus, ShipFate};
+use crate::chaos::{ChaosInjector, ChaosPlan, ShipFate};
 use crate::pool::WorkerPool;
 use crate::replica::{
     DeltaLog, Replica, ReplicaRole, ReplicaStatus, ResyncReport, DEFAULT_LOG_CAP,
@@ -709,7 +709,7 @@ impl ShardedEngine {
     /// [`Router::partition_rows`]) and full copies of the inner
     /// relations; every engine must share the strategy, `R1` name, key
     /// field, and procedure list. The groups build concurrently
-    /// ([`build_groups`]). Generic over the builder's error type so
+    /// (`build_groups`). Generic over the builder's error type so
     /// callers keep their own error domain; the lowest failing shard's
     /// error is returned.
     pub fn new_replicated<E: Send>(
@@ -787,21 +787,14 @@ impl ShardedEngine {
         inj
     }
 
-    /// Remove the chaos plan; returns the final tallies if one was
-    /// active.
-    pub fn chaos_off(&self) -> Option<ChaosStatus> {
-        self.chaos.lock().take().map(|inj| inj.status())
+    /// Remove the chaos plan; returns the retired injector (its plan
+    /// and final tallies) if one was active.
+    pub fn chaos_off(&self) -> Option<Arc<ChaosInjector>> {
+        self.chaos.lock().take()
     }
 
-    /// The active chaos plan and its running tallies, if any.
-    pub fn chaos_status(&self) -> Option<(ChaosPlan, ChaosStatus)> {
-        self.chaos
-            .lock()
-            .as_ref()
-            .map(|inj| (inj.plan().clone(), inj.status()))
-    }
-
-    fn current_chaos(&self) -> Option<Arc<ChaosInjector>> {
+    /// The active chaos injector (its plan and running tallies), if any.
+    pub fn chaos(&self) -> Option<Arc<ChaosInjector>> {
         self.chaos.lock().clone()
     }
 
@@ -1087,7 +1080,7 @@ impl ShardedEngine {
     /// and the ship (the op is in the shared log, so the promoted
     /// follower has it — but the fencing is counted).
     fn fan_out(&self, slot: &ShardSlot, epoch: u64, lsn: u64, c: &CostConstants) -> f64 {
-        let chaos = self.current_chaos();
+        let chaos = self.chaos();
         let pidx = slot.primary_idx();
         let mut ms = 0.0;
         for rep in &slot.replicas {
@@ -1163,7 +1156,7 @@ impl ShardedEngine {
         // from the group at an exact op boundary) and this op is
         // rejected with the typed fence *before* it touches any state,
         // so the retry lands cleanly on the new primary.
-        if let Some(ch) = self.current_chaos() {
+        if let Some(ch) = self.chaos() {
             if ch.fence_fires() {
                 let pidx = slot.primary_idx();
                 if slot.has_live_follower(pidx) && failover(slot, pidx).is_some() {

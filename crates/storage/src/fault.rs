@@ -16,14 +16,13 @@
 //! question is what happens to *derived* state (validity table, cached
 //! results, Rete memories), not to the base relations' own WAL.
 //!
-//! Determinism: the same plan against the same workload produces the same
-//! faults at the same transfers, so a chaos schedule that finds a bug is a
-//! reproducer, not an anecdote.
+//! The injector is the storage vocabulary over the [`fate`](crate::fate)
+//! core: the same plan against the same workload faults the same transfers.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::fate::{FateKinds, FateStream, Tally};
 
 /// Which direction a disk transfer moves data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,54 +123,65 @@ impl FaultPlan {
         self.charged_only = false;
         self
     }
+
+    /// The knobs, as `fault inject` echoes them and `fault status`
+    /// reports them.
+    pub fn describe(&self) -> String {
+        let (seed, r, w, t) = (
+            self.seed,
+            self.io_read_prob,
+            self.io_write_prob,
+            self.torn_write_prob,
+        );
+        let mut out = format!("seed {seed} io-reads {r} io-writes {w} torn {t}");
+        if let Some(n) = self.kill_after {
+            out += &format!(" kill-at {n}");
+        }
+        if let Some((a, b)) = self.fail_window {
+            out += &format!(" window [{a}, {b})");
+        }
+        if !self.charged_only {
+            out += " (uncharged included)";
+        }
+        out
+    }
 }
 
-/// A point-in-time summary of what the injector has done.
+/// The fates a [`FaultInjector`] counts, as indices into its tally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultStatus {
-    /// Eligible transfers seen so far.
-    pub transfers: u64,
+pub enum FaultKind {
     /// Injected plain I/O failures.
-    pub io_failures: u64,
+    Io,
     /// Injected torn writes.
-    pub torn_writes: u64,
+    Torn,
     /// Kill-points fired (0 or 1 per crash/recover cycle).
-    pub kills: u64,
-    /// Whether a simulated crash is currently latched.
-    pub crashed: bool,
+    Kill,
 }
+
+static FAULT_KINDS: FateKinds<3> = [
+    ("io", "io failures"),
+    ("torn", "torn writes"),
+    ("kill", "kills"),
+];
 
 /// Live fault-injection state, shared between the pager and its operators.
 pub struct FaultInjector {
     plan: FaultPlan,
-    rng: Mutex<u64>,
+    stream: FateStream,
+    tally: Tally<3>,
     transfers: AtomicU64,
     crashed: AtomicBool,
-    io_failures: AtomicU64,
-    torn_writes: AtomicU64,
-    kills: AtomicU64,
-    m_io: procdb_obs::Counter,
-    m_torn: procdb_obs::Counter,
-    m_kill: procdb_obs::Counter,
 }
 
 impl FaultInjector {
     /// Build an injector executing `plan`.
     pub fn new(plan: FaultPlan) -> Arc<FaultInjector> {
-        let reg = procdb_obs::global();
-        // xorshift state must be non-zero.
-        let state = plan.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         Arc::new(FaultInjector {
+            stream: FateStream::new(plan.seed),
+            tally: Tally::new("procdb_faults_injected_total", &FAULT_KINDS),
             plan,
-            rng: Mutex::new(state),
             transfers: AtomicU64::new(0),
             crashed: AtomicBool::new(false),
-            io_failures: AtomicU64::new(0),
-            torn_writes: AtomicU64::new(0),
-            kills: AtomicU64::new(0),
-            m_io: reg.counter("procdb_faults_injected_total", &[("kind", "io")]),
-            m_torn: reg.counter("procdb_faults_injected_total", &[("kind", "torn")]),
-            m_kill: reg.counter("procdb_faults_injected_total", &[("kind", "kill")]),
         })
     }
 
@@ -191,36 +201,24 @@ impl FaultInjector {
         self.crashed.store(false, Ordering::Relaxed);
     }
 
-    /// Snapshot the injector's counters.
-    pub fn status(&self) -> FaultStatus {
-        FaultStatus {
-            transfers: self.transfers.load(Ordering::Relaxed),
-            io_failures: self.io_failures.load(Ordering::Relaxed),
-            torn_writes: self.torn_writes.load(Ordering::Relaxed),
-            kills: self.kills.load(Ordering::Relaxed),
-            crashed: self.crashed(),
-        }
+    /// Eligible transfers seen so far.
+    pub fn transfers(&self) -> u64 {
+        self.transfers.load(Ordering::Relaxed)
     }
 
-    fn next_u64(&self) -> u64 {
-        let mut s = self.rng.lock();
-        // xorshift64* — tiny, seedable, good enough for fault schedules.
-        let mut x = *s;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *s = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    /// Faults of `kind` injected so far.
+    pub fn count(&self, kind: FaultKind) -> u64 {
+        self.tally.count(kind as usize)
     }
 
-    fn chance(&self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        ((self.next_u64() >> 11) as f64 / (1u64 << 53) as f64) < p
+    /// The `fault status` line: transfers, injected faults, the latch.
+    pub fn status(&self) -> String {
+        format!(
+            "{} transfers, {}, crashed {}",
+            self.transfers(),
+            self.tally.render(),
+            self.crashed()
+        )
     }
 
     /// Pick where a torn write stops applying new bytes (at least 1, at
@@ -229,7 +227,7 @@ impl FaultInjector {
         if len <= 1 {
             return len;
         }
-        1 + (self.next_u64() as usize) % (len - 1)
+        1 + self.stream.pick(len as u64 - 1) as usize
     }
 
     /// Rule on one transfer. `charged` is the pager's charging flag at the
@@ -242,45 +240,29 @@ impl FaultInjector {
             return FaultDecision::Kill;
         }
         let n = self.transfers.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(k) = self.plan.kill_after {
-            // One-shot: once recovery clears the latch the kill-point is
-            // spent — it does not re-fire on later transfers.
-            if n >= k && self.kills.load(Ordering::Relaxed) == 0 {
-                self.crashed.store(true, Ordering::Relaxed);
-                self.kills.fetch_add(1, Ordering::Relaxed);
-                self.m_kill.inc();
-                return FaultDecision::Kill;
-            }
+        // One-shot: once recovery clears the latch the kill-point is
+        // spent — it does not re-fire on later transfers.
+        if self.plan.kill_after.is_some_and(|k| n >= k) && self.count(FaultKind::Kill) == 0 {
+            self.crashed.store(true, Ordering::Relaxed);
+            self.tally.note(FaultKind::Kill as usize);
+            return FaultDecision::Kill;
         }
-        if let Some((start, end)) = self.plan.fail_window {
-            if n >= start && n < end {
-                self.io_failures.fetch_add(1, Ordering::Relaxed);
-                self.m_io.inc();
-                return FaultDecision::Fail(n);
-            }
+        let in_window = self
+            .plan
+            .fail_window
+            .is_some_and(|(start, end)| n >= start && n < end);
+        let fate = match kind {
+            _ if in_window => FaultKind::Io,
+            TransferKind::Read if self.stream.chance(self.plan.io_read_prob) => FaultKind::Io,
+            TransferKind::Write if self.stream.chance(self.plan.torn_write_prob) => FaultKind::Torn,
+            TransferKind::Write if self.stream.chance(self.plan.io_write_prob) => FaultKind::Io,
+            _ => return FaultDecision::Proceed,
+        };
+        self.tally.note(fate as usize);
+        match fate {
+            FaultKind::Torn => FaultDecision::Torn(n),
+            _ => FaultDecision::Fail(n),
         }
-        match kind {
-            TransferKind::Read => {
-                if self.chance(self.plan.io_read_prob) {
-                    self.io_failures.fetch_add(1, Ordering::Relaxed);
-                    self.m_io.inc();
-                    return FaultDecision::Fail(n);
-                }
-            }
-            TransferKind::Write => {
-                if self.chance(self.plan.torn_write_prob) {
-                    self.torn_writes.fetch_add(1, Ordering::Relaxed);
-                    self.m_torn.inc();
-                    return FaultDecision::Torn(n);
-                }
-                if self.chance(self.plan.io_write_prob) {
-                    self.io_failures.fetch_add(1, Ordering::Relaxed);
-                    self.m_io.inc();
-                    return FaultDecision::Fail(n);
-                }
-            }
-        }
-        FaultDecision::Proceed
     }
 }
 
@@ -298,9 +280,10 @@ mod tests {
                 FaultDecision::Proceed
             );
         }
-        let st = inj.status();
-        assert_eq!(st.io_failures + st.torn_writes + st.kills, 0);
-        assert!(!st.crashed);
+        assert_eq!(
+            inj.status(),
+            "2000 transfers, 0 io failures, 0 torn writes, 0 kills, crashed false"
+        );
     }
 
     #[test]
@@ -311,7 +294,7 @@ mod tests {
             inj.decide(TransferKind::Read, false),
             FaultDecision::Proceed
         );
-        assert_eq!(inj.status().transfers, 0);
+        assert_eq!(inj.transfers(), 0);
         // Charged: fails.
         assert!(matches!(
             inj.decide(TransferKind::Read, true),
@@ -331,12 +314,12 @@ mod tests {
         assert!(inj.crashed());
         // Everything fails while crashed, and the kill is counted once.
         assert_eq!(inj.decide(TransferKind::Write, true), FaultDecision::Kill);
-        assert_eq!(inj.status().kills, 1);
+        assert_eq!(inj.count(FaultKind::Kill), 1);
         inj.clear_crash();
         assert!(!inj.crashed());
         // The kill-point is one-shot: after recovery, transfers flow again.
         assert_eq!(inj.decide(TransferKind::Read, true), FaultDecision::Proceed);
-        assert_eq!(inj.status().kills, 1);
+        assert_eq!(inj.count(FaultKind::Kill), 1);
     }
 
     #[test]
@@ -352,7 +335,7 @@ mod tests {
             FaultDecision::Fail(3)
         ));
         assert_eq!(inj.decide(TransferKind::Read, true), FaultDecision::Proceed);
-        assert_eq!(inj.status().io_failures, 2);
+        assert_eq!(inj.count(FaultKind::Io), 2);
     }
 
     #[test]
@@ -368,7 +351,7 @@ mod tests {
             };
             assert_eq!(a.decide(kind, true), b.decide(kind, true), "transfer {i}");
         }
-        assert!(a.status().io_failures > 0, "0.3 over 250 reads must fire");
+        assert!(a.count(FaultKind::Io) > 0, "0.3 over 250 reads must fire");
     }
 
     #[test]

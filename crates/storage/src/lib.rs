@@ -16,7 +16,9 @@
 //! * [`pager::Pager`] — buffer-managed access with *logical* (paper-parity)
 //!   or *physical* (buffer-aware) accounting;
 //! * [`slotted`] — the slotted-page record layout;
-//! * [`heap::HeapFile`] — unordered record files with stable [`heap::Rid`]s.
+//! * [`heap::HeapFile`] — unordered record files with stable [`heap::Rid`]s;
+//! * [`fault::FaultInjector`] — seeded storage faults over the
+//!   [`fate`] core that replication chaos shares.
 //!
 //! ```
 //! use procdb_storage::{HeapFile, Pager};
@@ -34,6 +36,7 @@
 
 pub mod disk;
 pub mod error;
+pub mod fate;
 pub mod fault;
 pub mod heap;
 pub mod ledger;
@@ -42,7 +45,8 @@ pub mod slotted;
 
 pub use disk::{Disk, FileId, Page, PageId};
 pub use error::{Result, StorageError};
-pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultStatus, TransferKind};
+pub use fate::{FateKinds, FateStream, Tally};
+pub use fault::{FaultDecision, FaultInjector, FaultKind, FaultPlan, TransferKind};
 pub use heap::{HeapFile, Rid, RidIndex};
 pub use ledger::{CostConstants, CostLedger, CostSnapshot};
 pub use pager::{AccountingMode, Pager, PagerConfig, Uncharged};

@@ -35,7 +35,7 @@ use common::{
     selection, KEY_SPACE, R1_ROWS,
 };
 use procdb::core::{ProcedureDef, StrategyKind};
-use procdb::shard::{ChaosPlan, ShardedEngine};
+use procdb::shard::{ChaosKind, ChaosPlan, ShardedEngine};
 use procdb::storage::{CostConstants, StorageError};
 
 /// Bound on fenced-write retries per update: each fence fires at most
@@ -155,12 +155,15 @@ fn run_chaos_schedule(kind: StrategyKind, shards: usize, replicas: usize, schedu
     // injector's ledger (the ledger may run ahead: a fence on the
     // destination leg of a cross-shard move is retried *inside*
     // `apply_update` and never surfaces to the client).
-    let status = sharded.chaos_off().expect("chaos was installed");
+    let fenced = sharded
+        .chaos_off()
+        .expect("chaos was installed")
+        .count(ChaosKind::Fence);
     assert!(
-        status.fenced as usize >= fences_seen,
+        fenced as usize >= fences_seen,
         "{ctx}: client saw {} typed FENCED errors but the injector only fired {}",
         fences_seen,
-        status.fenced
+        fenced
     );
     sharded.recover(None);
     sharded.resync(None).unwrap();

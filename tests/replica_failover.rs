@@ -32,7 +32,7 @@ use common::{
 };
 use procdb::core::{ProcedureDef, StrategyKind};
 use procdb::query::Value;
-use procdb::storage::{CostConstants, FaultPlan};
+use procdb::storage::{CostConstants, FaultKind, FaultPlan};
 
 /// The procedures every engine registers: `p1` and `p2` cross the
 /// split, `p3` fits in one shard (shard 0 when `S = 2`).
@@ -270,7 +270,7 @@ fn kill_point_mid_cross_shard_move_leaves_row_on_exactly_one_shard() {
         // invariant below must hold.
         let injector = src_pager.install_faults(FaultPlan::new(7).kill_at(1));
         let res = sharded.apply_update(&[(victim, new_key)], &c);
-        let sprung = injector.status().kills > 0;
+        let sprung = injector.count(FaultKind::Kill) > 0;
         assert_eq!(
             res.is_err(),
             sprung,
