@@ -810,26 +810,14 @@ impl Engine {
     /// The base mutation is uncharged; strategy maintenance is charged.
     pub fn apply_update(&mut self, modifications: &[(i64, i64)]) -> Result<usize> {
         let key_field = self.opts.r1_key_field;
-        self.mutate_r1(|r1, delta| {
-            for &(victim, new_key) in modifications {
-                let Some(old) = r1.delete_where(victim, |_| true)? else {
-                    continue;
-                };
-                let mut new = old.clone();
-                new[key_field] = procdb_query::Value::Int(new_key);
-                r1.insert(&new)?;
-                delta.deleted.push(old);
-                delta.inserted.push(new);
-            }
-            Ok(())
-        })
+        self.mutate_relation(None, |r1, delta| rekey(r1, key_field, modifications, delta))
     }
 
     /// Apply one insert transaction: add new tuples to `R1` (the paper's
     /// §2 example — Susan joining EMP — is exactly this). Maintenance is
     /// charged like any update; tokens carry only `+` tags.
     pub fn apply_insert(&mut self, rows: &[Tuple]) -> Result<usize> {
-        self.mutate_r1(|r1, delta| {
+        self.mutate_relation(None, |r1, delta| {
             for row in rows {
                 // Canonicalize (pad byte fields) so the maintenance delta
                 // matches the stored tuple form exactly.
@@ -844,14 +832,7 @@ impl Engine {
     /// Apply one delete transaction: remove (up to) one `R1` tuple per
     /// listed key. Tokens carry only `−` tags.
     pub fn apply_delete(&mut self, keys: &[i64]) -> Result<usize> {
-        self.mutate_r1(|r1, delta| {
-            for &k in keys {
-                if let Some(old) = r1.delete_where(k, |_| true)? {
-                    delta.deleted.push(old);
-                }
-            }
-            Ok(())
-        })
+        self.apply_delete_take(keys).1
     }
 
     /// [`Engine::apply_delete`], returning the removed tuples themselves.
@@ -868,7 +849,7 @@ impl Engine {
     /// The maintenance outcome rides alongside in the second slot.
     pub fn apply_delete_take(&mut self, keys: &[i64]) -> (Vec<Tuple>, Result<usize>) {
         let mut taken: Vec<Tuple> = Vec::new();
-        let res = self.mutate_r1(|r1, delta| {
+        let res = self.mutate_relation(None, |r1, delta| {
             for &k in keys {
                 if let Some(old) = r1.delete_where(k, |_| true)? {
                     taken.push(old.clone());
@@ -880,28 +861,55 @@ impl Engine {
         (taken, res)
     }
 
-    /// Shared transaction skeleton: run `mutate` against `R1` uncharged,
-    /// then perform the strategy's (charged) maintenance for the delta it
-    /// produced. Returns the number of tuple versions the delta carries
-    /// on its larger side.
-    fn mutate_r1(
+    /// Apply one update transaction to an **inner** relation (`R2`/`R3`):
+    /// each `(victim_key, new_key)` rewrites the hash key of one tuple.
+    ///
+    /// The paper's models only update `R1` (§8 flags multi-relation update
+    /// frequencies as future work); this generalization exercises the
+    /// machinery anyway: Rete handles it via right-side activation, AVM
+    /// via [`MaterializedView::apply_inner_delta`], and Cache&Invalidate
+    /// falls back to conservative invalidation of every procedure that
+    /// joins the relation (its i-locks on probe keys are not tracked, so
+    /// any write may conflict).
+    pub fn apply_update_to(
         &mut self,
-        mutate: impl FnOnce(&mut procdb_query::Table, &mut Delta) -> Result<()>,
+        relation: &str,
+        modifications: &[(i64, i64)],
+    ) -> Result<usize> {
+        if relation == self.opts.r1 {
+            return self.apply_update(modifications);
+        }
+        self.mutate_relation(Some(relation), |table, delta| {
+            let Organization::Hash { key_field } = table.organization() else {
+                panic!("apply_update_to expects a hash-organized inner relation");
+            };
+            rekey(table, key_field, modifications, delta)
+        })
+    }
+
+    /// Shared transaction skeleton: run `mutate` against `inner` (`None`
+    /// = `R1`) uncharged, then perform the strategy's (charged)
+    /// maintenance for the delta it produced. Returns the number of
+    /// tuple versions the delta carries on its larger side.
+    fn mutate_relation(
+        &mut self,
+        inner: Option<&str>,
+        mutate: impl FnOnce(&mut Table, &mut Delta) -> Result<()>,
     ) -> Result<usize> {
         let c = CostConstants::default();
         let before = self.pager.ledger().snapshot();
         let start = Instant::now();
         let mut sp = procdb_obs::span!(procdb_obs::global(), "update");
+        let relation = inner.unwrap_or(&self.opts.r1);
         // 1. Mutate the base relation (uncharged).
-        let key_field = self.opts.r1_key_field;
         let mut delta = Delta::new();
         {
             let _uncharged = self.pager.uncharged();
-            let r1 = self
+            let table = self
                 .catalog
-                .get_mut(&self.opts.r1)
-                .unwrap_or_else(|| panic!("unknown base relation"));
-            mutate(r1, &mut delta)?;
+                .get_mut(relation)
+                .unwrap_or_else(|| panic!("unknown relation {relation}"));
+            mutate(table, &mut delta)?;
             self.end_operation()?;
         }
         let modified = delta.inserted.len().max(delta.deleted.len());
@@ -910,40 +918,68 @@ impl Engine {
         {
             let _maint =
                 procdb_obs::span!(procdb_obs::global(), "maintain", tuples = modified as f64);
+            let key_field = self.opts.r1_key_field;
             match &mut self.state {
                 StrategyState::Recompute => {}
                 StrategyState::CacheInval {
                     validity, locks, ..
-                } => {
-                    let writes = delta
-                        .deleted
-                        .iter()
-                        .chain(&delta.inserted)
-                        .map(|t| (R1_TABLE, t[key_field].as_int()));
-                    for pid in locks.conflicting_any(writes) {
-                        validity.invalidate(pid);
+                } => match inner {
+                    None => {
+                        let writes = delta
+                            .deleted
+                            .iter()
+                            .chain(&delta.inserted)
+                            .map(|t| (R1_TABLE, t[key_field].as_int()));
+                        for pid in locks.conflicting_any(writes) {
+                            validity.invalidate(pid);
+                        }
                     }
-                }
+                    Some(rel) => {
+                        for (i, p) in self.procs.iter().enumerate() {
+                            if modified > 0 && p.view.joins.iter().any(|j| j.inner == rel) {
+                                validity.invalidate(ProcId(i as u32));
+                            }
+                        }
+                    }
+                },
                 StrategyState::Avm {
                     views,
                     bounds,
                     dirty,
                 } => {
-                    for (i, (v, &(lo, hi))) in views.iter_mut().zip(bounds.iter()).enumerate() {
+                    for (i, v) in views.iter_mut().enumerate() {
                         if dirty[i] {
                             continue; // stale anyway; the rebuild recomputes from base
                         }
-                        let filtered = delta.filtered(|t| {
-                            let k = t[key_field].as_int();
-                            k >= lo && k <= hi
-                        });
-                        if !filtered.is_empty() {
-                            if let Err(e) = v.apply_delta(&filtered, &self.catalog) {
-                                // Partial maintenance: the view can no
-                                // longer be trusted — rebuild before serving.
-                                dirty[i] = true;
-                                return Err(e);
+                        let res = match inner {
+                            None => {
+                                let (lo, hi) = bounds[i];
+                                let filtered = delta.filtered(|t| {
+                                    let k = t[key_field].as_int();
+                                    k >= lo && k <= hi
+                                });
+                                if filtered.is_empty() {
+                                    continue;
+                                }
+                                v.apply_delta(&filtered, &self.catalog)
                             }
+                            Some(rel) => {
+                                let steps = v.steps_on(rel);
+                                assert!(
+                                    steps.len() <= 1,
+                                    "inner-delta maintenance supports one occurrence of {rel} per view"
+                                );
+                                let Some(&step) = steps.first() else {
+                                    continue;
+                                };
+                                v.apply_inner_delta(step, &delta, &self.catalog)
+                            }
+                        };
+                        if let Err(e) = res {
+                            // Partial maintenance: the view can no longer
+                            // be trusted — rebuild before serving.
+                            dirty[i] = true;
+                            return Err(e);
                         }
                     }
                 }
@@ -951,10 +987,10 @@ impl Engine {
                     if !*dirty {
                         let mut submit_all = || -> Result<()> {
                             for old in &delta.deleted {
-                                rete.submit(&self.opts.r1, Token::minus(old.clone()))?;
+                                rete.submit(relation, Token::minus(old.clone()))?;
                             }
                             for new in &delta.inserted {
-                                rete.submit(&self.opts.r1, Token::plus(new.clone()))?;
+                                rete.submit(relation, Token::plus(new.clone()))?;
                             }
                             Ok(())
                         };
@@ -992,109 +1028,6 @@ impl Engine {
             sp.field("tuples", tuples as f64);
             sp.field("observed_ms", observed);
         }
-    }
-
-    /// Apply one update transaction to an **inner** relation (`R2`/`R3`):
-    /// each `(victim_key, new_key)` rewrites the hash key of one tuple.
-    ///
-    /// The paper's models only update `R1` (§8 flags multi-relation update
-    /// frequencies as future work); this generalization exercises the
-    /// machinery anyway: Rete handles it via right-side activation, AVM
-    /// via [`MaterializedView::apply_inner_delta`], and Cache&Invalidate
-    /// falls back to conservative invalidation of every procedure that
-    /// joins the relation (its i-locks on probe keys are not tracked, so
-    /// any write may conflict).
-    pub fn apply_update_to(
-        &mut self,
-        relation: &str,
-        modifications: &[(i64, i64)],
-    ) -> Result<usize> {
-        if relation == self.opts.r1 {
-            return self.apply_update(modifications);
-        }
-        let c = CostConstants::default();
-        let before = self.pager.ledger().snapshot();
-        let start = Instant::now();
-        let mut sp = procdb_obs::span!(procdb_obs::global(), "update");
-        // 1. Base mutation, uncharged.
-        let mut delta = Delta::new();
-        {
-            let _uncharged = self.pager.uncharged();
-            let table = self
-                .catalog
-                .get_mut(relation)
-                .unwrap_or_else(|| panic!("unknown relation {relation}"));
-            let Organization::Hash { key_field } = table.organization() else {
-                panic!("apply_update_to expects a hash-organized inner relation");
-            };
-            for &(victim, new_key) in modifications {
-                let Some(old) = table.delete_where(victim, |_| true)? else {
-                    continue;
-                };
-                let mut new = old.clone();
-                new[key_field] = procdb_query::Value::Int(new_key);
-                table.insert(&new)?;
-                delta.deleted.push(old);
-                delta.inserted.push(new);
-            }
-            self.end_operation()?;
-        }
-        let modified = delta.inserted.len();
-
-        // 2. Strategy maintenance, charged.
-        {
-            let _maint =
-                procdb_obs::span!(procdb_obs::global(), "maintain", tuples = modified as f64);
-            match &mut self.state {
-                StrategyState::Recompute => {}
-                StrategyState::CacheInval { validity, .. } => {
-                    for (i, p) in self.procs.iter().enumerate() {
-                        if p.view.joins.iter().any(|j| j.inner == relation) && modified > 0 {
-                            validity.invalidate(ProcId(i as u32));
-                        }
-                    }
-                }
-                StrategyState::Avm { views, dirty, .. } => {
-                    for (i, v) in views.iter_mut().enumerate() {
-                        if dirty[i] {
-                            continue; // stale anyway; the rebuild recomputes from base
-                        }
-                        let steps = v.steps_on(relation);
-                        assert!(
-                            steps.len() <= 1,
-                            "inner-delta maintenance supports one occurrence of {relation} per view"
-                        );
-                        if let Some(&step) = steps.first() {
-                            if let Err(e) = v.apply_inner_delta(step, &delta, &self.catalog) {
-                                dirty[i] = true;
-                                return Err(e);
-                            }
-                        }
-                    }
-                }
-                StrategyState::Rvm { rete, dirty, .. } => {
-                    if !*dirty {
-                        let mut submit_all = || -> Result<()> {
-                            for old in &delta.deleted {
-                                rete.submit(relation, Token::minus(old.clone()))?;
-                            }
-                            for new in &delta.inserted {
-                                rete.submit(relation, Token::plus(new.clone()))?;
-                            }
-                            Ok(())
-                        };
-                        if let Err(e) = submit_all() {
-                            *dirty = true;
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-        }
-        self.end_operation()?;
-        self.force_validity();
-        self.record_update(modified, before, start, &c, &mut sp);
-        Ok(modified)
     }
 
     /// Reference answer for procedure `i`, recomputed fresh and uncharged
@@ -1280,6 +1213,28 @@ impl Engine {
             _ => None,
         }
     }
+}
+
+/// Re-key one tuple per `(victim_key, new_key)` pair of `table`: delete
+/// a tuple holding `victim_key` (skipped if none), rewrite its
+/// `key_field`, re-insert it, and record both versions in `delta`.
+fn rekey(
+    table: &mut Table,
+    key_field: usize,
+    modifications: &[(i64, i64)],
+    delta: &mut Delta,
+) -> Result<()> {
+    for &(victim, new_key) in modifications {
+        let Some(old) = table.delete_where(victim, |_| true)? else {
+            continue;
+        };
+        let mut new = old.clone();
+        new[key_field] = procdb_query::Value::Int(new_key);
+        table.insert(&new)?;
+        delta.deleted.push(old);
+        delta.inserted.push(new);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1772,16 +1727,14 @@ mod tests {
     fn spans_capture_access_fields() {
         let reg = procdb_obs::global();
         let mut e = engine_with(StrategyKind::UpdateCacheAvm, vec![p1(0, 10, 29)]);
-        reg.set_tracing(true);
-        let seq_before: i64 = reg
-            .recent_spans(1, |_| true)
-            .last()
-            .map(|s| s.seq as i64)
-            .unwrap_or(-1);
-        e.access(0).unwrap();
-        e.apply_update(&[(15, 40)]).unwrap();
-        reg.set_tracing(false);
-        let spans = reg.recent_spans(64, |s| s.seq as i64 > seq_before);
+        let ctx = reg.force_trace();
+        {
+            let _ctx = reg.install_context(ctx);
+            let _root = procdb_obs::span!(reg, "test.request");
+            e.access(0).unwrap();
+            e.apply_update(&[(15, 40)]).unwrap();
+        }
+        let spans = reg.find_trace(ctx.trace_id).expect("trace retained").spans;
         let access = spans
             .iter()
             .find(|s| s.name == "access" && s.field("proc") == Some(0.0))
@@ -1789,12 +1742,10 @@ mod tests {
         assert!(access.field("rows").is_some());
         assert!(access.field("predicted_ms").is_some());
         assert!(access.field("observed_ms").is_some());
-        assert!(
-            spans.iter().any(|s| s.name == "update"),
-            "update span recorded"
-        );
-        assert!(
-            spans.iter().any(|s| s.name == "maintain"),
+        let span = |name: &str| spans.iter().find(|s| s.name == name).expect(name);
+        assert_eq!(
+            span("maintain").parent_id,
+            span("update").span_id,
             "maintain span nested in update"
         );
     }

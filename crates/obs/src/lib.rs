@@ -1,8 +1,8 @@
 //! # procdb-obs
 //!
 //! Unified observability for the `procdb` reproduction of Hanson
-//! (SIGMOD 1988): a lock-cheap metrics registry and a span-tracing ring
-//! buffer, shared by the engine, the storage substrate, and the server.
+//! (SIGMOD 1988): a lock-cheap metrics registry and request-scoped span
+//! tracing, shared by the engine, the storage substrate, and the server.
 //!
 //! ## Metrics
 //!
@@ -19,21 +19,19 @@
 //! ## Spans and request traces
 //!
 //! [`span!`] opens a [`SpanGuard`] that records the span's wall-clock
-//! duration, nesting depth, and any number of named `f64` fields into a
-//! bounded in-memory ring buffer when tracing is enabled
-//! ([`Registry::set_tracing`]). When tracing is off a span is one atomic
-//! load — the hot path never pays for dormant tracing. Callers attach
-//! whatever they observed (ledger deltas, predicted costs) as fields;
-//! the buffer is queryable with [`Registry::recent_spans`].
-//!
-//! On top of the flat ring sits request-scoped tracing: a server
-//! installs a [`TraceContext`] per sampled request
-//! ([`Registry::sample_request`], [`Registry::install_context`]) and
-//! every span opened under it — across layers and, via explicit
-//! capture, across worker threads — links into one span tree
-//! ([`TraceTree`]). Trees whose total latency crosses the slow-query
-//! threshold are retained in full ([`Registry::slow_traces`]); the rest
-//! cycle through a bounded recent ring ([`Registry::find_trace`]).
+//! duration and any number of named `f64` fields (ledger deltas,
+//! predicted costs) — if and only if a [`TraceContext`] is installed on
+//! its thread. A server installs one per sampled request
+//! ([`Registry::sample_request`], [`Registry::install_context`]);
+//! `explain analyze` and client-supplied trace ids install one
+//! unconditionally. Every span opened under a context — across layers
+//! and, via explicit capture, across worker threads — links into one
+//! span tree ([`TraceTree`]) in the registry's single trace store.
+//! Trees whose total latency crosses the slow-query threshold are
+//! retained in full ([`Registry::slow_traces`]); the rest cycle through
+//! a bounded recent ring ([`Registry::finished_traces`],
+//! [`Registry::find_trace`]). Without a context a span is one `const`
+//! thread-local read — the hot path never pays for dormant tracing.
 //!
 //! ## Deadlines
 //!
@@ -58,9 +56,7 @@ pub use deadline::{
     DeadlineGuard,
 };
 pub use registry::{Counter, FloatCounter, Gauge, Histogram, MetricValue, Registry, Sample};
-pub use trace::{
-    splitmix64, BoostGuard, ContextGuard, SpanEvent, SpanGuard, TraceContext, TraceTree,
-};
+pub use trace::{splitmix64, ContextGuard, SpanEvent, SpanGuard, TraceContext, TraceTree};
 
 use std::sync::OnceLock;
 

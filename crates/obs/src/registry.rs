@@ -197,17 +197,12 @@ pub enum MetricValue {
     Histogram(u64, f64),
 }
 
-/// The metrics registry plus the span-trace ring buffer and the
-/// request-trace store (see [`crate::trace`]). Handle creation locks a
-/// mutex; recording through a handle is lock-free.
+/// The metrics registry plus the request-trace store (see
+/// [`crate::trace`]): one span store, one sampling switch. Handle
+/// creation locks a mutex; recording through a handle is lock-free.
 #[derive(Debug)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<Key, Metric>>,
-    /// Master switch read by every `span!` site: true when either
-    /// legacy tracing or request sampling is active.
-    pub(crate) tracing: std::sync::atomic::AtomicBool,
-    /// `trace on|off` — context-free flat span recording.
-    pub(crate) legacy_trace: std::sync::atomic::AtomicBool,
     /// Request sampling rate: 0 off, 1 every request, n one-in-n.
     pub(crate) trace_sample: AtomicU64,
     /// Seed for the deterministic sampler and trace-id generator.
@@ -216,13 +211,8 @@ pub struct Registry {
     pub(crate) trace_counter: AtomicU64,
     /// Span-id allocator (ids are unique per registry, never 0).
     pub(crate) span_ids: AtomicU64,
-    /// Live forced-trace guards (`explain analyze`, client-supplied
-    /// trace ids): while > 0 the master switch stays on.
-    pub(crate) trace_boost: AtomicU64,
     /// Slow-query threshold, microseconds as `f64` bits.
     pub(crate) slow_threshold_us: AtomicU64,
-    pub(crate) spans: Mutex<std::collections::VecDeque<crate::trace::SpanEvent>>,
-    pub(crate) span_seq: AtomicU64,
     pub(crate) traces: Mutex<crate::trace::TraceStore>,
 }
 
@@ -230,16 +220,11 @@ impl Default for Registry {
     fn default() -> Registry {
         Registry {
             metrics: Mutex::default(),
-            tracing: Default::default(),
-            legacy_trace: Default::default(),
             trace_sample: AtomicU64::new(0),
             trace_seed: AtomicU64::new(0),
             trace_counter: AtomicU64::new(0),
             span_ids: AtomicU64::new(0),
-            trace_boost: AtomicU64::new(0),
             slow_threshold_us: AtomicU64::new(crate::trace::DEFAULT_SLOW_THRESHOLD_US.to_bits()),
-            spans: Mutex::default(),
-            span_seq: AtomicU64::new(0),
             traces: Mutex::default(),
         }
     }
@@ -255,7 +240,7 @@ fn key(name: &str, labels: &[(&str, &str)]) -> Key {
 }
 
 impl Registry {
-    /// An empty registry with tracing off.
+    /// An empty registry with request sampling off.
     pub fn new() -> Registry {
         Registry::default()
     }

@@ -78,8 +78,6 @@ pub enum Command {
     Stats,
     /// `metrics` — Prometheus text exposition of the global registry.
     Metrics,
-    /// `trace on|off` — toggle span recording (surfaced by `explain`).
-    Trace(bool),
     /// `trace sample N` — trace one request in `N` (0 = off, 1 = all).
     TraceSample(u64),
     /// `trace slow MICROS` — retain the full span tree of any sampled
@@ -163,7 +161,6 @@ commands:
   costs                                 -- total ms charged so far
   stats                                 -- per-procedure workload counters
   metrics                               -- Prometheus text exposition
-  trace on|off                          -- record spans (shown by explain)
   trace sample N                        -- trace 1 request in N (0 = off)
   trace slow MICROS                     -- slow-query threshold (us, 0 = all)
   fault inject [--seed S] [--io-reads P] [--io-writes P] [--torn P]
@@ -513,11 +510,9 @@ fn parse_trace(rest: &str) -> Result<Command, String> {
             .map(Command::TraceSlow)
             .map_err(|_| format!("expected: trace slow MICROS, got {rest:?}"));
     }
-    match rest.as_str() {
-        "on" => Ok(Command::Trace(true)),
-        "off" => Ok(Command::Trace(false)),
-        other => Err(format!("expected 'trace on' or 'trace off', got {other:?}")),
-    }
+    Err(format!(
+        "expected 'trace sample N' or 'trace slow MICROS', got {rest:?}"
+    ))
 }
 
 fn parse_strategy(rest: &str) -> Result<Command, String> {
@@ -734,8 +729,10 @@ mod tests {
         assert_eq!(parse("costs").unwrap(), Some(Command::Costs));
         assert_eq!(parse("stats").unwrap(), Some(Command::Stats));
         assert_eq!(parse("metrics").unwrap(), Some(Command::Metrics));
-        assert_eq!(parse("trace on").unwrap(), Some(Command::Trace(true)));
-        assert_eq!(parse("TRACE OFF").unwrap(), Some(Command::Trace(false)));
+        assert!(
+            parse("trace on").is_err(),
+            "spans record under a context only"
+        );
         assert!(parse("trace").is_err());
         assert!(parse("trace maybe").is_err());
         assert_eq!(

@@ -96,14 +96,6 @@ pub fn execute(session: &mut Session, cmd: Command) -> Result<Outcome, String> {
         )),
         Command::Stats => Outcome::Text(session.stats_text().trim_end().to_string()),
         Command::Metrics => Outcome::Text(session.metrics_text().trim_end().to_string()),
-        Command::Trace(on) => {
-            session.set_tracing(on);
-            Outcome::text(if on {
-                "tracing on (spans shown by 'explain')"
-            } else {
-                "tracing off"
-            })
-        }
         Command::TraceSample(n) => {
             procdb_obs::global().set_trace_sample(n);
             Outcome::text(match n {
@@ -176,10 +168,9 @@ fn explain_analyze(session: &mut Session, inner: &str) -> Result<Outcome, String
     let ctx = reg.force_trace();
     let trace_id = ctx.trace_id;
     let result = {
-        // Boost keeps spans recording even with sampling off; the root
-        // span carries the same name as a served request so the tree
-        // shape matches what the slow-query log retains.
-        let _boost = reg.boost_tracing();
+        // The installed context makes spans record even with sampling
+        // off; the root span carries the same name as a served request
+        // so the tree shape matches what the slow-query log retains.
         let _ctx = reg.install_context(ctx);
         let _root = procdb_obs::span!(reg, "wire.request", analyze = 1);
         execute(session, cmd)

@@ -254,7 +254,7 @@ fn db_slow_queries(_session: &Session, _args: &[Value]) -> Result<CallOutcome, S
         s.push_str(&format!(
             "trace {} {} total {:.0}us spans {} — call db.trace({})\n",
             tree.trace_id,
-            tree.root().map(|r| r.name.as_str()).unwrap_or("?"),
+            tree.root_name,
             tree.total_us,
             tree.spans.len(),
             tree.trace_id,

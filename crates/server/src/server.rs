@@ -732,10 +732,9 @@ mod tests {
             &mut r,
             "define view V (EMP.all) where EMP.eid >= 2 and EMP.eid <= 5",
         );
-        let (data, t) = send(&mut s, &mut r, "trace on");
+        let (data, t) = send(&mut s, &mut r, "explain analyze access V");
         assert_eq!(t, "ok");
-        assert!(data.iter().any(|l| l.contains("tracing on")), "{data:?}");
-        send(&mut s, &mut r, "access V");
+        assert!(data.iter().any(|l| l.starts_with("trace ")), "{data:?}");
         let (data, t) = send(&mut s, &mut r, "explain V");
         assert_eq!(t, "ok");
         assert!(
@@ -762,8 +761,6 @@ mod tests {
             !data.iter().any(|l| l.contains("NaN")),
             "no NaN in exposition: {data:?}"
         );
-        let (_, t) = send(&mut s, &mut r, "trace off");
-        assert_eq!(t, "ok");
         send(&mut s, &mut r, "quit");
         server.stop();
     }

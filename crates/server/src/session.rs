@@ -695,6 +695,16 @@ impl Session {
                 format!("fault plan installed: {}", plan.describe())
             }
             Injection::Off => {
+                // The kill latch is the crash itself: dropping the
+                // injector would hide it from `recover`.
+                let latched = pagers
+                    .iter()
+                    .position(|p| p.fault_injector().is_some_and(|inj| inj.crashed()));
+                if let Some(s) = latched {
+                    return Err(format!(
+                        "shard {s} is crashed by its fault plan's kill point; run 'recover' before 'fault off'"
+                    ));
+                }
                 pagers.iter().for_each(|p| p.clear_faults());
                 "fault injection off".to_string()
             }
@@ -1142,44 +1152,31 @@ impl Session {
         reg.render_prometheus()
     }
 
-    /// Enable or disable span recording (the `trace on|off` command).
-    pub fn set_tracing(&self, on: bool) {
-        procdb_obs::global().set_tracing(on);
-    }
-
-    /// Whether spans are currently recorded.
-    pub fn tracing_enabled(&self) -> bool {
-        procdb_obs::global().tracing_enabled()
-    }
-
     /// How many spans `explain` dumps per procedure.
     const SPAN_DUMP_LIMIT: usize = 10;
 
-    /// EXPLAIN a view: the precompiled plan, plus (when tracing has
-    /// recorded any) the most recent spans touching this procedure —
-    /// accesses and recomputes with their predicted/observed costs.
+    /// EXPLAIN a view: the precompiled plan, plus the most recent spans
+    /// touching this procedure in the retained traces (`explain
+    /// analyze`, sampled requests) — accesses and recomputes with their
+    /// predicted/observed costs.
     pub fn explain(&self, view: &str) -> Result<String, SessionError> {
         let idx = self.view_index(view)?;
         let def = &self.views[idx].1;
         let mut out = def.to_plan().explain();
-        let reg = procdb_obs::global();
-        let spans = reg.recent_spans(Self::SPAN_DUMP_LIMIT, |e| {
-            e.field("proc") == Some(idx as f64)
-        });
-        if !spans.is_empty() {
+        let traces = procdb_obs::global().finished_traces();
+        let spans: Vec<_> = (traces.into_iter().flat_map(|t| t.spans))
+            .filter(|e| e.field("proc") == Some(idx as f64))
+            .collect();
+        let recent = &spans[spans.len().saturating_sub(Self::SPAN_DUMP_LIMIT)..];
+        if !recent.is_empty() {
             if !out.ends_with('\n') {
                 out.push('\n');
             }
             out.push_str("recent spans (oldest first):\n");
-            for s in &spans {
+            for s in recent {
                 out.push_str(&s.render());
                 out.push('\n');
             }
-        } else if self.tracing_enabled() {
-            if !out.ends_with('\n') {
-                out.push('\n');
-            }
-            out.push_str("recent spans: none recorded yet (run an access)\n");
         }
         Ok(out)
     }
@@ -1355,6 +1352,30 @@ mod tests {
         let (rows, ms) = s.access("V").unwrap();
         assert_eq!(rows.len(), 10);
         assert!(ms > 0.0, "the access after a failed update was not charged");
+    }
+
+    /// A fired kill point is a crash: `fault off` must not lift it, or
+    /// `recover` would answer "not crashed" and skip recovery.
+    #[test]
+    fn fault_off_refuses_while_a_kill_latch_is_set() {
+        let mut s = demo_session();
+        s.define_view("define view V (EMP.all) where EMP.eid >= 10 and EMP.eid <= 19")
+            .unwrap();
+        s.fault(Injection::Inject(
+            FaultPlan::new(1).kill_at(1).include_uncharged(),
+        ))
+        .unwrap();
+        assert!(s.access("V").is_err(), "the kill point fired");
+        let err = s.fault(Injection::Off).unwrap_err();
+        assert!(
+            err.contains("shard 0") && err.contains("'recover'"),
+            "{err}"
+        );
+        let text = s.recover(None).unwrap();
+        assert!(text.contains("shard 0 recovered"), "{text}");
+        s.fault(Injection::Off).unwrap();
+        let (rows, _) = s.access("V").unwrap();
+        assert_eq!(rows.len(), 10);
     }
 
     #[test]
@@ -1601,17 +1622,13 @@ mod tests {
         let mut s = demo_session();
         s.define_view("define view V (EMP.all) where EMP.eid >= 10 and EMP.eid <= 19")
             .unwrap();
-        // Tracing off: the plan alone.
-        s.access("V").unwrap();
-        s.set_tracing(true);
-        let plain = s.explain("V").unwrap();
-        assert!(
-            plain.contains("recent spans: none recorded yet") || plain.contains("recent spans ("),
-            "{plain}"
-        );
-        s.access("V").unwrap();
+        let reg = procdb_obs::global();
+        {
+            let _ctx = reg.install_context(reg.force_trace());
+            let _root = procdb_obs::span!(reg, "test.request");
+            s.access("V").unwrap();
+        }
         let text = s.explain("V").unwrap();
-        s.set_tracing(false);
         assert!(text.contains("recent spans (oldest first):"), "{text}");
         assert!(text.contains("access"), "{text}");
         assert!(text.contains("observed_ms"), "{text}");

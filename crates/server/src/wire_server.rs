@@ -475,7 +475,6 @@ fn worker_loop(
             // span opened below (session, shard workers via explicit
             // capture, storage) links under it.
             let reg = procdb_obs::global();
-            let _boost = ctx.map(|_| reg.boost_tracing());
             let _ctx = ctx.map(|c| reg.install_context(c));
             let _root = procdb_obs::span!(reg, "wire.request", proto = 2, opcode = op);
             handle_request(shared, state, req, budget)
